@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/linalg"
 	"repro/internal/neural"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -618,6 +619,56 @@ func BenchmarkGenerationStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ex.Step(context.Background())
+	}
+}
+
+// BenchmarkFitAffineScratch measures one consequent regression — the
+// normal-equation accumulation and solve behind every scored offspring
+// — at the two shapes the end-to-end benchmark (perfbench) records:
+// a Venice D=24 rule matching 4,879 rows (the regression-heavy
+// workload's mean matched set) and a Mackey-Glass D=4 rule matching
+// 107 rows. The scratch is warmed before the timer, so allocs/op is
+// exactly the returned LinearFit and its coefficient slice; CI gates
+// it.
+func BenchmarkFitAffineScratch(b *testing.B) {
+	venice, _, err := series.VenicePaper(6000, 1500, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v24, err := series.Window(venice, 24, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mg, _, err := series.MackeyGlassPaper()
+	if err != nil {
+		b.Fatal(err)
+	}
+	mg4, err := series.WindowEmbed(mg, 4, 6, 50)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		ds   *series.Dataset
+		n    int
+	}{
+		{"D24x4879", v24, 4879},
+		{"D4x107", mg4, 107},
+	} {
+		xs, ys := c.ds.Inputs[:c.n], c.ds.Targets[:c.n]
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var sc linalg.FitScratch
+			if _, err := linalg.FitAffineScratch(xs, ys, 1e-8, &sc); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := linalg.FitAffineScratch(xs, ys, 1e-8, &sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

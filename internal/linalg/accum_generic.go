@@ -2,6 +2,17 @@
 
 package linalg
 
+// accumBlock4 adds the contributions of the four observation rows
+// packed in blk (row r is blk[r*d:(r+1)*d], its target ys[r], d = p-1)
+// to the normal equations, one row at a time in row order. All-zero
+// rows contribute nothing, which is how a short final block is padded.
+func accumBlock4(xtx, xty, blk, ys []float64, p int) {
+	d := p - 1
+	for r := 0; r < 4; r++ {
+		accumRow(xtx, xty, blk[r*d:(r+1)*d], ys[r], p)
+	}
+}
+
 // accumRow adds one observation row's contribution to the normal
 // equations: for every gene a with row[a] != 0 it accumulates
 // xty[a] += row[a]*yi, the upper-triangle run

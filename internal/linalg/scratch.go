@@ -16,6 +16,8 @@ type FitScratch struct {
 	l    []float64 // p×p Cholesky factor (lower triangle written)
 	y    []float64 // forward-substitution intermediate
 	beta []float64
+	blk  []float64  // 4×d block of packed observation rows
+	ys   [4]float64 // the packed rows' targets
 }
 
 // growZero resizes *buf to n with every element zeroed, retaining
@@ -66,20 +68,9 @@ func FitAffineScratch(xs [][]float64, y []float64, ridge float64, sc *FitScratch
 	}
 	d := len(xs[0])
 	p := d + 1
-	xtx := growZero(&sc.xtx, p*p)
-	xty := growZero(&sc.xty, p)
-	for i, row := range xs {
-		if len(row) != d {
-			return nil, fmt.Errorf("%w: ragged observation %d", ErrShape, i)
-		}
-		yi := y[i]
-		// The gene rows of the rank-1 update run in the vector kernel
-		// (see accum_amd64.s / accum_generic.go).
-		accumRow(xtx, xty, row, yi, p)
-		// The intercept row of the design matrix: its entry is the
-		// constant 1, which the ra==0 skip can never drop.
-		xty[d] += yi
-		xtx[d*p+d]++
+	xtx, xty, err := sc.accumulate(xs, y, d)
+	if err != nil {
+		return nil, err
 	}
 	// Mirror the upper triangle, then regularize the diagonal.
 	for a := 0; a < p; a++ {
@@ -107,6 +98,41 @@ func FitAffineScratch(xs [][]float64, y []float64, ridge float64, sc *FitScratch
 	coef := make([]float64, d)
 	copy(coef, beta[:d])
 	return &LinearFit{Coef: coef, Intercept: beta[d]}, nil
+}
+
+// accumulate zeroes the scratch normal equations and adds every
+// observation to their upper triangle, returning XᵀX (p×p, p = d+1)
+// and Xᵀy. Rows are packed four at a time into sc.blk for the block
+// kernel (see accum_amd64.s / accum_generic.go); a short final block
+// is padded with all-zero rows, which the kernel's row[a] == 0 skip
+// drops exactly.
+func (sc *FitScratch) accumulate(xs [][]float64, y []float64, d int) (xtx, xty []float64, err error) {
+	p := d + 1
+	xtx = growZero(&sc.xtx, p*p)
+	xty = growZero(&sc.xty, p)
+	blk := grow(&sc.blk, 4*d)
+	for i := 0; i < len(xs); i += 4 {
+		k := min(4, len(xs)-i)
+		for r := 0; r < k; r++ {
+			row := xs[i+r]
+			if len(row) != d {
+				return nil, nil, fmt.Errorf("%w: ragged observation %d", ErrShape, i+r)
+			}
+			copy(blk[r*d:], row)
+			yi := y[i+r]
+			sc.ys[r] = yi
+			// The intercept row of the design matrix: its entry is the
+			// constant 1, which the ra==0 skip can never drop.
+			xty[d] += yi
+			xtx[d*p+d]++
+		}
+		if k < 4 {
+			clear(blk[k*d:])
+			clear(sc.ys[k:])
+		}
+		accumBlock4(xtx, xty, blk, sc.ys[:], p)
+	}
+	return xtx, xty, nil
 }
 
 // solveNormalScratch runs the Cholesky factor-and-solve of the normal

@@ -31,15 +31,19 @@ func fitsBitIdentical(a, b *LinearFit) bool {
 
 // Property: FitAffineScratch is FitAffine bit for bit — same
 // coefficients, same intercept, same error behaviour — across random
-// geometries, exact zeros (the accumulator's skip path), huge and
-// denormal magnitudes, rank-deficient designs (the non-PD Gaussian
-// fallback), and with a single dirty scratch reused across all of it.
+// geometries (up to 32 genes and a few thousand rows), exact zeros
+// (the accumulator's skip path), huge and denormal magnitudes,
+// rank-deficient designs (the non-PD Gaussian fallback), and with a
+// single dirty scratch reused across all of it.
 func TestPropertyFitScratchBitIdentical(t *testing.T) {
 	var sc FitScratch // deliberately shared and dirty across trials
 	g := func(seed int64) bool {
 		src := rng.New(seed)
 		n := 1 + src.Intn(40)
-		d := 1 + src.Intn(8)
+		if src.Bool(0.1) {
+			n = 1 + src.Intn(3000)
+		}
+		d := 1 + src.Intn(32)
 		return checkFitEquivalence(src, n, d, &sc)
 	}
 	if err := quick.Check(g, &quick.Config{MaxCount: 300}); err != nil {
