@@ -4,9 +4,12 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"net"
 	"testing"
 
 	"repro/forecast"
+	"repro/internal/engine"
+	"repro/internal/remote"
 	"repro/internal/series"
 )
 
@@ -25,16 +28,36 @@ const (
 	// D=4, spacing 6, horizon 50; seed 5, population 100, 2,000
 	// generations.
 	goldenMackeyGlass4 = "986e8468fbfcd9c6e190c05d9f468e98f1147d50b0eeb18811df986c372db23d"
+	// goldenMackeyGlass4x2: the same protocol accumulated over two
+	// executions run side by side (WithMultiRun(2), WithParallelism(2)).
+	goldenMackeyGlass4x2 = "98300ccd1a1aa30fae93885082a0a7970d3dd61c18c4fd4fd56f17fff5842a3a"
 )
 
 // goldenPaths are the evaluation paths every golden fit runs through:
-// the evaluator's own single index, and the sharded engine.
+// the evaluator's own single index, the sharded engine, and a cluster
+// of two shard servers on loopback TCP.
 var goldenPaths = []struct {
 	name string
-	opts []forecast.Option
+	opts func(t *testing.T) []forecast.Option
 }{
-	{"index", nil},
-	{"engine2", []forecast.Option{forecast.WithEngine(2)}},
+	{"index", func(*testing.T) []forecast.Option { return nil }},
+	{"engine2", func(*testing.T) []forecast.Option { return []forecast.Option{forecast.WithEngine(2)} }},
+	{"cluster", func(t *testing.T) []forecast.Option {
+		return []forecast.Option{forecast.WithRemoteCluster(goldenServer(t), goldenServer(t))}
+	}},
+}
+
+// goldenServer starts one in-process shard server on a loopback TCP
+// port for the duration of the test and returns its address.
+func goldenServer(t *testing.T) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go remote.NewServer(engine.Options{Shards: 1}).Serve(context.Background(), l)
+	return l.Addr().String()
 }
 
 // goldenDigest fits ds under the given options and hashes the
@@ -62,7 +85,7 @@ func goldenDigest(t *testing.T, ds *forecast.Dataset, opts ...forecast.Option) s
 func checkGolden(t *testing.T, want string, data func() *forecast.Dataset, base ...forecast.Option) {
 	for _, p := range goldenPaths {
 		t.Run(p.name, func(t *testing.T) {
-			opts := append(append([]forecast.Option(nil), base...), p.opts...)
+			opts := append(append([]forecast.Option(nil), base...), p.opts(t)...)
 			if got := goldenDigest(t, data(), opts...); got != want {
 				t.Errorf("rule-set digest changed:\n got  %s\n want %s", got, want)
 			}
@@ -96,4 +119,19 @@ func TestGoldenMackeyGlass4(t *testing.T) {
 		}
 		return ds
 	}, forecast.WithSeed(5), forecast.WithPopulation(100), forecast.WithGenerations(2000))
+}
+
+func TestGoldenMackeyGlass4x2(t *testing.T) {
+	train, _, err := series.MackeyGlassPaper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, goldenMackeyGlass4x2, func() *forecast.Dataset {
+		ds, err := forecast.Embed(train, 4, 6, 50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}, forecast.WithSeed(5), forecast.WithPopulation(100), forecast.WithGenerations(2000),
+		forecast.WithMultiRun(2), forecast.WithParallelism(2))
 }
