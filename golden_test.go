@@ -56,6 +56,9 @@ func goldenServer(t *testing.T) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
+	// Serve returns (with the listener's error) once cleanup closes the
+	// listener; each connection's handler ends when the fit's cluster
+	// hangs up.
 	go remote.NewServer(engine.Options{Shards: 1}).Serve(context.Background(), l)
 	return l.Addr().String()
 }

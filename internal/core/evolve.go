@@ -30,10 +30,23 @@ type Execution struct {
 
 	src      *rng.Source
 	mut      *mutator
+	sel      roulette // prefix sums of Pop's fitness, rebuilt every generation
 	predSpan float64
 	tel      *runTelemetry // nil = telemetry disabled (see Runtime.Telemetry)
 	bestSeen float64       // best fitness the telemetry gauges have reported
+
+	// Speculative offspring prefetch (see prefetch). spec is decided
+	// once, from the evaluator; specLeft counts the generations the open
+	// window still covers (0: none open); kids is the window's pooled
+	// slice of simulated offspring.
+	spec     bool
+	specLeft int
+	kids     []*Rule
 }
+
+// specWindow is the number of generations one speculative window
+// simulates and scores ahead of the real loop.
+const specWindow = 8
 
 // NewExecution prepares (but does not run) an execution: it validates
 // the configuration, resolves EMax against the data when unset,
@@ -67,6 +80,7 @@ func NewExecution(ctx context.Context, cfg Config, data *series.Dataset) (*Execu
 		predSpan: hi - lo,
 		tel:      newRunTelemetry(cfg.Runtime.Telemetry),
 	}
+	ex.spec = ex.Eval.batchesAhead()
 	ex.Stats.EMaxResolved = emax
 
 	// Per-lag data bounds for the mutator.
@@ -104,24 +118,16 @@ func NewExecution(ctx context.Context, cfg Config, data *series.Dataset) (*Execu
 // cancellable and traced under the caller's span.
 func (ex *Execution) step(ctx context.Context) bool {
 	cfg := &ex.Config
-	var child *Rule
-	if ex.src.Bool(cfg.CrossoverRate) {
-		pa := selectParent(ex.Pop, cfg.TournamentRounds, ex.src)
-		pb := selectParent(ex.Pop, cfg.TournamentRounds, ex.src)
-		child = crossover(ex.Pop[pa], ex.Pop[pb], ex.src)
-	} else {
-		// Mutation-only reproduction (ablation path; the paper always
-		// crosses over).
-		pa := selectParent(ex.Pop, cfg.TournamentRounds, ex.src)
-		child = ex.Pop[pa].Clone()
+	ex.sel.reset(ex.Pop)
+	if ex.spec && ex.specLeft == 0 {
+		ex.prefetch(ctx)
 	}
-	ex.mut.mutate(child, ex.src)
+	child, target := ex.offspring(ex.src)
 	ex.Eval.EvaluateCtx(ctx, child)
 
-	var target int
 	switch cfg.Replacement {
 	case ReplaceRandom:
-		target = ex.src.Intn(len(ex.Pop))
+		// target was drawn with the offspring.
 	case ReplaceWorst:
 		target = 0
 		for i, r := range ex.Pop {
@@ -133,13 +139,85 @@ func (ex *Execution) step(ctx context.Context) bool {
 		target = nearestIndex(ex.Pop, child, cfg.Distance, ex.predSpan)
 	}
 	ex.Stats.Generations++
+	if ex.specLeft > 0 {
+		ex.specLeft--
+		ex.tel.specHit()
+	}
 	if child.Fitness > ex.Pop[target].Fitness {
 		ex.Pop[target] = child
 		ex.Stats.Replacements++
 		ex.noteImprovement(child)
+		// The window was simulated against the population this child
+		// just changed: the rest of its offspring will not be drawn.
+		ex.endWindow()
 		return true
 	}
 	return false
+}
+
+// offspring draws one generation's randomness from src, in exactly the
+// order a generation consumes it: the crossover coin, the parents'
+// roulette trials over ex.sel (which must hold ex.Pop's prefix sums),
+// the crossover genes, the mutations and — for ReplaceRandom only —
+// the replacement slot. It returns the unevaluated child and that
+// slot; the other replacement kinds choose by the child's evaluation,
+// draw nothing, and get -1. The real generation and the speculative
+// window both draw through this one function, so their streams cannot
+// drift apart.
+func (ex *Execution) offspring(src *rng.Source) (*Rule, int) {
+	cfg := &ex.Config
+	var child *Rule
+	if src.Bool(cfg.CrossoverRate) {
+		pa := ex.sel.pick(ex.Pop, cfg.TournamentRounds, src)
+		pb := ex.sel.pick(ex.Pop, cfg.TournamentRounds, src)
+		child = crossover(ex.Pop[pa], ex.Pop[pb], src)
+	} else {
+		// Mutation-only reproduction (ablation path; the paper always
+		// crosses over).
+		pa := ex.sel.pick(ex.Pop, cfg.TournamentRounds, src)
+		child = ex.Pop[pa].Clone()
+	}
+	ex.mut.mutate(child, src)
+	target := -1
+	if cfg.Replacement == ReplaceRandom {
+		target = src.Intn(len(ex.Pop))
+	}
+	return child, target
+}
+
+// prefetch opens a speculative window: on a fork of the random stream
+// it draws the offspring of the next specWindow generations exactly as
+// step will — against the current population (ex.sel must hold its
+// prefix sums), assuming none of them replaces anyone — and scores
+// them in one batch (one MatchBatch, one cluster round trip,
+// regressions in parallel across workers). The batch only warms the
+// evaluation cache: the real generations then find their children
+// there. Cache entries are pure functions of their
+// key, so results are bit-identical whether or not a child is found.
+// A batch cut short by cancellation or a backend fault caches nothing
+// incomplete; the real generation then meets the failure as before.
+func (ex *Execution) prefetch(ctx context.Context) {
+	k := min(specWindow, ex.Config.Generations-ex.Stats.Generations)
+	if k < 2 {
+		return // the real generation alone is the same batch
+	}
+	src := ex.src.Fork()
+	ex.kids = ex.kids[:0]
+	for i := 0; i < k; i++ {
+		child, _ := ex.offspring(src)
+		ex.kids = append(ex.kids, child)
+	}
+	ex.specLeft = k
+	ex.tel.specWindow(k)
+	ex.Eval.prefetch(ctx, ex.kids)
+	clear(ex.kids) // drop the simulated rules; keep the slice
+}
+
+// endWindow closes the open speculative window, if any, counting the
+// generations it simulated that will not run against its population.
+func (ex *Execution) endWindow() {
+	ex.tel.specWasted(ex.specLeft)
+	ex.specLeft = 0
 }
 
 // Run performs the configured number of generations and refreshes the
@@ -169,8 +247,11 @@ func (ex *Execution) Run(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// refreshStats recomputes the end-of-run aggregate statistics.
+// refreshStats recomputes the end-of-run aggregate statistics. Every
+// run loop ends here, so it also closes a speculative window the run
+// stopped inside.
 func (ex *Execution) refreshStats() {
+	ex.endWindow()
 	best, sum := ex.Pop[0].Fitness, 0.0
 	valid := 0
 	for _, r := range ex.Pop {

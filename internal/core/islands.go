@@ -173,6 +173,9 @@ func migrateRing(islands []*Execution, k int) {
 	for i := range islands {
 		dst := islands[(i+1)%n]
 		replaceWorst(dst.Pop, emigrants[i])
+		// Immigrants change the population a speculative window was
+		// simulated against.
+		dst.endWindow()
 	}
 }
 

@@ -107,9 +107,13 @@ func MultiRun(ctx context.Context, cfg MultiRunConfig, data *series.Dataset) (*M
 		parallel.For(n, n, func(i int) {
 			c := cfg.Base
 			c.Seed = seeds[done+i].Seed()
-			// Within a wave each execution occupies one goroutine; keep
-			// the inner match scans serial to avoid oversubscription.
-			c.Runtime.Workers = 1
+			// Within a wave of several executions each occupies one
+			// goroutine; keep their inner scans and batches serial to
+			// avoid oversubscription. A lone execution keeps the
+			// configured workers for its own batches.
+			if n > 1 {
+				c.Runtime.Workers = 1
+			}
 			ex, err := NewExecution(ctx, c, data)
 			if err != nil {
 				// Construction aborted by the wave's own cancellation

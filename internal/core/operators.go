@@ -6,19 +6,70 @@ import (
 	"repro/internal/rng"
 )
 
-// selectParent implements the paper's "three rounds trials" selection:
-// the configured number of independent fitness-proportional (roulette)
-// draws, keeping the fittest of the drawn candidates. Returns the
-// index of the selected individual.
-func selectParent(pop []*Rule, rounds int, src *rng.Source) int {
-	weights := make([]float64, len(pop))
-	for i, r := range pop {
-		weights[i] = r.Fitness
+// roulette is fitness-proportional selection over one generation's
+// population: the prefix sums of its fitness, built once per
+// generation and searched by every draw. Each draw returns exactly
+// the index rng.Roulette would over the same weights with the same
+// stream — one Float64 (or, when no weight counts, one Intn) — without
+// a weights slice or a rescan per draw.
+type roulette struct {
+	cum []float64 // cum[i]: summed counted fitness of pop[0..i]
+}
+
+// reset rebuilds the prefix sums for pop, accumulating in
+// rng.Roulette's order and with its rule: non-positive, +Inf and NaN
+// fitness count as zero. The sums never decrease, even once they
+// overflow to +Inf.
+func (w *roulette) reset(pop []*Rule) {
+	if cap(w.cum) < len(pop) {
+		w.cum = make([]float64, len(pop))
 	}
-	best := src.Roulette(weights)
+	w.cum = w.cum[:len(pop)]
+	acc := 0.0
+	for i, r := range pop {
+		if f := r.Fitness; f > 0 && !math.IsInf(f, 1) && !math.IsNaN(f) {
+			acc += f
+		}
+		w.cum[i] = acc
+	}
+}
+
+// draw is one roulette spin: the first index whose prefix sum exceeds
+// the target, found by binary search (rng.Roulette's linear scan stops
+// at the same index because the sums are non-decreasing). No weight
+// counting falls back to a uniform pick; no prefix exceeding the
+// target (a NaN or +Inf target) picks the last index, as rng.Roulette
+// does.
+func (w *roulette) draw(src *rng.Source) int {
+	n := len(w.cum)
+	total := w.cum[n-1]
+	if total <= 0 {
+		return src.Intn(n)
+	}
+	target := src.Float64() * total
+	lo, hi := 0, n
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if w.cum[m] > target {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	if lo == n {
+		return n - 1
+	}
+	return lo
+}
+
+// pick implements the paper's "three rounds trials" selection: the
+// configured number of independent roulette draws over pop (whose
+// prefix sums w must hold), keeping the fittest of the drawn
+// candidates. Returns the index of the selected individual.
+func (w *roulette) pick(pop []*Rule, rounds int, src *rng.Source) int {
+	best := w.draw(src)
 	for round := 1; round < rounds; round++ {
-		cand := src.Roulette(weights)
-		if pop[cand].Fitness > pop[best].Fitness {
+		if cand := w.draw(src); pop[cand].Fitness > pop[best].Fitness {
 			best = cand
 		}
 	}

@@ -15,10 +15,12 @@ func TestSelectParentPrefersFit(t *testing.T) {
 		{Fitness: 0.001},
 	}
 	src := rng.New(1)
+	var sel roulette
+	sel.reset(pop)
 	wins := 0
 	const trials = 2000
 	for i := 0; i < trials; i++ {
-		if selectParent(pop, 3, src) == 1 {
+		if sel.pick(pop, 3, src) == 1 {
 			wins++
 		}
 	}
@@ -32,13 +34,57 @@ func TestSelectParentPrefersFit(t *testing.T) {
 func TestSelectParentUniformWhenAllFloor(t *testing.T) {
 	pop := []*Rule{{Fitness: 0}, {Fitness: 0}, {Fitness: 0}, {Fitness: 0}}
 	src := rng.New(2)
+	var sel roulette
+	sel.reset(pop)
 	counts := make([]int, 4)
 	for i := 0; i < 8000; i++ {
-		counts[selectParent(pop, 3, src)]++
+		counts[sel.pick(pop, 3, src)]++
 	}
 	for i, c := range counts {
 		if c == 0 {
 			t.Fatalf("index %d never selected under all-floor fitness", i)
+		}
+	}
+}
+
+// TestRouletteMatchesReference: a prefix-sum draw returns exactly the
+// index rng.Roulette returns over the same weights from an identically
+// seeded stream, and leaves the stream in the same place — including
+// the edge weights rng.Roulette treats specially (NaN, ±Inf, negative,
+// ±0, all-zero) and weights whose sum overflows to +Inf.
+func TestRouletteMatchesReference(t *testing.T) {
+	edges := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -1e-300, 0, math.Copysign(0, -1),
+		5e-324, 2.2e-308, math.MaxFloat64, math.MaxFloat64 / 2, 1, 0.5, 1e-12, 1e12}
+	gen := rng.New(99)
+	var sel roulette
+	for trial := 0; trial < 20000; trial++ {
+		n := 1 + gen.Intn(12)
+		if trial%10 == 0 {
+			n = 50 + gen.Intn(100)
+		}
+		pop := make([]*Rule, n)
+		weights := make([]float64, n)
+		for i := range pop {
+			switch gen.Intn(4) {
+			case 0:
+				weights[i] = edges[gen.Intn(len(edges))]
+			case 1:
+				weights[i] = 0
+			default:
+				weights[i] = gen.Float64() * 10
+			}
+			pop[i] = &Rule{Fitness: weights[i]}
+		}
+		seed := int64(trial)
+		got, want := rng.New(seed), rng.New(seed)
+		sel.reset(pop)
+		for d := 0; d < 6; d++ {
+			if g, w := sel.draw(got), want.Roulette(weights); g != w {
+				t.Fatalf("trial %d draw %d: prefix sums pick %d, rng.Roulette %d over %v", trial, d, g, w, weights)
+			}
+		}
+		if got.Float64() != want.Float64() {
+			t.Fatalf("trial %d: streams diverged after the draws", trial)
 		}
 	}
 }

@@ -21,6 +21,14 @@ type runTelemetry struct {
 	gens  *obs.Counter   // core_generations
 	best  *obs.Gauge     // core_best_fitness: best fitness seen so far
 	bestE *obs.Gauge     // core_best_error: that rule's training error
+
+	// Speculative offspring prefetch (Execution.prefetch). Every
+	// simulated child ends as a hit or as waste, so once a run has
+	// ended, spec_evals = spec_hits + spec_wasted.
+	specWindows *obs.Counter // core_spec_windows: windows opened
+	specEvals   *obs.Counter // core_spec_evals: offspring simulated and scored ahead
+	specHits    *obs.Counter // core_spec_hits: generations whose child a window foresaw
+	specWaste   *obs.Counter // core_spec_wasted: foreseen generations that never ran
 }
 
 func newRunTelemetry(reg *obs.Registry) *runTelemetry {
@@ -33,6 +41,36 @@ func newRunTelemetry(reg *obs.Registry) *runTelemetry {
 		gens:  reg.Counter("core_generations"),
 		best:  reg.Gauge("core_best_fitness"),
 		bestE: reg.Gauge("core_best_error"),
+
+		specWindows: reg.Counter("core_spec_windows"),
+		specEvals:   reg.Counter("core_spec_evals"),
+		specHits:    reg.Counter("core_spec_hits"),
+		specWaste:   reg.Counter("core_spec_wasted"),
+	}
+}
+
+// specWindow records a speculative window of k simulated offspring.
+func (t *runTelemetry) specWindow(k int) {
+	if t == nil {
+		return
+	}
+	t.specWindows.Inc()
+	t.specEvals.Add(uint64(k))
+}
+
+// specHit records a generation that ran inside an open window.
+func (t *runTelemetry) specHit() {
+	if t != nil {
+		t.specHits.Inc()
+	}
+}
+
+// specWasted records n simulated generations a window closed without
+// running — a replacement or a migration changed the population, or
+// the run stopped.
+func (t *runTelemetry) specWasted(n int) {
+	if t != nil && n > 0 {
+		t.specWaste.Add(uint64(n))
 	}
 }
 

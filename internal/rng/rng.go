@@ -6,7 +6,9 @@
 // operators, parallel executions) draws from an *rng.Source created
 // from an explicit seed. Parallel work splits independent child
 // streams with Split, so results are identical regardless of the
-// number of goroutines used.
+// number of goroutines used. Fork gives a lookahead view of a stream:
+// it yields exactly the draws its parent will yield next, so a caller
+// can rehearse future work without disturbing the stream itself.
 package rng
 
 import (
@@ -21,12 +23,102 @@ import (
 type Source struct {
 	r    *rand.Rand
 	seed int64
+	// gen is the generator r draws from directly until the first Fork;
+	// from then on r reads through la, which first replays the raw
+	// draws forks have taken ahead of it. nil in a fork.
+	gen rand.Source64
+	la  *lookahead
 }
 
 // New returns a Source seeded with seed.
 func New(seed int64) *Source {
-	return &Source{r: rand.New(rand.NewSource(seed)), seed: seed}
+	gen := rand.NewSource(seed).(rand.Source64)
+	return &Source{r: rand.New(gen), seed: seed, gen: gen}
 }
+
+// Fork returns a lookahead view of the stream: the fork yields exactly
+// the draws s will yield next, through every method, while s itself is
+// left where it was — its next draws replay the ones the fork took.
+// This is exact because every math/rand.Rand method is a pure function
+// of the raw 64-bit stream, which s buffers on the fork's behalf.
+//
+// A fork is valid only until s draws again; using it afterwards panics
+// rather than return draws that no longer lie ahead of s. Several
+// forks taken at the same point all replay the same future. A fork
+// cannot itself be forked. A Source that is never forked pays nothing
+// for the capability: the buffering starts with the first Fork.
+func (s *Source) Fork() *Source {
+	if s.gen == nil {
+		panic("rng: Fork of a fork")
+	}
+	if s.la == nil {
+		s.la = &lookahead{gen: s.gen}
+		s.r = rand.New(parentView{s.la})
+	}
+	return &Source{r: rand.New(&forkView{la: s.la, base: s.la.pos}), seed: s.seed}
+}
+
+// lookahead is the raw-draw buffer a forked Source shares with its
+// forks: the draws forks have taken that the parent has not consumed.
+type lookahead struct {
+	gen  rand.Source64
+	buf  []uint64 // buf[head:] lie ahead of the parent, oldest first
+	head int
+	pos  uint64 // raw draws the parent has consumed since the first Fork
+}
+
+// rawMask is what math/rand's generator masks a raw draw with for
+// Int63, so a replayed Int63 equals the one the generator would give.
+const rawMask = 1<<63 - 1
+
+// parentView is the forked parent's source: buffered draws first, then
+// fresh ones from the generator.
+type parentView struct{ la *lookahead }
+
+func (p parentView) Uint64() uint64 {
+	la := p.la
+	la.pos++
+	if la.head == len(la.buf) {
+		return la.gen.Uint64()
+	}
+	v := la.buf[la.head]
+	if la.head++; la.head == len(la.buf) {
+		la.buf, la.head = la.buf[:0], 0
+	}
+	return v
+}
+
+func (p parentView) Int63() int64 { return int64(p.Uint64() & rawMask) }
+
+func (parentView) Seed(int64) { panic("rng: Seed on a Source's generator") }
+
+// forkView is a fork's source: it reads the parent's future, drawing
+// it from the generator into the shared buffer the first time any fork
+// reaches it.
+type forkView struct {
+	la   *lookahead
+	base uint64 // la.pos when the fork was taken
+	off  int    // draws this fork has taken
+}
+
+func (f *forkView) Uint64() uint64 {
+	la := f.la
+	if la.pos != f.base {
+		panic("rng: fork used after its parent drew again")
+	}
+	i := la.head + f.off
+	f.off++
+	if i < len(la.buf) {
+		return la.buf[i]
+	}
+	v := la.gen.Uint64()
+	la.buf = append(la.buf, v)
+	return v
+}
+
+func (f *forkView) Int63() int64 { return int64(f.Uint64() & rawMask) }
+
+func (*forkView) Seed(int64) { panic("rng: Seed on a fork") }
 
 // Seed returns the seed this source was created with.
 func (s *Source) Seed() int64 { return s.seed }
