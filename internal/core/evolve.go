@@ -36,9 +36,9 @@ type Execution struct {
 	bestSeen float64       // best fitness the telemetry gauges have reported
 
 	// Speculative offspring prefetch (see prefetch). spec is decided
-	// once, from the evaluator; specLeft counts the generations the open
-	// window still covers (0: none open); kids is the window's pooled
-	// slice of simulated offspring.
+	// once, from the evaluated initial population (batchPays); specLeft
+	// counts the generations the open window still covers (0: none
+	// open); kids is the window's pooled slice of simulated offspring.
 	spec     bool
 	specLeft int
 	kids     []*Rule
@@ -80,7 +80,6 @@ func NewExecution(ctx context.Context, cfg Config, data *series.Dataset) (*Execu
 		predSpan: hi - lo,
 		tel:      newRunTelemetry(cfg.Runtime.Telemetry),
 	}
-	ex.spec = ex.Eval.batchesAhead()
 	ex.Stats.EMaxResolved = emax
 
 	// Per-lag data bounds for the mutator.
@@ -108,6 +107,7 @@ func NewExecution(ctx context.Context, cfg Config, data *series.Dataset) (*Execu
 	if err := ex.Eval.EvaluateAll(ctx, ex.Pop); err != nil {
 		return nil, fmt.Errorf("core: initial population evaluation: %w", err)
 	}
+	ex.spec = ex.batchPays()
 	ex.noteInitialBest()
 	return ex, nil
 }
@@ -124,6 +124,12 @@ func (ex *Execution) step(ctx context.Context) bool {
 	}
 	child, target := ex.offspring(ex.src)
 	ex.Eval.EvaluateCtx(ctx, child)
+	if ctx.Err() != nil || ex.Eval.BackendErr() != nil {
+		// The evaluation may have been abandoned, leaving the child
+		// with no evaluation or — a mutated clone — its parent's. The
+		// generation does not happen; the run loop stops next.
+		return false
+	}
 
 	switch cfg.Replacement {
 	case ReplaceRandom:
@@ -211,6 +217,37 @@ func (ex *Execution) prefetch(ctx context.Context) {
 	ex.tel.specWindow(k)
 	ex.Eval.prefetch(ctx, ex.kids)
 	clear(ex.kids) // drop the simulated rules; keep the slice
+}
+
+// specMinWork is the estimated regression work per offspring from
+// which an in-process execution scores its windows ahead. The estimate
+// is the mean matched-set size of the initial population times (D+1)²,
+// the order of the multiply-adds one offspring's normal equations
+// take. Below it the regressions are too cheap for a batch to save
+// what the simulation and the batch machinery cost. Measured on a
+// 2-vCPU host, speculation on against off at one and at two workers:
+// Mackey-Glass at D=4 (≈4.4k) lost 40%, at D=8 and D=12 (≈7–8k) it
+// was a wash on one worker, and Venice from D=4 (≈50k) to D=24 (≈1.1M)
+// gained 13–40% on either. The threshold sits between those (README,
+// "Speculative offspring prefetch"). A var only so tests can turn
+// speculation on for small fits.
+var specMinWork = 2e4
+
+// batchPays reports whether windows are worth scoring ahead: always
+// over a context-aware (networked) backend, where a window costs one
+// round trip instead of one per child, and in process when the
+// population's regressions are dear enough (specMinWork), whatever the
+// worker count.
+func (ex *Execution) batchPays() bool {
+	if ex.Eval.backendCtx != nil {
+		return true
+	}
+	rows := 0
+	for _, r := range ex.Pop {
+		rows += r.Matches
+	}
+	d := float64(ex.Config.D + 1)
+	return float64(rows)/float64(len(ex.Pop))*d*d >= specMinWork
 }
 
 // endWindow closes the open speculative window, if any, counting the

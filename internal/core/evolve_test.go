@@ -239,3 +239,71 @@ func TestEvolvedSystemPredictsSine(t *testing.T) {
 			se/count, count, seMean/count)
 	}
 }
+
+// ctxBackend stands in for a context-aware (networked) backend.
+type ctxBackend struct{}
+
+func (ctxBackend) MatchIndicesCtx(context.Context, *Rule) []int { return nil }
+
+// TestSpeculationGate: in process, an execution speculates exactly when
+// its initial population's estimated regression work — mean matched
+// rows times (D+1)² — reaches specMinWork, at any worker count; over a
+// context-aware backend it always does.
+func TestSpeculationGate(t *testing.T) {
+	pop := func(matches ...int) []*Rule {
+		out := make([]*Rule, len(matches))
+		for i, m := range matches {
+			out[i] = &Rule{Matches: m}
+		}
+		return out
+	}
+	at := int(math.Ceil(specMinWork / 25)) // fewest mean rows that reach it at D=4
+	ex := &Execution{Config: Config{D: 4}, Eval: &Evaluator{}}
+	for _, c := range []struct {
+		pop  []*Rule
+		want bool
+	}{
+		{pop(at, at), true},
+		{pop(2*at, 0), true},
+		{pop(at-1, at-1), false},
+		{pop(0, 0), false},
+	} {
+		ex.Pop = c.pop
+		if got := ex.batchPays(); got != c.want {
+			t.Fatalf("in process, matches %d and %d at D=4: batchPays %v, want %v", c.pop[0].Matches, c.pop[1].Matches, got, c.want)
+		}
+	}
+	ex.Pop, ex.Eval.backendCtx = pop(0, 0), ctxBackend{}
+	if !ex.batchPays() {
+		t.Fatal("a context-aware backend must always speculate")
+	}
+
+	// End to end: Venice at D=24 has dear regressions, a small sine
+	// fit at D=4 cheap ones.
+	train, _, err := series.VenicePaper(1500, 300, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	venice, err := series.Window(train, 24, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		for _, c := range []struct {
+			name string
+			data *series.Dataset
+			want bool
+		}{{"venice D=24", venice, true}, {"sine D=4", sineDataset(t, 300, 4), false}} {
+			cfg := quickConfig(c.data.D, 3)
+			cfg.PopSize = 100
+			cfg.Runtime.Workers = workers
+			ex, err := NewExecution(context.Background(), cfg, c.data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ex.spec != c.want {
+				t.Fatalf("%s on %d workers: speculates %v, want %v", c.name, workers, ex.spec, c.want)
+			}
+		}
+	}
+}

@@ -270,15 +270,6 @@ func (e *Evaluator) EvaluateCtx(ctx context.Context, r *Rule) {
 	e.evalsComputed.Inc()
 }
 
-// batchesAhead reports whether scoring a window of offspring in one
-// batch pays: with more than one worker its regressions run in
-// parallel, and over a context-aware (networked) backend the window
-// costs one round trip instead of one per child. An in-process backend
-// with one worker gains nothing from batching, so it never speculates.
-func (e *Evaluator) batchesAhead() bool {
-	return parallel.Workers(e.workers) > 1 || e.backendCtx != nil
-}
-
 // prefetch scores speculative rules through EvaluateAll only to warm
 // the evaluation cache. The computed-vs-cached counters keep counting
 // real evaluations, so a copy without them does the work. A failure

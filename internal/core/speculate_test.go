@@ -17,9 +17,10 @@ import (
 )
 
 // Speculative offspring prefetch must never change a result: a fit's
-// rule set is the same whether it speculates or not (Workers 1 against
-// 2 in process, where one worker turns it off) and whether it matches
-// in process or over a loopback cluster (which always speculates).
+// rule set is the same whether it speculates or not (these fits are
+// too cheap for the gate, so in process it is off unless forced) and
+// whether it matches in process or over a loopback cluster (which
+// always speculates), at one worker or two.
 
 // specDataset builds a fresh small training set; every evaluation path
 // gets its own, since a store takes over the dataset it is given.
@@ -41,12 +42,13 @@ type specPath struct {
 	name    string
 	workers int
 	store   string // "" (the single index), "engine" or "cluster"
+	force   bool   // speculate in process too (core.ForceSpeculation)
 }
 
 var specPaths = []specPath{
-	{"index-w1", 1, ""}, {"index-w2", 2, ""},
-	{"engine-w1", 1, "engine"}, {"engine-w2", 2, "engine"},
-	{"cluster-w1", 1, "cluster"}, {"cluster-w2", 2, "cluster"},
+	{"index-w1", 1, "", false}, {"index-w2-spec", 2, "", true}, {"index-w1-spec", 1, "", true},
+	{"engine-w2", 2, "engine", false}, {"engine-w1-spec", 1, "engine", true}, {"engine-w2-spec", 2, "engine", true},
+	{"cluster-w1", 1, "cluster", false}, {"cluster-w2", 2, "cluster", false},
 }
 
 // loopbackCluster loads ds into a cluster of two in-process shard
@@ -137,6 +139,10 @@ func TestSpeculationIdentityMatrix(t *testing.T) {
 				cfg := specConfig()
 				v.cfg(&cfg)
 				data := p.wire(t, &cfg)
+				restore := func() {}
+				if p.force {
+					restore = core.ForceSpeculation()
+				}
 				var rs *core.RuleSet
 				switch {
 				case v.islands:
@@ -173,6 +179,7 @@ func TestSpeculationIdentityMatrix(t *testing.T) {
 					}
 					rs = res.RuleSet
 				}
+				restore()
 				if rs.Len() == 0 {
 					t.Fatalf("%s: empty rule set", p.name)
 				}
@@ -211,22 +218,26 @@ func (h *hookStore) MatchIndicesCtx(ctx context.Context, r *core.Rule) []int {
 func (h *hookStore) BackendErr() error { return h.Store.(core.BackendHealth).BackendErr() }
 
 // faultedWindowRun runs one execution over a loopback cluster whose
-// fifth MatchBatch — a speculative window's batch, the first being the
-// initial population's — is preceded by fault. It returns the
+// n-th MatchBatch — a speculative window's batch for any n ≥ 2, the
+// first being the initial population's — is preceded by fault, after
+// tweak (if not nil) has adjusted the configuration. It returns the
 // population, the cache size when the fault fired and after the run,
 // and the run's error.
-func faultedWindowRun(t *testing.T, fault func(cancel context.CancelFunc, loops []*remote.Loopback)) ([]*core.Rule, int, int, error) {
+func faultedWindowRun(t *testing.T, n int32, tweak func(*core.Config), fault func(cancel context.CancelFunc, loops []*remote.Loopback)) ([]*core.Rule, int, int, error) {
 	t.Helper()
 	c, loops := loopbackCluster(t, specDataset(t))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cacheAtFault := -1
-	hs := &hookStore{Store: c, n: 5}
+	hs := &hookStore{Store: c, n: n}
 	hs.hook = func() {
 		cacheAtFault = c.Cache().Len()
 		fault(cancel, loops)
 	}
 	cfg := specConfig()
+	if tweak != nil {
+		tweak(&cfg)
+	}
 	cfg.Generations = 1 << 20
 	cfg.Runtime.Workers = 1
 	cfg.Runtime.Backend, cfg.Runtime.Cache = hs, c.Cache()
@@ -248,27 +259,55 @@ func faultedWindowRun(t *testing.T, fault func(cancel context.CancelFunc, loops 
 // batch: the run stops with ctx's error, nothing from the cancelled
 // window is cached, and every rule of the best-so-far population holds
 // a complete evaluation — re-scoring it from scratch changes no field.
+// The mutation-only variants matter most: there the generation the
+// cancel interrupts holds a mutated clone still carrying its parent's
+// evaluation, which must not enter the population. Every gene mutates,
+// so the clone's matched set almost always differs from its parent's,
+// and several cancel points make one such clone replace a rule.
 func TestSpeculationCancelledMidWindow(t *testing.T) {
-	pop, before, after, err := faultedWindowRun(t, func(cancel context.CancelFunc, _ []*remote.Loopback) { cancel() })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run returned %v, want context.Canceled", err)
+	variants := []struct {
+		name  string
+		tweak func(*core.Config)
+	}{
+		{"crossover", nil},
+		{"mutation-only", func(c *core.Config) {
+			c.CrossoverRate, c.MutationRate = 0, 1
+		}},
+		{"mutation-only-worst", func(c *core.Config) {
+			c.CrossoverRate, c.MutationRate = 0, 1
+			c.Replacement = core.ReplaceWorst
+		}},
+		{"mutation-only-random", func(c *core.Config) {
+			c.CrossoverRate, c.MutationRate = 0.4, 1
+			c.Replacement = core.ReplaceRandom
+		}},
 	}
-	if after != before {
-		t.Fatalf("cache grew from %d to %d entries after the window was cancelled", before, after)
-	}
-	ds := specDataset(t)
-	cfg := specConfig()
-	lo, hi := ds.TargetRange()
-	ev := core.NewEvaluator(ds, 0.1*(hi-lo), cfg.FMin, cfg.Ridge, 1)
-	for i, r := range pop {
-		fresh := core.NewRule(append([]core.Interval(nil), r.Cond...))
-		fresh.Prediction = r.Prediction
-		ev.Evaluate(fresh)
-		if fresh.Matches != r.Matches || fresh.Fitness != r.Fitness ||
-			math.Float64bits(fresh.Error) != math.Float64bits(r.Error) ||
-			math.Float64bits(fresh.Prediction) != math.Float64bits(r.Prediction) {
-			t.Fatalf("rule %d is torn: holds %+v, re-scores to %+v", i, r, fresh)
-		}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			for n := int32(2); n <= 10; n++ {
+				pop, before, after, err := faultedWindowRun(t, n, v.tweak, func(cancel context.CancelFunc, _ []*remote.Loopback) { cancel() })
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("batch %d: Run returned %v, want context.Canceled", n, err)
+				}
+				if after != before {
+					t.Fatalf("batch %d: cache grew from %d to %d entries after the window was cancelled", n, before, after)
+				}
+				ds := specDataset(t)
+				cfg := specConfig()
+				lo, hi := ds.TargetRange()
+				ev := core.NewEvaluator(ds, 0.1*(hi-lo), cfg.FMin, cfg.Ridge, 1)
+				for i, r := range pop {
+					fresh := core.NewRule(append([]core.Interval(nil), r.Cond...))
+					fresh.Prediction = r.Prediction
+					ev.Evaluate(fresh)
+					if fresh.Matches != r.Matches || fresh.Fitness != r.Fitness ||
+						math.Float64bits(fresh.Error) != math.Float64bits(r.Error) ||
+						math.Float64bits(fresh.Prediction) != math.Float64bits(r.Prediction) {
+						t.Fatalf("batch %d: rule %d is torn: holds %+v, re-scores to %+v", n, i, r, fresh)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -276,7 +315,7 @@ func TestSpeculationCancelledMidWindow(t *testing.T) {
 // a window's batch: the fit fails loudly with the transport error and
 // nothing from the faulted window is cached.
 func TestSpeculationServerKilledMidWindow(t *testing.T) {
-	_, before, after, err := faultedWindowRun(t, func(_ context.CancelFunc, loops []*remote.Loopback) { loops[1].Stop() })
+	_, before, after, err := faultedWindowRun(t, 5, nil, func(_ context.CancelFunc, loops []*remote.Loopback) { loops[1].Stop() })
 	if !errors.Is(err, remote.ErrTransport) {
 		t.Fatalf("Run returned %v, want the wrapped transport failure", err)
 	}

@@ -121,13 +121,13 @@ func TestTelemetryDoesNotChangeResults(t *testing.T) {
 }
 
 // TestSpeculationTelemetry runs each replacement kind and the
-// mutation-only path with two workers (speculation on) and checks the
-// prefetch counters: every simulated offspring ends as a hit or as
-// waste, every generation inside a window finds its child already
-// scored (the simulation drew exactly what the real loop drew), the
-// real-evaluation counters still count one evaluation per rule, and
-// the counters are exposed on /metrics. One worker turns speculation
-// off and must open no window.
+// mutation-only path with speculation forced on, at one and two
+// workers, and checks the prefetch counters: every simulated offspring
+// ends as a hit or as waste, every generation inside a window finds
+// its child already scored (the simulation drew exactly what the real
+// loop drew), the real-evaluation counters still count one evaluation
+// per rule, and the counters are exposed on /metrics. Left to its
+// gate, this cheap in-process fit must open no window.
 func TestSpeculationTelemetry(t *testing.T) {
 	ds := sineDataset(t, 300, 4)
 	variants := map[string]func(*Config){
@@ -138,7 +138,10 @@ func TestSpeculationTelemetry(t *testing.T) {
 	}
 	for name, set := range variants {
 		t.Run(name, func(t *testing.T) {
-			run := func(workers int) obs.Snapshot {
+			run := func(workers int, force bool) obs.Snapshot {
+				if force {
+					defer ForceSpeculation()()
+				}
 				cfg := quickConfig(4, 9)
 				cfg.Generations = 1200
 				cfg.Runtime.Workers = workers
@@ -152,7 +155,7 @@ func TestSpeculationTelemetry(t *testing.T) {
 				if err := ex.Run(context.Background()); err != nil {
 					t.Fatal(err)
 				}
-				if workers > 1 {
+				if force {
 					var prom bytes.Buffer
 					reg.WritePrometheus(&prom)
 					for _, m := range []string{"core_spec_windows", "core_spec_evals", "core_spec_hits", "core_spec_wasted"} {
@@ -165,26 +168,30 @@ func TestSpeculationTelemetry(t *testing.T) {
 			}
 			count := func(s obs.Snapshot, name string) uint64 { v, _ := s[name].(uint64); return v }
 
-			if off := run(1); count(off, "core_spec_windows") != 0 {
-				t.Fatalf("one in-process worker opened %d speculative windows", count(off, "core_spec_windows"))
+			for _, workers := range []int{1, 2} {
+				if off := run(workers, false); count(off, "core_spec_windows") != 0 {
+					t.Fatalf("a cheap in-process fit on %d workers opened %d speculative windows", workers, count(off, "core_spec_windows"))
+				}
 			}
-			s := run(2)
-			windows, evals := count(s, "core_spec_windows"), count(s, "core_spec_evals")
-			hits, wasted := count(s, "core_spec_hits"), count(s, "core_spec_wasted")
-			if windows == 0 || hits == 0 {
-				t.Fatalf("two workers: %d windows, %d hits — speculation never ran", windows, hits)
-			}
-			if evals != hits+wasted {
-				t.Fatalf("spec evals %d != hits %d + wasted %d", evals, hits, wasted)
-			}
-			computed, cached := count(s, "core_evals_computed"), count(s, "core_evals_cached")
-			const pop, gens = 30, 1200
-			if computed+cached != pop+gens {
-				t.Fatalf("real evaluations computed %d + cached %d, want %d", computed, cached, pop+gens)
-			}
-			if computed > pop+gens-hits {
-				t.Fatalf("%d real evaluations computed, but only %d generations ran outside a window: a window mis-foresaw its offspring",
-					computed, gens-hits)
+			for _, workers := range []int{1, 2} {
+				s := run(workers, true)
+				windows, evals := count(s, "core_spec_windows"), count(s, "core_spec_evals")
+				hits, wasted := count(s, "core_spec_hits"), count(s, "core_spec_wasted")
+				if windows == 0 || hits == 0 {
+					t.Fatalf("%d workers: %d windows, %d hits — speculation never ran", workers, windows, hits)
+				}
+				if evals != hits+wasted {
+					t.Fatalf("spec evals %d != hits %d + wasted %d", evals, hits, wasted)
+				}
+				computed, cached := count(s, "core_evals_computed"), count(s, "core_evals_cached")
+				const pop, gens = 30, 1200
+				if computed+cached != pop+gens {
+					t.Fatalf("real evaluations computed %d + cached %d, want %d", computed, cached, pop+gens)
+				}
+				if computed > pop+gens-hits {
+					t.Fatalf("%d real evaluations computed, but only %d generations ran outside a window: a window mis-foresaw its offspring",
+						computed, gens-hits)
+				}
 			}
 		})
 	}

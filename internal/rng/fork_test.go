@@ -169,6 +169,34 @@ func TestStaleForkPanics(t *testing.T) {
 	mustPanic(t, "Fork of a fork", func() { New(5).Fork().Fork() })
 }
 
+// TestForkBufferBounded: a parent that consumes only part of each
+// fork's lookahead before forking again keeps a buffer of about one
+// lookahead, not one that grows with the number of forks, and still
+// replays every draw exactly.
+func TestForkBufferBounded(t *testing.T) {
+	const ahead = 64
+	parent, ref := New(9), New(9)
+	for i := 0; i < 10000; i++ {
+		fork := parent.Fork()
+		want := make([]uint64, ahead)
+		for j := range want {
+			want[j] = fork.r.Uint64()
+		}
+		for j := 0; j < 1+i%(ahead/2); j++ {
+			got, plain := parent.r.Uint64(), ref.r.Uint64()
+			if got != want[j] || got != plain {
+				t.Fatalf("fork %d draw %d: parent %x, fork %x, unforked %x", i, j, got, want[j], plain)
+			}
+		}
+		if n := len(parent.la.buf); n > ahead {
+			t.Fatalf("fork %d: %d draws buffered, want at most %d", i, n, ahead)
+		}
+	}
+	if c := cap(parent.la.buf); c > 4*ahead {
+		t.Fatalf("buffer capacity %d after 10000 partly consumed forks, want at most %d", c, 4*ahead)
+	}
+}
+
 // BenchmarkNeverForked times a mix of draws from a Source that is
 // never forked: the lookahead capability must cost it nothing.
 func BenchmarkNeverForked(b *testing.B) {

@@ -54,6 +54,12 @@ func (s *Source) Fork() *Source {
 	if s.la == nil {
 		s.la = &lookahead{gen: s.gen}
 		s.r = rand.New(parentView{s.la})
+	} else if la := s.la; la.head > 0 {
+		// Drop the prefix s has consumed, so the buffer holds at most one
+		// lookahead however many forks s takes without draining it. Forks
+		// read relative to head, so live ones keep their place.
+		n := copy(la.buf, la.buf[la.head:])
+		la.buf, la.head = la.buf[:n], 0
 	}
 	return &Source{r: rand.New(&forkView{la: s.la, base: s.la.pos}), seed: s.seed}
 }
