@@ -31,15 +31,31 @@ const (
 	// goldenMackeyGlass4x2: the same protocol accumulated over two
 	// executions run side by side (WithMultiRun(2), WithParallelism(2)).
 	goldenMackeyGlass4x2 = "98300ccd1a1aa30fae93885082a0a7970d3dd61c18c4fd4fd56f17fff5842a3a"
+	// goldenSunspots: the paper's sunspot training segment (seed 1,
+	// whose 2,052 months hold 36 tied values) windowed at D=24,
+	// horizon 1, EMAX 20% of the output span; seed 1, population 100,
+	// 1,000 generations.
+	goldenSunspots = "fd36f3153a56ed2194cb13ce7eb4497bdf57da6dc3f5c11d668cda4df459d0aa"
+	// goldenLorenz: the Lorenz x-component normalized over 3,000
+	// samples, the first 2,200 windowed at D=6, horizon 5; seed 7,
+	// population 100, 1,000 generations.
+	goldenLorenz = "e9def75d28a083220ee25b0e298de8972cc053e58d6128b969d02496c98cb901"
+	// goldenVeniceStream: Venice D=24 (1,800 hours, seed 5) under a
+	// 1,200-pattern sliding window — a Fit on the first 1,476 patterns,
+	// then three Append rounds of 100 — population 60, 300 generations
+	// per round. One digest chains every round's rule set.
+	goldenVeniceStream = "c171abe42d8bcb78e6e236e2ab04a7ebb2fd5fec8ca436bd1b578e2b6a20450d"
 )
+
+type goldenPath struct {
+	name string
+	opts func(t *testing.T) []forecast.Option
+}
 
 // goldenPaths are the evaluation paths every golden fit runs through:
 // the evaluator's own single index, the sharded engine, and a cluster
 // of two shard servers on loopback TCP.
-var goldenPaths = []struct {
-	name string
-	opts func(t *testing.T) []forecast.Option
-}{
+var goldenPaths = []goldenPath{
 	{"index", func(*testing.T) []forecast.Option { return nil }},
 	{"engine2", func(*testing.T) []forecast.Option { return []forecast.Option{forecast.WithEngine(2)} }},
 	{"cluster", func(t *testing.T) []forecast.Option {
@@ -86,10 +102,19 @@ func goldenDigest(t *testing.T, ds *forecast.Dataset, opts ...forecast.Option) s
 // built dataset, since an engine takes over the dataset it is given)
 // and compares every digest with want.
 func checkGolden(t *testing.T, want string, data func() *forecast.Dataset, base ...forecast.Option) {
-	for _, p := range goldenPaths {
+	checkGoldenPaths(t, goldenPaths, want, func(t *testing.T, opts []forecast.Option) string {
+		return goldenDigest(t, data(), opts...)
+	}, base...)
+}
+
+// checkGoldenPaths runs digest once per given evaluation path, with
+// the path's options appended to base, and compares each result with
+// want.
+func checkGoldenPaths(t *testing.T, paths []goldenPath, want string, digest func(*testing.T, []forecast.Option) string, base ...forecast.Option) {
+	for _, p := range paths {
 		t.Run(p.name, func(t *testing.T) {
 			opts := append(append([]forecast.Option(nil), base...), p.opts(t)...)
-			if got := goldenDigest(t, data(), opts...); got != want {
+			if got := digest(t, opts); got != want {
 				t.Errorf("rule-set digest changed:\n got  %s\n want %s", got, want)
 			}
 		})
@@ -137,4 +162,86 @@ func TestGoldenMackeyGlass4x2(t *testing.T) {
 		return ds
 	}, forecast.WithSeed(5), forecast.WithPopulation(100), forecast.WithGenerations(2000),
 		forecast.WithMultiRun(2), forecast.WithParallelism(2))
+}
+
+func TestGoldenSunspots(t *testing.T) {
+	_, train, _, err := series.SunspotsPaper(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := func() *forecast.Dataset {
+		ds, err := forecast.Window(train, 24, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+	lo, hi := data().TargetRange()
+	checkGolden(t, goldenSunspots, data, forecast.WithSeed(1), forecast.WithPopulation(100),
+		forecast.WithGenerations(1000), forecast.WithEMax(0.2*(hi-lo)))
+}
+
+func TestGoldenLorenz(t *testing.T) {
+	raw, err := series.Lorenz(series.DefaultLorenz(3000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm, _ := raw.Normalize()
+	train := norm.Slice(0, 2200)
+	checkGolden(t, goldenLorenz, func() *forecast.Dataset {
+		ds, err := forecast.Window(train, 6, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}, forecast.WithSeed(7), forecast.WithPopulation(100), forecast.WithGenerations(1000))
+}
+
+// TestGoldenVeniceStream pins a streaming fit: tombstones, compaction
+// and the routed shard's index rebuild on every Append. The single
+// index cannot stream, so only the store-backed paths run it.
+func TestGoldenVeniceStream(t *testing.T) {
+	s, _, err := series.VenicePaper(1800, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		head   = 1476 // patterns of the first 1,500 hours
+		chunk  = 100
+		rounds = 3
+	)
+	checkGoldenPaths(t, goldenPaths[1:], goldenVeniceStream, func(t *testing.T, opts []forecast.Option) string {
+		// Two independent windowings, so the store's in-place growth of
+		// the fitted dataset can never alias the rows still to come.
+		first, err := forecast.Window(s.Slice(0, head+23), 24, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, err := forecast.Window(s, 24, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := forecast.New(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		h := sha256.New()
+		for r := 0; r <= rounds; r++ {
+			if r == 0 {
+				err = f.Fit(context.Background(), first)
+			} else {
+				lo := head + (r-1)*chunk
+				err = f.Append(context.Background(), all.Inputs[lo:lo+chunk], all.Targets[lo:lo+chunk])
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.RuleSet().WriteJSON(h); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}, forecast.WithSeed(5), forecast.WithPopulation(60), forecast.WithGenerations(300),
+		forecast.WithSlidingWindow(1200))
 }
