@@ -144,8 +144,8 @@ func (e *Evaluator) BackendErr() error {
 
 // MatchIndices returns the indices of training patterns matched by
 // the rule — the paper's C_R(S) — in ascending order. With a backend
-// the query fans out across its shards; otherwise selective rules are
-// answered by the match index and unselective ones fall back to the
+// the query fans out across its shards; otherwise the match index
+// answers it, and only NaN data or NaN gene bounds fall back to the
 // chunk-parallel scan. All paths return identical results, so the
 // choice (and the parallelism degree) never affects outcomes.
 func (e *Evaluator) MatchIndices(r *Rule) []int {
@@ -413,8 +413,8 @@ func (e *Evaluator) EvaluateAll(ctx context.Context, rules []*Rule) error {
 // backend in one scheduling pass: signatures are deduplicated first
 // (offspring that collapsed to the same conditional part are computed
 // once), cache hits are peeled off, and the surviving unique rules go
-// to Backend.MatchBatch, which walks each shard index once per
-// selectivity group instead of dispatching rule by rule. Consequent
+// to Backend.MatchBatch, which walks each shard once for the whole
+// batch instead of dispatching rule by rule. Consequent
 // regressions then run in parallel across rules. Results are
 // bit-identical to calling Evaluate on each rule in order.
 //

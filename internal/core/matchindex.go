@@ -1,89 +1,123 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/series"
 )
 
-// MatchIndex is the indexed match engine: a per-dimension sorted view
-// of a training dataset that answers "which patterns does this rule
-// match" (the paper's C_R(S)) without scanning all n patterns. For
-// each input lag j it keeps the pattern indices sorted by the lag's
-// value, so the patterns satisfying one interval gene form a
-// contiguous run found by two binary searches. A rule's matched set
-// is computed by taking the run of its most selective gene and
-// verifying only those candidates against the remaining genes —
-// O(D·log n + k·D) for k candidates instead of O(n·D) per rule.
+// MatchIndex is the indexed match engine: it answers "which patterns
+// does this rule match" (the paper's C_R(S)) from a rank index instead
+// of testing every pattern against every gene.
+//
+// For each input lag j it keeps the patterns sorted by the lag's value
+// (ties by pattern index), so the patterns satisfying one interval
+// gene are a contiguous rank range [lo,hi), found by two binary
+// searches. Alongside, it keeps cumulative rank bitmaps over pattern
+// indices: bucket b of lag j holds every pattern whose lag-j rank is
+// below b·step. A gene's pattern set is then the word-wise difference
+// of the two buckets nearest lo and hi, corrected by at most step/2
+// patterns at each end read from the sorted order. A rule's matched
+// set is the word-wise AND of its genes' sets, and one sweep of the
+// result emits the indices in ascending order. Every rule takes this
+// one path — selective or not, a lookup costs O(D·(log n + n/64 +
+// step)) plus the size of its output — and the answer is exact:
+// rank ranges come from the same `v < Lo || v > Hi` test Rule.Match
+// applies, so it is the scan's set, not an approximation of it.
+//
+// step is max(8, n/64), so each lag holds at most 65 bitmaps of n
+// bits: ≈ 8·D·n bytes, plus 12·D·n for the sorted values and ranks.
 //
 // The index is immutable after construction and therefore safe for
 // concurrent use; it can be shared across every Evaluator, Execution,
 // island and experiment run over the same dataset. The sharded
-// evaluation engine (internal/engine) builds one MatchIndex per shard
-// and drives it through the exported GeneRange/CollectWithin pair.
+// evaluation engine (internal/engine) builds one MatchIndex per shard.
 type MatchIndex struct {
-	data *series.Dataset
-	cols *series.Columns // column-major snapshot; verification scans these
-	vals [][]float64     // vals[j][k]: k-th smallest value of lag j
-	perm [][]int32       // perm[j][k]: pattern index holding vals[j][k]
+	data    *series.Dataset
+	n       int       // patterns indexed
+	words   int       // bitmap words per pattern set: ⌈n/64⌉
+	step    int       // ranks per bucket
+	buckets int       // bucket boundaries per lag beyond 0: ⌈n/step⌉
+	vals    []float64 // vals[j*n+k]: k-th smallest value of lag j
+	perm    []int32   // perm[j*n+k]: pattern index holding it
+	pre     []uint64  // cumulative rank bitmaps; see bucket
 
 	// degenerate is set when the data contains NaN: NaN has no total
 	// order, so the sorted-run invariant the binary searches rely on
-	// does not hold and every lookup must fall back to scanning
-	// (where Rule.Match defines the NaN semantics).
+	// does not hold. No index is built and every lookup falls back to
+	// scanning (where Rule.Match defines the NaN semantics).
 	degenerate bool
 }
 
-// NewMatchIndex builds the per-dimension sorted indexes over the
-// dataset, plus the columnar (SoA) view candidate verification scans.
-// Cost is O(D·n·log n) once, amortized over the many thousands of rule
+// rankedValue is one lag value with its pattern index, the sort unit
+// of the index build.
+type rankedValue struct {
+	v float64
+	i int32
+}
+
+// NewMatchIndex builds the rank index over the dataset. Cost is
+// O(D·n·log n) once, amortized over the many thousands of rule
 // evaluations of an evolutionary run.
 func NewMatchIndex(data *series.Dataset) *MatchIndex {
 	n, d := data.Len(), data.D
-	ix := &MatchIndex{
-		data: data,
-		cols: data.BuildColumns(),
-		vals: make([][]float64, d),
-		perm: make([][]int32, d),
-	}
-	for j := 0; j < d; j++ {
-		col := ix.cols.F64[j]
-		p := make([]int32, n)
-		for i := range p {
-			p[i] = int32(i)
-		}
-		sort.Slice(p, func(a, b int) bool {
-			va, vb := col[p[a]], col[p[b]]
-			if va != vb {
-				return va < vb
-			}
-			return p[a] < p[b] // deterministic tie-break
-		})
-		v := make([]float64, n)
-		for k, i := range p {
-			v[k] = col[i]
-			if math.IsNaN(v[k]) {
+	ix := &MatchIndex{data: data, n: n, words: (n + 63) >> 6, step: max(8, n/64)}
+	for _, row := range data.Inputs {
+		for _, v := range row {
+			if math.IsNaN(v) {
 				ix.degenerate = true
+				return ix
 			}
 		}
-		ix.perm[j] = p
-		ix.vals[j] = v
+	}
+	ix.buckets = (n + ix.step - 1) / ix.step
+	ix.vals = make([]float64, d*n)
+	ix.perm = make([]int32, d*n)
+	// Bucket 0 (the empty set) is stored too, so every gene reads two
+	// real bitmaps.
+	ix.pre = make([]uint64, d*(ix.buckets+1)*ix.words)
+	ranked := make([]rankedValue, n)
+	for j := 0; j < d; j++ {
+		for i, row := range data.Inputs {
+			ranked[i] = rankedValue{row[j], int32(i)}
+		}
+		slices.SortFunc(ranked, func(a, b rankedValue) int {
+			switch {
+			case a.v < b.v:
+				return -1
+			case a.v > b.v:
+				return 1
+			}
+			return int(a.i - b.i) // deterministic tie-break
+		})
+		vals, perm := ix.vals[j*n:(j+1)*n], ix.perm[j*n:(j+1)*n]
+		for k, rv := range ranked {
+			vals[k], perm[k] = rv.v, rv.i
+		}
+		for b := 1; b <= ix.buckets; b++ {
+			cur := ix.bucket(j, b)
+			copy(cur, ix.bucket(j, b-1))
+			setRows(cur, perm[(b-1)*ix.step:min(b*ix.step, n)])
+		}
 	}
 	return ix
 }
 
+// bucket returns lag j's cumulative bitmap b: the patterns whose
+// lag-j rank is below min(b·step, n).
+func (ix *MatchIndex) bucket(j, b int) []uint64 {
+	off := (j*(ix.buckets+1) + b) * ix.words
+	return ix.pre[off : off+ix.words : off+ix.words]
+}
+
 // Data returns the dataset the index was built over.
 func (ix *MatchIndex) Data() *series.Dataset { return ix.data }
-
-// Degenerate reports whether the indexed data contains NaN, in which
-// case range queries are unanswerable and every lookup defers to the
-// scan path.
-func (ix *MatchIndex) Degenerate() bool { return ix.degenerate }
 
 // ensureIndex returns idx when it was built over data, otherwise a
 // fresh index — the single sharing predicate behind every wiring
@@ -95,19 +129,17 @@ func ensureIndex(idx *MatchIndex, data *series.Dataset) *MatchIndex {
 	return idx
 }
 
-// GeneRange returns the candidate run [lo,hi) in the lag-j sorted
-// order holding every pattern whose lag-j value satisfies the gene.
-// ok=false means the index cannot answer range queries — the data is
-// NaN-degenerate or the gene has a NaN bound (a NaN bound is
-// unconstraining in Rule.Match but poisons the binary searches) —
-// and the caller must fall back to scanning. The gene must not be a
-// wildcard. Exported for the sharded engine's scheduling pass, which
-// sums ranges across shards to find a batch's most selective lag.
-func (ix *MatchIndex) GeneRange(j int, iv Interval) (lo, hi int, ok bool) {
-	if ix.degenerate || math.IsNaN(iv.Lo) || math.IsNaN(iv.Hi) {
+// geneRange returns the rank range [lo,hi) in the lag-j sorted order
+// holding every pattern whose lag-j value satisfies the gene.
+// ok=false means the gene has a NaN bound (unconstraining in
+// Rule.Match, but it poisons the binary searches) and the caller must
+// scan. The gene must not be a wildcard and the index must not be
+// degenerate.
+func (ix *MatchIndex) geneRange(j int, iv Interval) (lo, hi int, ok bool) {
+	if math.IsNaN(iv.Lo) || math.IsNaN(iv.Hi) {
 		return 0, 0, false
 	}
-	vals := ix.vals[j]
+	vals := ix.vals[j*ix.n : (j+1)*ix.n]
 	lo = searchGE(vals, iv.Lo)
 	hi = searchGT(vals, iv.Hi)
 	if hi < lo {
@@ -119,125 +151,9 @@ func (ix *MatchIndex) GeneRange(j int, iv Interval) (lo, hi int, ok bool) {
 	return lo, hi, true
 }
 
-// MatchScratch is the reusable per-worker scratch of the columnar
-// verification pass: a candidate buffer the prefilter compacts in
-// place and a bitmap used to restore ascending index order. The
-// zero value is ready to use; buffers grow on demand and are retained
-// across calls. A MatchScratch must not be used concurrently.
-//
-// The bitmap carries an invariant: it is all-zero between calls
-// (every sweep clears the words it set), so reusing it never requires
-// an O(n/64) clear.
-type MatchScratch struct {
-	cand  []int32
-	words []uint64
-}
-
-// matchScratchPool recycles scratch across the per-rule entry points
-// (CollectWithin, Lookup); the sharded engine holds one MatchScratch
-// per shard walk instead, via GetMatchScratch/PutMatchScratch.
-var matchScratchPool = sync.Pool{New: func() any { return new(MatchScratch) }}
-
-// GetMatchScratch returns a pooled MatchScratch ready for use.
-func GetMatchScratch() *MatchScratch { return matchScratchPool.Get().(*MatchScratch) }
-
-// PutMatchScratch returns scratch to the pool. The caller must not
-// retain any slice derived from it.
-func PutMatchScratch(sc *MatchScratch) { matchScratchPool.Put(sc) }
-
-// filterCandidates narrows the candidate run perm[j][lo:hi] to the
-// patterns matching the full rule, compacting in place inside
-// sc.cand. Two passes over contiguous per-lag columns:
-//
-//  1. quantized prefilter — compare float32 shadow values against the
-//     float32-widened gene bounds. The conversion is monotone, so
-//     this pass can only keep false positives, never drop a true
-//     match (see series.Columns).
-//  2. exact float64 verification of the survivors, the final arbiter.
-//
-// Both passes use Rule.Match's reject-iff (v < Lo || v > Hi) form per
-// gene, so NaN values and NaN bounds behave exactly as in the scan
-// path, and gene j is skipped — the sorted-run construction already
-// satisfied it exactly.
-func (ix *MatchIndex) filterCandidates(j, lo, hi int, r *Rule, sc *MatchScratch) []int32 {
-	if cap(sc.cand) < hi-lo {
-		sc.cand = make([]int32, 0, hi-lo)
-	}
-	cand := append(sc.cand[:0], ix.perm[j][lo:hi]...)
-	for k, iv := range r.Cond {
-		if iv.Wildcard || k == j || len(cand) == 0 {
-			continue
-		}
-		fLo, fHi := float32(iv.Lo), float32(iv.Hi)
-		col := ix.cols.F32[k]
-		w := cand[:0]
-		for _, pi := range cand {
-			if v := col[pi]; v < fLo || v > fHi {
-				continue
-			}
-			w = append(w, pi)
-		}
-		cand = w
-	}
-	for k, iv := range r.Cond {
-		if iv.Wildcard || k == j || len(cand) == 0 {
-			continue
-		}
-		col := ix.cols.F64[k]
-		w := cand[:0]
-		for _, pi := range cand {
-			if v := col[pi]; v < iv.Lo || v > iv.Hi {
-				continue
-			}
-			w = append(w, pi)
-		}
-		cand = w
-	}
-	sc.cand = cand
-	return cand
-}
-
-// appendOrdered appends the survivor set to dst in ascending index
-// order: set the survivors in the scratch bitmap, sweep the touched
-// word range, and clear each word as it is swept (restoring the
-// scratch's all-zero invariant). O(k + touched-words).
-func appendOrdered(dst []int, cand []int32, n int, sc *MatchScratch) []int {
-	need := (n + 63) >> 6
-	if cap(sc.words) < need {
-		sc.words = make([]uint64, need)
-	}
-	words := sc.words[:need]
-	wmin, wmax := need, -1
-	for _, pi := range cand {
-		w := int(pi) >> 6
-		words[w] |= 1 << (uint(pi) & 63)
-		if w < wmin {
-			wmin = w
-		}
-		if w > wmax {
-			wmax = w
-		}
-	}
-	for w := wmin; w <= wmax; w++ {
-		word := words[w]
-		if word == 0 {
-			continue
-		}
-		words[w] = 0
-		base := w << 6
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			dst = append(dst, base+b)
-			word &^= 1 << b
-		}
-	}
-	return dst
-}
-
 // searchGE returns the first k with vals[k] >= x — the same answer as
-// sort.SearchFloat64s, as a direct loop: GeneRange runs once per gene
-// per shard per rule in the batch scheduling pass, where the
-// closure-calling generic search is measurable.
+// sort.SearchFloat64s, as a direct loop: it runs twice per gene per
+// lookup, where the closure-calling generic search is measurable.
 func searchGE(vals []float64, x float64) int {
 	lo, hi := 0, len(vals)
 	for lo < hi {
@@ -265,39 +181,200 @@ func searchGT(vals []float64, x float64) int {
 	return lo
 }
 
-// CollectWithin verifies the candidates perm[j][lo:hi] against the
-// full rule and returns the matching pattern indices in ascending
-// order (nil when none match). Candidates arrive in value order, but
-// callers (and the naive scan this must stay interchangeable with)
-// expect ascending index order; the bitmap sweep restores it in
-// O(k + n/64) — far cheaper than sorting. Exported for the sharded
-// engine, which walks one shard index per rule group with a
-// precomputed range.
-func (ix *MatchIndex) CollectWithin(j, lo, hi int, r *Rule) []int {
-	sc := GetMatchScratch()
-	cand := ix.filterCandidates(j, lo, hi, r, sc)
-	var out []int
-	if len(cand) > 0 {
-		out = appendOrdered(make([]int, 0, len(cand)), cand, len(ix.data.Targets), sc)
-	}
-	PutMatchScratch(sc)
-	return out
+// geneSpan is one non-wildcard gene's rank range in its lag's order.
+type geneSpan struct {
+	j, lo, hi int
 }
 
-// CollectWithinInto is CollectWithin appending into dst using
-// caller-owned scratch — the zero-allocation form the sharded
-// engine's batch walk drives with its per-shard arena.
-func (ix *MatchIndex) CollectWithinInto(dst []int, j, lo, hi int, r *Rule, sc *MatchScratch) []int {
-	cand := ix.filterCandidates(j, lo, hi, r, sc)
-	if len(cand) == 0 {
-		return dst
+// MatchScratch is the reusable per-worker scratch of a lookup: the
+// rule's accumulating bitmap, the gene spans, and the rows a gene's
+// end fix-ups must carry across an AND. The zero value is ready to
+// use; buffers grow on demand, are retained across calls, and are
+// fully rewritten by every lookup, so one scratch serves indexes of
+// any size. A MatchScratch must not be used concurrently.
+type MatchScratch struct {
+	acc   []uint64
+	keep  []int32
+	genes []geneSpan
+}
+
+// matchScratchPool recycles scratch across Lookup calls; the sharded
+// engine keeps one MatchScratch per pooled shard walk instead.
+var matchScratchPool = sync.Pool{New: func() any { return new(MatchScratch) }}
+
+// Lookup returns the rule's matched pattern indices in ascending
+// order, nil when none match. ok=false means the index cannot answer
+// (the data is NaN-degenerate or a gene has a NaN bound) and the
+// caller must scan; both paths return identical results.
+func (ix *MatchIndex) Lookup(r *Rule) (out []int, ok bool) {
+	sc := matchScratchPool.Get().(*MatchScratch)
+	out, ok = ix.LookupInto(nil, r, nil, sc)
+	matchScratchPool.Put(sc)
+	return out, ok
+}
+
+// LookupInto is Lookup appending to dst with caller-owned scratch,
+// leaving out every pattern whose bit is set in exclude (a bitmap over
+// pattern indices; patterns past its end are kept, nil excludes
+// nothing). dst grows at most once, to the exact result size. On the
+// fallback answer (ok=false) dst is returned unchanged.
+func (ix *MatchIndex) LookupInto(dst []int, r *Rule, exclude []uint64, sc *MatchScratch) (out []int, ok bool) {
+	if ix.degenerate {
+		return dst, false
 	}
-	return appendOrdered(dst, cand, len(ix.data.Targets), sc)
+	genes := sc.genes[:0]
+	for j, iv := range r.Cond {
+		if iv.Wildcard {
+			continue
+		}
+		lo, hi, ok := ix.geneRange(j, iv)
+		if !ok {
+			sc.genes = genes
+			return dst, false
+		}
+		genes = append(genes, geneSpan{j, lo, hi})
+	}
+	sc.genes = genes
+	// Narrowest first: the first gene fixes the work of every later
+	// AND, and an empty range ends the lookup before any bitmap work.
+	slices.SortFunc(genes, func(a, b geneSpan) int { return cmp.Compare(a.hi-a.lo, b.hi-b.lo) })
+	if len(genes) > 0 && genes[0].hi == genes[0].lo {
+		return dst, true
+	}
+	if cap(sc.acc) < ix.words {
+		sc.acc = make([]uint64, ix.words)
+	}
+	acc := sc.acc[:ix.words]
+	if len(genes) == 0 {
+		// All-wildcard rule: every pattern matches, and the top bucket
+		// of any lag holds them all.
+		copy(acc, ix.bucket(0, ix.buckets))
+	} else {
+		ix.initGene(acc, genes[0])
+		for _, g := range genes[1:] {
+			if !ix.andGene(acc, g, sc) {
+				return dst, true
+			}
+		}
+	}
+	count := 0
+	for w := range acc {
+		if w < len(exclude) {
+			acc[w] &^= exclude[w]
+		}
+		count += bits.OnesCount64(acc[w])
+	}
+	if count == 0 {
+		return dst, true
+	}
+	start := len(dst)
+	dst = slices.Grow(dst, count)[:start+count]
+	k := start
+	for w, word := range acc {
+		base := w << 6
+		for word != 0 {
+			dst[k] = base + bits.TrailingZeros64(word)
+			k++
+			word &= word - 1
+		}
+	}
+	return dst, true
+}
+
+// geneParts splits gene g's rank range [lo,hi) into cumulative
+// buckets b < c — the rows of rank in [b·step, c·step), read as
+// bucket(c) &^ bucket(b) — and the perm segments that correct it:
+// add holds ranks the buckets miss, drop ranks they hold beyond the
+// range. Rounding each end to its nearest boundary keeps every
+// correction within step/2 ranks. A gene no wider than step is taken
+// from perm alone (b == c, an empty bucket difference).
+func (ix *MatchIndex) geneParts(g geneSpan) (b, c int, add1, add2, drop1, drop2 []int32) {
+	perm := ix.perm[g.j*ix.n : (g.j+1)*ix.n]
+	if g.hi-g.lo <= ix.step {
+		return 0, 0, perm[g.lo:g.hi], nil, nil, nil
+	}
+	b = (g.lo + ix.step/2) / ix.step
+	c = min((g.hi+ix.step/2)/ix.step, ix.buckets)
+	rb, rc := b*ix.step, min(c*ix.step, ix.n)
+	if rb > g.lo {
+		add1 = perm[g.lo:rb]
+	} else {
+		drop1 = perm[rb:g.lo]
+	}
+	if rc < g.hi {
+		add2 = perm[rc:g.hi]
+	} else {
+		drop2 = perm[g.hi:rc]
+	}
+	return b, c, add1, add2, drop1, drop2
+}
+
+// initGene overwrites acc with gene g's pattern set.
+func (ix *MatchIndex) initGene(acc []uint64, g geneSpan) {
+	b, c, add1, add2, drop1, drop2 := ix.geneParts(g)
+	hiW, loW := ix.bucket(g.j, c), ix.bucket(g.j, b)
+	for w := range acc {
+		acc[w] = hiW[w] &^ loW[w]
+	}
+	setRows(acc, add1)
+	setRows(acc, add2)
+	clearRows(acc, drop1)
+	clearRows(acc, drop2)
+}
+
+// andGene intersects acc with gene g's pattern set and reports whether
+// anything may remain. Words acc already holds zero are skipped, so
+// after a selective first gene the AND costs little beyond the end
+// corrections. Rows the corrections add lie outside the bucket
+// difference: those still in acc are saved before the word pass and
+// restored after it.
+func (ix *MatchIndex) andGene(acc []uint64, g geneSpan, sc *MatchScratch) bool {
+	b, c, add1, add2, drop1, drop2 := ix.geneParts(g)
+	keep := keepRows(sc.keep[:0], acc, add1)
+	keep = keepRows(keep, acc, add2)
+	sc.keep = keep
+	hiW, loW := ix.bucket(g.j, c), ix.bucket(g.j, b)
+	var left uint64
+	for w, a := range acc {
+		if a != 0 {
+			a &= hiW[w] &^ loW[w]
+			acc[w] = a
+			left |= a
+		}
+	}
+	clearRows(acc, drop1)
+	clearRows(acc, drop2)
+	setRows(acc, keep)
+	return left != 0 || len(keep) > 0
+}
+
+// setRows sets the bits of the given pattern indices.
+func setRows(words []uint64, rows []int32) {
+	for _, i := range rows {
+		words[i>>6] |= 1 << (uint32(i) & 63)
+	}
+}
+
+// clearRows clears the bits of the given pattern indices.
+func clearRows(words []uint64, rows []int32) {
+	for _, i := range rows {
+		words[i>>6] &^= 1 << (uint32(i) & 63)
+	}
+}
+
+// keepRows appends to keep every given pattern index whose bit is set.
+func keepRows(keep []int32, words []uint64, rows []int32) []int32 {
+	for _, i := range rows {
+		if words[i>>6]&(1<<(uint32(i)&63)) != 0 {
+			keep = append(keep, i)
+		}
+	}
+	return keep
 }
 
 // AppendSetBits appends the position of every set bit in words to out
-// in ascending order — the bitmap→ordered-indices sweep shared by
-// CollectWithin and the sharded engine's result merge. O(k + n/64)
+// in ascending order — the bitmap→ordered-indices sweep of the
+// sharded engine's and the remote cluster's result merges. O(k + n/64)
 // for k set bits over an n-bit bitmap.
 func AppendSetBits(out []int, words []uint64) []int {
 	for w, word := range words {
@@ -318,88 +395,6 @@ func AppendWordBits(out []int, w int, word uint64) []int {
 		word &^= 1 << b
 	}
 	return out
-}
-
-// bestGene finds the rule's most selective non-wildcard gene and its
-// candidate run. ok=false means some gene is unanswerable (degenerate
-// data or NaN bounds) and the caller must scan. dim == -1 with ok
-// means the rule is all-wildcard.
-func (ix *MatchIndex) bestGene(r *Rule) (dim, lo, hi int, ok bool) {
-	if ix.degenerate {
-		return 0, 0, 0, false
-	}
-	bestCount := len(ix.data.Targets) + 1
-	dim = -1
-	for j, iv := range r.Cond {
-		if iv.Wildcard {
-			continue
-		}
-		jlo, jhi, rangeOK := ix.GeneRange(j, iv)
-		if !rangeOK {
-			return 0, 0, 0, false
-		}
-		if c := jhi - jlo; c < bestCount {
-			dim, lo, hi, bestCount = j, jlo, jhi, c
-		}
-	}
-	return dim, lo, hi, true
-}
-
-// Lookup returns the rule's matched pattern indices in ascending
-// order. ok=false means no gene is selective enough for the index to
-// beat a linear scan (or the data/bounds are NaN-degenerate); the
-// caller should fall back to scanning. Both paths return identical
-// results, so the choice never affects outcomes.
-func (ix *MatchIndex) Lookup(r *Rule) (out []int, ok bool) {
-	bestDim, bestLo, bestHi, ok := ix.bestGene(r)
-	if !ok {
-		return nil, false
-	}
-	n := len(ix.data.Targets)
-	if bestDim == -1 {
-		// All-wildcard rule: every pattern matches.
-		out = make([]int, n)
-		for i := range out {
-			out[i] = i
-		}
-		return out, true
-	}
-	if bestHi == bestLo {
-		return nil, true
-	}
-	// When even the most selective gene admits over half the dataset,
-	// candidate verification plus the final sort costs about as much
-	// as the straight scan, which also visits indices in order for
-	// free — let the caller scan.
-	if (bestHi-bestLo)*2 > n {
-		return nil, false
-	}
-	return ix.CollectWithin(bestDim, bestLo, bestHi, r), true
-}
-
-// LookupInto is Lookup appending into dst using caller-owned scratch.
-// ok has Lookup's meaning; on the fallback answer (ok=false) dst is
-// returned unchanged. Used by the sharded engine's batch walk so even
-// a shard's per-rule fallback lands in its arena.
-func (ix *MatchIndex) LookupInto(dst []int, r *Rule, sc *MatchScratch) (out []int, ok bool) {
-	bestDim, bestLo, bestHi, ok := ix.bestGene(r)
-	if !ok {
-		return dst, false
-	}
-	n := len(ix.data.Targets)
-	if bestDim == -1 {
-		for i := 0; i < n; i++ {
-			dst = append(dst, i)
-		}
-		return dst, true
-	}
-	if bestHi == bestLo {
-		return dst, true
-	}
-	if (bestHi-bestLo)*2 > n {
-		return dst, false
-	}
-	return ix.CollectWithinInto(dst, bestDim, bestLo, bestHi, r, sc), true
 }
 
 // --- offspring-side evaluation cache -----------------------------------

@@ -171,3 +171,79 @@ func TestEvalCacheBounded(t *testing.T) {
 		t.Fatalf("cache holds %d entries, limit %d", size, evalCacheLimit)
 	}
 }
+
+// fuzzValue decodes one fuzz byte into a pattern value or gene bound:
+// mostly a coarse grid (so ties are common), plus NaN, ±Inf and -0.
+func fuzzValue(b byte) float64 {
+	switch b {
+	case 250:
+		return math.NaN()
+	case 251:
+		return math.Inf(1)
+	case 252:
+		return math.Inf(-1)
+	case 253:
+		return math.Copysign(0, -1)
+	}
+	return float64(int8(b)) / 16
+}
+
+// FuzzMatchIndex checks the rank-bitmap lookup against a Rule.Match
+// scan for arbitrary data and rules: every answer the index gives must
+// be the scan's set exactly (same indices, same order, nil for none),
+// and it may decline only for NaN data or a NaN gene bound.
+func FuzzMatchIndex(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, []byte{4, 2, 8, 0, 0, 0}, uint8(1))
+	f.Add(bytes.Repeat([]byte{0, 16, 16, 250, 32, 0, 200}, 40), []byte{5, 0, 32, 1, 9, 9, 6, 240, 16, 7, 32, 0}, uint8(3))
+	f.Add(bytes.Repeat([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}, 90), []byte{6, 252, 2, 7, 3, 251, 6, 253, 0, 5, 250, 4}, uint8(2))
+	f.Fuzz(func(t *testing.T, values, genes []byte, d uint8) {
+		dd := 1 + int(d)%6
+		if len(values) > 4096 {
+			values = values[:4096]
+		}
+		v := make([]float64, len(values))
+		nan := false
+		for i, b := range values {
+			v[i] = fuzzValue(b)
+			nan = nan || math.IsNaN(v[i])
+		}
+		ds, err := series.Window(series.New("fuzz", v), dd, 1)
+		if err != nil {
+			return
+		}
+		ix := NewMatchIndex(ds)
+		var sc MatchScratch
+		for k := 0; k < 32 && len(genes) >= 3*dd; k++ {
+			cond := make([]Interval, dd)
+			nanBound := false
+			for j := range cond {
+				kind, lo, hi := genes[3*j], genes[3*j+1], genes[3*j+2]
+				if kind%4 == 0 {
+					cond[j] = Wild()
+					continue
+				}
+				// Raw bounds: inverted, infinite and NaN ones included.
+				cond[j] = Interval{Lo: fuzzValue(lo), Hi: fuzzValue(hi)}
+				nanBound = nanBound || math.IsNaN(cond[j].Lo) || math.IsNaN(cond[j].Hi)
+			}
+			genes = genes[3*dd:]
+			r := NewRule(cond)
+			var want []int
+			for i, row := range ds.Inputs {
+				if r.Match(row) {
+					want = append(want, i)
+				}
+			}
+			got, ok := ix.LookupInto(nil, r, nil, &sc)
+			if !ok {
+				if !nan && !nanBound {
+					t.Fatalf("lookup declined a rule on clean data: %v", cond)
+				}
+				continue
+			}
+			if !intSlicesIdentical(got, want) {
+				t.Fatalf("rule %v over %d patterns: lookup %v, scan %v", cond, ds.Len(), got, want)
+			}
+		}
+	})
+}

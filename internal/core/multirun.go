@@ -63,8 +63,10 @@ type MultiRunResult struct {
 }
 
 // MultiRun executes the paper's outer loop. Executions are launched
-// in waves of cfg.Parallelism; after each wave the accumulated
-// coverage is checked against the target.
+// in waves of cfg.Parallelism and accumulated in seed order; the
+// accumulation stops at the first execution whose rules bring the
+// coverage to the target, so the result does not depend on the wave
+// size.
 //
 // The context bounds the whole accumulation: it is checked between
 // waves and, inside every execution, between generations. On
@@ -150,18 +152,27 @@ func MultiRun(ctx context.Context, cfg MultiRunConfig, data *series.Dataset) (*M
 			}
 			outs[i] = runOut{rules: ex.ValidRules(), stats: ex.Stats}
 		})
-		for _, o := range outs {
+		// Accumulate in seed order and stop at the first execution that
+		// reaches the target, dropping the rest of its wave, so the
+		// result is what waves of one would have built. Coverage is
+		// checked once per wave when the target is unreachable (>1) or
+		// the wave was cancelled: a cancelled fit keeps every
+		// execution's best-so-far rules.
+		perExec := cfg.CoverageTarget <= 1 && ctx.Err() == nil
+		for i, o := range outs {
 			if o.err != nil {
 				return nil, o.err
 			}
 			res.RuleSet.Add(o.rules...)
 			res.Executions = append(res.Executions, o.stats)
+			if perExec || i == n-1 {
+				res.Coverage = res.RuleSet.Coverage(data)
+				if res.Coverage >= cfg.CoverageTarget {
+					return res, ctx.Err()
+				}
+			}
 		}
 		done += n
-		res.Coverage = res.RuleSet.Coverage(data)
-		if res.Coverage >= cfg.CoverageTarget {
-			break
-		}
 	}
 	return res, ctx.Err()
 }

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
-
+	"crypto/sha256"
 	"errors"
 	"math"
 	"testing"
@@ -121,6 +122,41 @@ func TestMultiRunDeterministicAcrossParallelism(t *testing.T) {
 		ra, rb := a.RuleSet.Rules[i], b.RuleSet.Rules[i]
 		if ra.Fitness != rb.Fitness || ra.Prediction != rb.Prediction || ra.Matches != rb.Matches {
 			t.Fatalf("rule %d differs across parallelism", i)
+		}
+	}
+}
+
+// A coverage target the first execution reaches stops the accumulation
+// there at any wave size: with Parallelism 2 the wave's second
+// execution runs but is discarded, so the rule set is byte-identical
+// to the one Parallelism 1 builds.
+func TestMultiRunCoverageTargetIndependentOfWave(t *testing.T) {
+	ds := multiRunDataset(t, 300, 3)
+	run := func(par, maxExec int, target float64) (*MultiRunResult, [sha256.Size]byte) {
+		cfg := multiRunConfig(3)
+		cfg.CoverageTarget = target
+		cfg.Parallelism = par
+		cfg.MaxExecutions = maxExec
+		res, err := MultiRun(context.Background(), cfg, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := res.RuleSet.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return res, sha256.Sum256(buf.Bytes())
+	}
+	first, want := run(1, 1, 2)
+	_, both := run(2, 2, 2)
+	if both == want {
+		t.Fatal("the second execution adds nothing; the test cannot tell wave sizes apart")
+	}
+	for _, par := range []int{1, 2} {
+		res, got := run(par, 4, first.Coverage)
+		if len(res.Executions) != 1 || got != want {
+			t.Errorf("Parallelism %d: %d executions accumulated, digest %x; want 1 execution, digest %x",
+				par, len(res.Executions), got, want)
 		}
 	}
 }

@@ -102,56 +102,83 @@ func TestPropertyFitnessMonotone(t *testing.T) {
 	}
 }
 
+// indexSizes are dataset sizes around the rank index's word (64) and
+// bucket (step = max(8, n/64)) boundaries, plus the two Venice-like
+// shard sizes 466 and 2,988.
+var indexSizes = []int{1, 7, 63, 64, 65, 127, 129, 466, 2988}
+
 // Property: the indexed match engine is extensionally equal to the
-// naive linear scan — identical indices, identical order — for random
-// datasets, dimensions, and rules (wildcards, inverted draws, empty
-// and unselective intervals included).
+// naive linear scan — identical indices, identical order, nil for
+// empty — for random datasets (uniform, or integer-valued and
+// tie-heavy), the sizes in indexSizes plus random ones, any dimension,
+// and rules with wildcards, unselective, inverted, ±Inf and NaN bounds
+// and all-wildcard conditions. One scratch is reused across every
+// index, whatever its size.
 func TestPropertyIndexedMatchEquivalence(t *testing.T) {
+	var sc MatchScratch
+	var reuse []int
 	f := func(seed int64) bool {
 		src := rng.New(seed)
 		n := 10 + src.Intn(200)
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = src.Uniform(-2, 2)
+		if src.Bool(0.5) {
+			n = indexSizes[src.Intn(len(indexSizes))]
 		}
+		ties := src.Bool(0.5)
 		d := 1 + src.Intn(5)
+		v := make([]float64, n+d)
+		for i := range v {
+			if ties {
+				v[i] = float64(src.Intn(5) - 2)
+			} else {
+				v[i] = src.Uniform(-2, 2)
+			}
+		}
 		ds := datasetFromValues(v, d, 1)
-		if ds == nil {
-			return true
+		if ds == nil || ds.Len() != n {
+			return false
 		}
 		ev := NewEvaluator(ds, 0.8, -5, 1e-8, 1)
+		ix := ev.Index()
+		bound := func() float64 {
+			if ties {
+				return float64(src.Intn(7) - 3) // lands on tied values exactly
+			}
+			return src.Uniform(-2.5, 2.5)
+		}
 		for trial := 0; trial < 10; trial++ {
 			cond := make([]Interval, d)
 			for j := range cond {
 				switch {
-				case src.Bool(0.25):
-					cond[j] = Wild()
+				case trial == 0 || src.Bool(0.25):
+					cond[j] = Wild() // trial 0 is the all-wildcard rule
 				case src.Bool(0.15):
-					// Deliberately unselective: spans the whole data range
-					// so the engine exercises its scan fallback.
+					// Deliberately unselective: spans the whole data range.
 					cond[j] = NewInterval(-3, 3)
 				case src.Bool(0.1):
 					// Genuinely inverted bounds (Lo > Hi), bypassing
 					// NewInterval's swap — reachable via ReadJSON or
 					// direct construction; must match nothing, not panic.
 					cond[j] = Interval{Lo: 1, Hi: -1}
+				case src.Bool(0.1):
+					cond[j] = Interval{Lo: math.Inf(-1), Hi: bound()}
+				case src.Bool(0.1):
+					cond[j] = Interval{Lo: bound(), Hi: math.Inf(1)}
+				case src.Bool(0.05):
+					cond[j] = Interval{Lo: math.NaN(), Hi: bound()}
 				default:
-					cond[j] = NewInterval(src.Uniform(-2.5, 2.5), src.Uniform(-2.5, 2.5))
+					cond[j] = NewInterval(bound(), bound())
 				}
 			}
 			r := NewRule(cond)
-			indexed := ev.MatchIndices(r)
 			naive := ev.MatchIndicesScan(r)
-			if len(indexed) != len(naive) {
+			if !intSlicesIdentical(ev.MatchIndices(r), naive) {
 				return false
 			}
-			for k := range indexed {
-				if indexed[k] != naive[k] {
+			if got, ok := ix.LookupInto(reuse[:0], r, nil, &sc); ok {
+				if !intSlicesEqual(got, naive) {
 					return false
 				}
-			}
-			if len(indexed) == 0 && indexed != nil {
-				return false // empty result must be nil, like the scan's
+				reuse = got
 			}
 		}
 		return true
@@ -266,14 +293,14 @@ func TestPropertyEvaluateConsistency(t *testing.T) {
 	}
 }
 
-// Property: the columnar match kernel with the float32 prefilter is
-// extensionally equal to the naive scan under the degenerate inputs
-// the prefilter must not mishandle — NaN pattern values (which
-// disable the index entirely), NaN gene bounds (unconstraining, and
-// unusable for range selection), and magnitudes at the edges of
-// float32 (overflow to ±Inf, underflow to 0 in the shadow column).
-// Identity is exact: same indices, same order, nil for empty.
-func TestPropertyColumnarNaNEquivalence(t *testing.T) {
+// Property: the index lookup is extensionally equal to the naive scan
+// under the degenerate inputs it must not mishandle — NaN pattern
+// values (which disable the index entirely), NaN gene bounds
+// (unconstraining, and unusable for rank ranges), and magnitudes at
+// the edges of the float range (values and bounds near ±1e308, and
+// subnormals). Identity is exact: same indices, same order, nil for
+// empty.
+func TestPropertyIndexNaNEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		src := rng.New(seed)
 		n := 10 + src.Intn(150)
@@ -284,9 +311,9 @@ func TestPropertyColumnarNaNEquivalence(t *testing.T) {
 			case withNaN && src.Bool(0.1):
 				v[i] = math.NaN()
 			case src.Bool(0.1):
-				v[i] = src.Uniform(-2, 2) * 1e308 // ±Inf in float32
+				v[i] = src.Uniform(-2, 2) * 1e308
 			case src.Bool(0.1):
-				v[i] = src.Uniform(-2, 2) * 1e-310 // 0 in float32
+				v[i] = src.Uniform(-2, 2) * 1e-310 // subnormal
 			default:
 				v[i] = src.Uniform(-2, 2)
 			}
@@ -298,8 +325,8 @@ func TestPropertyColumnarNaNEquivalence(t *testing.T) {
 		}
 		ix := NewMatchIndex(ds)
 		ev := NewEvaluator(ds, 0.8, -5, 1e-8, 1)
-		sc := GetMatchScratch()
-		defer PutMatchScratch(sc)
+		sc := matchScratchPool.Get().(*MatchScratch)
+		defer matchScratchPool.Put(sc)
 		var reuse []int
 		for trial := 0; trial < 12; trial++ {
 			cond := make([]Interval, d)
@@ -312,9 +339,6 @@ func TestPropertyColumnarNaNEquivalence(t *testing.T) {
 				case src.Bool(0.1):
 					cond[j] = Interval{Lo: src.Uniform(-2, 2), Hi: math.NaN()}
 				case src.Bool(0.1):
-					// Bounds beyond float32 range: widening must keep
-					// every candidate (the prefilter may only discard
-					// what the exact pass would).
 					cond[j] = NewInterval(src.Uniform(-2, 2)*1e308, src.Uniform(-2, 2)*1e308)
 				default:
 					cond[j] = NewInterval(src.Uniform(-2.5, 2.5), src.Uniform(-2.5, 2.5))
@@ -330,7 +354,7 @@ func TestPropertyColumnarNaNEquivalence(t *testing.T) {
 			// buffers across rules (sc and reuse carry state between
 			// trials on purpose). Into appends to caller storage, so
 			// only values are compared, not nil-ness.
-			if got, ok := ix.LookupInto(reuse[:0], r, sc); ok {
+			if got, ok := ix.LookupInto(reuse[:0], r, nil, sc); ok {
 				if !intSlicesEqual(got, naive) {
 					return false
 				}
@@ -344,10 +368,12 @@ func TestPropertyColumnarNaNEquivalence(t *testing.T) {
 	}
 }
 
-// Property: CollectWithinInto over a dirty pooled scratch reproduces
-// CollectWithin exactly for every gene of a rule on clean data (the
-// per-gene path the shard walk drives).
-func TestPropertyCollectWithinScratchEquivalence(t *testing.T) {
+// Property: LookupInto over a dirty pooled scratch and a reused
+// destination reproduces Lookup exactly on clean data, for every rule
+// and for every one-gene restriction of it (each gene's rank range
+// taken alone), and an exclusion bitmap removes exactly its rows — the
+// tombstone filter the sharded engine passes in.
+func TestPropertyLookupScratchEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		src := rng.New(seed)
 		n := 20 + src.Intn(100)
@@ -361,9 +387,36 @@ func TestPropertyCollectWithinScratchEquivalence(t *testing.T) {
 			return true
 		}
 		ix := NewMatchIndex(ds)
-		sc := GetMatchScratch()
-		defer PutMatchScratch(sc)
+		sc := matchScratchPool.Get().(*MatchScratch)
+		defer matchScratchPool.Put(sc)
+		exclude := make([]uint64, (ds.Len()+63)>>6)
+		for i := 0; i < ds.Len(); i++ {
+			if src.Bool(0.2) {
+				exclude[i>>6] |= 1 << (uint(i) & 63)
+			}
+		}
+		exclude = exclude[:src.Intn(len(exclude)+1)] // rows past the end are kept
+		excluded := func(i int) bool { return i>>6 < len(exclude) && exclude[i>>6]&(1<<(uint(i)&63)) != 0 }
 		var reuse []int
+		check := func(r *Rule) bool {
+			want, ok := ix.Lookup(r)
+			if !ok {
+				return false // clean data, finite bounds: always answerable
+			}
+			got, _ := ix.LookupInto(reuse[:0], r, nil, sc)
+			if !intSlicesEqual(got, want) {
+				return false
+			}
+			var live []int
+			for _, i := range want {
+				if !excluded(i) {
+					live = append(live, i)
+				}
+			}
+			got, _ = ix.LookupInto(got[:0], r, exclude, sc)
+			reuse = got
+			return intSlicesEqual(got, live)
+		}
 		for trial := 0; trial < 10; trial++ {
 			cond := make([]Interval, d)
 			for j := range cond {
@@ -373,18 +426,21 @@ func TestPropertyCollectWithinScratchEquivalence(t *testing.T) {
 					cond[j] = NewInterval(src.Uniform(-2.5, 2.5), src.Uniform(-2.5, 2.5))
 				}
 			}
-			r := NewRule(cond)
+			if !check(NewRule(cond)) {
+				return false
+			}
 			for j := 0; j < d; j++ {
-				lo, hi, ok := ix.GeneRange(j, r.Cond[j])
-				if !ok {
+				if cond[j].Wildcard {
 					continue
 				}
-				want := ix.CollectWithin(j, lo, hi, r)
-				got := ix.CollectWithinInto(reuse[:0], j, lo, hi, r, sc)
-				if !intSlicesEqual(got, want) {
+				one := make([]Interval, d)
+				for k := range one {
+					one[k] = Wild()
+				}
+				one[j] = cond[j]
+				if !check(NewRule(one)) {
 					return false
 				}
-				reuse = got
 			}
 		}
 		return true

@@ -1,8 +1,8 @@
 // Package engine is the sharded, batched evaluation backend of the
 // rule system. It partitions the training dataset across P shards,
-// each with its own core.MatchIndex, so match queries fan out across
-// goroutines and merge ordered results; serves whole generations of
-// offspring through one scheduling pass (MatchBatch); shares a
+// each with its own core.MatchIndex, whose per-shard results merge in
+// ascending order; serves whole generations of offspring through one
+// pass that walks the shards on goroutines (MatchBatch); shares a
 // generation-aware result cache across evaluators, multi-run waves,
 // islands and the Pittsburgh baseline; and manages the dataset's full
 // lifecycle under streaming data — incremental appends, tombstoned
@@ -85,7 +85,7 @@ type shard struct {
 	idx    *core.MatchIndex
 	dead   []uint64     // tombstone bitmap over local indices; nil until first delete
 	deadN  int          // set bits in dead
-	cost   atomic.Int64 // cumulative match work served (rows examined); rebalancing tiebreak
+	cost   atomic.Int64 // cumulative match work served (rows returned + 1 per query); rebalancing tiebreak
 }
 
 // live returns the shard's live (non-tombstoned) row count.
@@ -110,37 +110,6 @@ func (sh *shard) markDead(li int) bool {
 	sh.dead[li>>6] |= 1 << (uint(li) & 63)
 	sh.deadN++
 	return true
-}
-
-// filterLive drops tombstoned rows from an ascending local matched
-// set, in place. Returns nil when nothing survives, staying
-// interchangeable with the scan path.
-func (sh *shard) filterLive(out []int) []int {
-	if sh.deadN == 0 || len(out) == 0 {
-		return out
-	}
-	out = sh.filterLiveFrom(out, 0)
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// filterLiveFrom is filterLive over the tail segment dst[start:] —
-// the arena form: earlier rules' results in dst[:start] are left
-// untouched and the compacted slice is returned truncated.
-func (sh *shard) filterLiveFrom(dst []int, start int) []int {
-	if sh.deadN == 0 || len(dst) == start {
-		return dst
-	}
-	w := start
-	for _, li := range dst[start:] {
-		if !sh.isDead(li) {
-			dst[w] = li
-			w++
-		}
-	}
-	return dst[:w]
 }
 
 // NewShards partitions the dataset into p shards (p<=0 → GOMAXPROCS,
@@ -274,11 +243,11 @@ type ShardStat struct {
 	Resident int // rows physically in the shard (live + tombstoned)
 	Live     int // rows match queries can return
 	Dead     int // tombstoned rows awaiting compaction
-	// Cost approximates rows examined serving match queries: a full
-	// resident scan for the fallback path, rows collected for an
-	// index hit. The units differ per path — it is a coarse heat
-	// heuristic for rebalancing tie-breaks, not a precise counter —
-	// and it resets when the shard is rewritten.
+	// Cost approximates match work served: rows returned (plus one
+	// per query) for an index lookup, the full resident shard for a
+	// NaN fallback scan. The units differ per path — it is a coarse
+	// heat heuristic for rebalancing tie-breaks, not a precise
+	// counter — and it resets when the shard is rewritten.
 	Cost int64
 }
 
@@ -406,39 +375,47 @@ func (s *Shards) appendRows(inputs [][]float64, targets []float64, ids []series.
 
 // MatchIndices returns the rule's matched live pattern indices over
 // the full dataset, ascending — exactly what the sequential
-// single-index path over the live rows returns. The query fans out
-// across shards (each answered by its own index, falling back to a
-// shard-local scan when the index cannot beat one) and the per-shard
-// hits are merged through a global bitmap.
+// single-index path over the live rows returns. The shards are walked
+// in a plain loop on the calling goroutine (one rule's lookup costs
+// less than a goroutine hand-off), each appending into a pooled arena,
+// and the per-shard hits are merged into a fresh result.
 func (s *Shards) MatchIndices(r *core.Rule) []int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	locals := make([][]int, len(s.parts))
-	parallel.For(len(s.parts), s.workers, func(i int) {
-		locals[i] = s.parts[i].match(r)
-	})
-	return s.mergeMatchesLocked(locals)
-}
-
-// match computes the shard-local live matched set: index lookup when
-// the shard index can answer, linear scan otherwise. Identical to the
-// evaluator's own two-path logic, just over the shard's patterns,
-// with tombstoned rows filtered out of either path's result.
-func (sh *shard) match(r *core.Rule) []int {
-	if out, ok := sh.idx.Lookup(r); ok {
-		sh.cost.Add(int64(len(out)) + 1)
-		return sh.filterLive(out)
+	p := shardPassPool.Get().(*shardPass)
+	ms := mergeScratchPool.Get().(*mergeScratch)
+	arena, segs := p.arena[:0], ms.segs[:0]
+	for _, sh := range s.parts {
+		start := len(arena)
+		arena = sh.matchInto(arena, r, &p.sc)
+		segs = append(segs, arena[start:len(arena):len(arena)])
 	}
-	return sh.scan(r)
+	var out []int
+	if len(arena) > 0 {
+		out = s.mergeIntoLocked(make([]int, 0, len(arena)), segs, ms)
+	}
+	p.arena, ms.segs = arena, segs
+	mergeScratchPool.Put(ms)
+	shardPassPool.Put(p)
+	return out
 }
 
-// scan is the shard-local reference path (the shards already provide
-// the parallelism, so it stays serial). Tombstoned rows are skipped.
-func (sh *shard) scan(r *core.Rule) []int {
-	return sh.scanInto(nil, r)
+// matchInto appends the shard-local live matched set of r to dst: an
+// index lookup that leaves tombstoned rows out, or — only for
+// NaN-degenerate data or NaN gene bounds — a scan of the shard.
+func (sh *shard) matchInto(dst []int, r *core.Rule, sc *core.MatchScratch) []int {
+	start := len(dst)
+	out, ok := sh.idx.LookupInto(dst, r, sh.dead, sc)
+	if !ok {
+		return sh.scanInto(dst, r)
+	}
+	sh.cost.Add(int64(len(out)-start) + 1)
+	return out
 }
 
-// scanInto is scan appending into the per-shard arena.
+// scanInto is the shard-local reference path (the shards already
+// provide the parallelism, so it stays serial), appending to dst.
+// Tombstoned rows are skipped.
 func (sh *shard) scanInto(dst []int, r *core.Rule) []int {
 	sh.cost.Add(int64(sh.data.Len()) + 1)
 	for i, row := range sh.data.Inputs {
@@ -450,77 +427,4 @@ func (sh *shard) scanInto(dst []int, r *core.Rule) []int {
 		}
 	}
 	return dst
-}
-
-// matchInto is match appending into the per-shard arena, with the
-// index's candidate scratch caller-owned.
-func (sh *shard) matchInto(dst []int, r *core.Rule, sc *core.MatchScratch) []int {
-	start := len(dst)
-	if out, ok := sh.idx.LookupInto(dst, r, sc); ok {
-		sh.cost.Add(int64(len(out)-start) + 1)
-		return sh.filterLiveFrom(out, start)
-	}
-	return sh.scanInto(dst, r)
-}
-
-// mergeMatchesLocked unions per-shard local matches into one ascending global
-// result. Shard index sets are disjoint but — after appends —
-// interleaved, so hits are collected in a bitmap over global indices
-// and swept in word order: O(k + n/64), independent of shard layout,
-// and deterministic for any parallelism. Returns nil when nothing
-// matched, staying interchangeable with the scan path.
-func (s *Shards) mergeMatchesLocked(locals [][]int) []int {
-	total := 0
-	for _, l := range locals {
-		total += len(l)
-	}
-	if total == 0 {
-		return nil
-	}
-	n := s.data.Len()
-	words := make([]uint64, (n+63)>>6)
-	for si, l := range locals {
-		g := s.parts[si].global
-		for _, li := range l {
-			gi := g[li]
-			words[gi>>6] |= 1 << (uint(gi) & 63)
-		}
-	}
-	return core.AppendSetBits(make([]int, 0, total), words)
-}
-
-// allLiveLocked returns every live global index, ascending — the
-// all-wildcard answer. Callers hold mu (read or write).
-func (s *Shards) allLiveLocked() []int {
-	n := s.data.Len()
-	live := n - s.deadTotal
-	if live == 0 {
-		return nil
-	}
-	if s.deadTotal == 0 {
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		return all
-	}
-	words := make([]uint64, (n+63)>>6)
-	for i := range words {
-		words[i] = ^uint64(0)
-	}
-	if tail := n & 63; tail != 0 {
-		words[len(words)-1] = 1<<uint(tail) - 1
-	}
-	for _, sh := range s.parts {
-		if sh.deadN == 0 {
-			continue
-		}
-		for li := range sh.data.Inputs {
-			if sh.isDead(li) {
-				g := sh.global[li]
-				words[g>>6] &^= 1 << (uint(g) & 63)
-			}
-		}
-	}
-	return core.AppendSetBits(make([]int, 0, live), words)
 }

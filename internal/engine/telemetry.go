@@ -88,18 +88,12 @@ func (t *telemetry) afterMutation(s *Shards) {
 	t.liveSkew.Set(skew)
 }
 
-// MatchBatch answers one whole generation of rules in a single
-// scheduling pass. Instead of per-rule dispatch it (1) computes each
-// rule's most selective lag once, by summing the per-shard candidate
-// ranges of every gene (the per-shard lookups reuse exactly these
-// ranges, so the pass costs nothing extra); (2) groups rules by that
-// lag and walks each shard index once per group — all rules of a
-// group probe the same sorted value/permutation arrays back to back,
-// which keeps those arrays hot in cache; (3) fans the groups out
-// across shards on separate goroutines and merges per-shard hits
-// through the global bitmap. out[i] corresponds to rules[i] and is
-// bit-identical to MatchIndices(rules[i]) — grouping and fan-out are
-// pure scheduling.
+// MatchBatch answers one whole generation of rules in a single pass:
+// each shard walks the batch on its own goroutine, appending every
+// rule's shard-local matched set into a pooled arena, and the
+// per-shard hits are merged rule by rule through the global bitmap.
+// out[i] corresponds to rules[i] and is bit-identical to
+// MatchIndices(rules[i]) — the fan-out is pure scheduling.
 //
 // The context bounds every parallel pass: once it is cancelled the
 // remaining scheduling work is skipped, all fan-out goroutines drain
