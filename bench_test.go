@@ -298,11 +298,11 @@ func BenchmarkRuleMatch(b *testing.B) {
 // against BenchmarkMatchIndicesNaive for the engine's speedup.
 func BenchmarkMatchIndicesIndexed(b *testing.B) {
 	ds := benchTrainDataset(b, 10000, 24)
-	ev := core.NewEvaluator(ds, 0.2, 0, 1e-8, 1)
+	ev := core.NewEvaluator(ds, 0.2, 0, 1e-8, 1, core.EvalOptions{})
 	pop := core.InitStratified(ds, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev.MatchIndices(pop[i%len(pop)])
+		ev.Backend().MatchIndices(pop[i%len(pop)])
 	}
 }
 
@@ -310,7 +310,7 @@ func BenchmarkMatchIndicesIndexed(b *testing.B) {
 // same rules and dataset.
 func BenchmarkMatchIndicesNaive(b *testing.B) {
 	ds := benchTrainDataset(b, 10000, 24)
-	ev := core.NewEvaluator(ds, 0.2, 0, 1e-8, 1)
+	ev := core.NewEvaluator(ds, 0.2, 0, 1e-8, 1, core.EvalOptions{})
 	pop := core.InitStratified(ds, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -323,14 +323,14 @@ func BenchmarkMatchIndicesNaive(b *testing.B) {
 // case the cache exists for.
 func BenchmarkEvaluateRuleCached(b *testing.B) {
 	ds := benchTrainDataset(b, 10000, 24)
-	ev := core.NewEvaluator(ds, 0.2, 0, 1e-8, 1)
+	ev := core.NewEvaluator(ds, 0.2, 0, 1e-8, 1, core.EvalOptions{})
 	pop := core.InitStratified(ds, 10)
 	for _, r := range pop {
-		ev.Evaluate(r)
+		ev.Evaluate(context.Background(), r)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev.Evaluate(pop[i%len(pop)])
+		ev.Evaluate(context.Background(), pop[i%len(pop)])
 	}
 }
 
@@ -360,23 +360,11 @@ func uncachedRules(pop []*core.Rule, n int) []*core.Rule {
 // work being measured.
 func BenchmarkEvaluateRule(b *testing.B) {
 	ds := benchTrainDataset(b, 10000, 24)
-	ev := core.NewEvaluator(ds, 0.2, 0, 1e-8, 1)
+	ev := core.NewEvaluator(ds, 0.2, 0, 1e-8, 1, core.EvalOptions{})
 	rules := uncachedRules(core.InitStratified(ds, 10), b.N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev.Evaluate(rules[i])
-	}
-}
-
-// BenchmarkEvaluateRuleParallel is the same evaluation with goroutine
-// chunking enabled for the scan fallback.
-func BenchmarkEvaluateRuleParallel(b *testing.B) {
-	ds := benchTrainDataset(b, 10000, 24)
-	ev := core.NewEvaluator(ds, 0.2, 0, 1e-8, 0)
-	rules := uncachedRules(core.InitStratified(ds, 10), b.N)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.Evaluate(rules[i])
+		ev.Evaluate(context.Background(), rules[i])
 	}
 }
 
@@ -400,7 +388,7 @@ func benchEngineSetup(b *testing.B, reg *obs.Registry) (*core.Evaluator, []*core
 		eng.Instrument(reg)
 		opt.Telemetry = reg
 	}
-	ev := core.NewEvaluatorOpt(ds, 0.2, 0, 1e-8, 0, opt)
+	ev := core.NewEvaluator(ds, 0.2, 0, 1e-8, 0, opt)
 	rules := uncachedRules(core.InitStratified(ds, 16), (b.N+1)*engineBenchBatch)
 	ev.EvaluateAll(context.Background(), rules[b.N*engineBenchBatch:])
 	return ev, rules[:b.N*engineBenchBatch]
@@ -446,7 +434,7 @@ func BenchmarkEnginePerRule(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range rules[i*engineBenchBatch : (i+1)*engineBenchBatch] {
-			ev.Evaluate(r)
+			ev.Evaluate(context.Background(), r)
 		}
 	}
 }
@@ -676,7 +664,7 @@ func BenchmarkFitAffineScratch(b *testing.B) {
 // with a 200-rule system.
 func BenchmarkRuleSetPredict(b *testing.B) {
 	ds := benchTrainDataset(b, 3000, 24)
-	ev := core.NewEvaluator(ds, 0.5, 0, 1e-8, 1)
+	ev := core.NewEvaluator(ds, 0.5, 0, 1e-8, 1, core.EvalOptions{})
 	pop := core.InitStratified(ds, 200)
 	ev.EvaluateAll(context.Background(), pop)
 	rs := core.NewRuleSet(24)

@@ -80,6 +80,61 @@ func TestWithTelemetryEndToEnd(t *testing.T) {
 	}
 }
 
+// TestExecutionDoneOncePerExecution checks that every way a fit ends
+// its executions emits exactly one execution_done trace event per
+// execution or island: a plain fit, a fit reporting progress, and an
+// island fit.
+func TestExecutionDoneOncePerExecution(t *testing.T) {
+	ds := sineDataset(t, 300, 4)
+	for _, tc := range []struct {
+		name string
+		opt  Option
+		want int
+	}{
+		{"plain", WithSeed(7), 1},
+		{"progress", WithProgress(50, func(Progress) bool { return true }), 1},
+		{"islands", WithIslands(2, 50, 2), 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := NewTelemetry()
+			path := filepath.Join(t.TempDir(), "trace.jsonl")
+			closer, err := TraceTo(reg, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := New(WithSeed(7), WithGenerations(200), WithTelemetry(reg), tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Fit(context.Background(), ds); err != nil {
+				t.Fatal(err)
+			}
+			if err := closer.Close(); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := 0
+			for _, ln := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+				var ev struct {
+					Event string `json:"event"`
+				}
+				if err := json.Unmarshal([]byte(ln), &ev); err != nil {
+					t.Fatalf("trace line %q: %v", ln, err)
+				}
+				if ev.Event == "execution_done" {
+					done++
+				}
+			}
+			if done != tc.want || done != f.Stats().Executions {
+				t.Fatalf("%d execution_done events, want %d (fit ran %d executions)", done, tc.want, f.Stats().Executions)
+			}
+		})
+	}
+}
+
 // TestTelemetryOptional pins the nil contracts: no option means a nil
 // snapshot, and WithTelemetry(nil) is rejected at New.
 func TestTelemetryOptional(t *testing.T) {

@@ -133,7 +133,7 @@ func TestAnalyzeOnEvolvedSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex.Run(context.Background())
+	ex.Run(context.Background(), 0, nil)
 	rs := NewRuleSet(3)
 	rs.Add(ex.ValidRules()...)
 	a := rs.Analyze(ds)

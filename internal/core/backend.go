@@ -7,19 +7,20 @@ import (
 	"repro/internal/series"
 )
 
-// Backend is a pluggable match backend: something other than the
-// evaluator's own single MatchIndex that can answer "which training
-// patterns does this rule match". The sharded, batched evaluation
-// engine in internal/engine implements it; core stays the single
-// owner of the regression and fitness math, so any backend that
-// returns exact matched sets yields bit-identical evaluations.
+// Backend is the evaluator's one match path: whatever answers "which
+// training patterns does this rule match". A MatchIndex is the default
+// (every Evaluator given none builds one); the sharded engine in
+// internal/engine and the remote cluster in internal/remote implement
+// it too. Core stays the single owner of the regression and fitness
+// math, so any backend that returns exact matched sets yields
+// bit-identical evaluations.
 //
 // Implementations must be safe for concurrent use: one backend is
 // shared by every Evaluator of a multi-run wave or island ring.
 type Backend interface {
 	// Data returns the training dataset the backend answers for. An
 	// evaluator only adopts a backend whose Data is the very dataset
-	// it scores against (pointer identity, mirroring ensureIndex).
+	// it scores against (pointer identity).
 	Data() *series.Dataset
 
 	// Epoch returns the backend's data epoch. It increments whenever
@@ -30,7 +31,7 @@ type Backend interface {
 
 	// MatchIndices returns the rule's matched training-pattern
 	// indices — the paper's C_R(S) — in ascending order, exactly as
-	// the sequential single-index path would.
+	// Evaluator.MatchIndicesScan would.
 	MatchIndices(r *Rule) []int
 
 	// MatchBatch answers one whole generation of rules in a single
@@ -114,7 +115,7 @@ type BackendCtx interface {
 // backend answers with incomplete sets; the evaluator therefore
 // checks BackendErr after every match query and refuses to cache or
 // apply anything computed from a faulted backend, and the run loops
-// (Execution.Run and friends) surface the error instead of silently
+// (Execution.Run, RunIslands) surface the error instead of silently
 // evolving against wrong matched sets. In-process backends never
 // fault and simply do not implement the interface.
 type BackendHealth interface {

@@ -26,7 +26,7 @@ func TestRunCancelledMidway(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	if err := ex.Run(ctx); err != context.Canceled {
+	if err := ex.Run(ctx, 0, nil); err != context.Canceled {
 		t.Fatalf("Run returned %v, want context.Canceled", err)
 	}
 	if d := time.Since(start); d > 10*time.Second {
@@ -55,7 +55,7 @@ func TestRunPreCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := ex.Run(ctx); err != context.Canceled {
+	if err := ex.Run(ctx, 0, nil); err != context.Canceled {
 		t.Fatalf("Run returned %v", err)
 	}
 	if ex.Stats.Generations != 0 {
@@ -150,19 +150,5 @@ func TestIslandProgressEarlyStop(t *testing.T) {
 			t.Fatalf("island %d ran %d generations, want one epoch (%d)",
 				i, st.Generations, cfg.MigrationInterval)
 		}
-	}
-}
-
-func TestTuneEMaxCancelled(t *testing.T) {
-	ds := sineDataset(t, 400, 3)
-	cfg := DefaultTune(3)
-	cfg.Base.Generations = 1 << 30
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	if _, err := TuneEMax(ctx, cfg, ds); err != context.Canceled {
-		t.Fatalf("TuneEMax returned %v, want context.Canceled", err)
 	}
 }

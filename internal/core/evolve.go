@@ -74,8 +74,8 @@ func NewExecution(ctx context.Context, cfg Config, data *series.Dataset) (*Execu
 
 	ex := &Execution{
 		Config: cfg,
-		Eval: NewEvaluatorOpt(data, emax, cfg.FMin, cfg.Ridge, cfg.Runtime.Workers,
-			EvalOptions{Index: cfg.Runtime.Index, Backend: cfg.Runtime.Backend, Cache: cfg.Runtime.Cache, Telemetry: cfg.Runtime.Telemetry}),
+		Eval: NewEvaluator(data, emax, cfg.FMin, cfg.Ridge, cfg.Runtime.Workers,
+			EvalOptions{Backend: cfg.Runtime.Backend, Cache: cfg.Runtime.Cache, Telemetry: cfg.Runtime.Telemetry}),
 		src:      rng.New(cfg.Seed),
 		predSpan: hi - lo,
 		tel:      newRunTelemetry(cfg.Runtime.Telemetry),
@@ -123,7 +123,7 @@ func (ex *Execution) step(ctx context.Context) bool {
 		ex.prefetch(ctx)
 	}
 	child, target := ex.offspring(ex.src)
-	ex.Eval.EvaluateCtx(ctx, child)
+	ex.Eval.Evaluate(ctx, child)
 	if ctx.Err() != nil || ex.Eval.BackendErr() != nil {
 		// The evaluation may have been abandoned, leaving the child
 		// with no evaluation or — a mutated clone — its parent's. The
@@ -258,26 +258,36 @@ func (ex *Execution) endWindow() {
 }
 
 // Run performs the configured number of generations and refreshes the
-// final statistics. The context is checked between generations: a
-// cancelled or expired context stops the loop promptly and Run returns
-// ctx.Err(), with the population left as a valid best-so-far snapshot
-// (every rule carries a complete evaluation — steps are atomic, so
-// cancellation can never publish a torn individual). A backend fault
-// (BackendHealth, e.g. a lost shard server) also stops the loop and
-// is returned instead — the population then still holds only complete
-// pre-fault evaluations, never results computed from truncated
-// matches. A nil error means the full budget was spent.
-func (ex *Execution) Run(ctx context.Context) error {
+// final statistics. A non-nil fn is called with a snapshot every
+// `every` generations (every < 1 is treated as 1) and once more at the
+// end; fn returning false stops the run early, with a nil error.
+//
+// The context is checked between generations: a cancelled or expired
+// context stops the loop promptly and Run returns ctx.Err(), with the
+// population left as a valid best-so-far snapshot (every rule carries
+// a complete evaluation — steps are atomic, so cancellation can never
+// publish a torn individual) that the final fn call still sees. A
+// backend fault (BackendHealth, e.g. a lost shard server) also stops
+// the loop and is returned instead — the population then still holds
+// only complete pre-fault evaluations, never results computed from
+// truncated matches.
+func (ex *Execution) Run(ctx context.Context, every int, fn func(Progress) bool) error {
+	every = max(every, 1)
 	ctx, sp := ex.spanCtx(ctx, "core.execution")
 	defer sp.End()
-	for g := 0; g < ex.Config.Generations; g++ {
+	for g := 1; g <= ex.Config.Generations; g++ {
 		if ctx.Err() != nil || ex.Eval.BackendErr() != nil {
 			break
 		}
 		ex.Step(ctx)
+		if fn != nil && g%every == 0 && !fn(ex.snapshot()) {
+			break
+		}
 	}
 	ex.refreshStats()
-	ex.noteRunDone()
+	if fn != nil {
+		fn(ex.snapshot())
+	}
 	if err := ex.Eval.BackendErr(); err != nil {
 		return err
 	}
@@ -285,8 +295,9 @@ func (ex *Execution) Run(ctx context.Context) error {
 }
 
 // refreshStats recomputes the end-of-run aggregate statistics. Every
-// run loop ends here, so it also closes a speculative window the run
-// stopped inside.
+// run loop (Run, RunIslands) ends here once per execution, so it also
+// closes a speculative window the run stopped inside and emits the
+// execution_done trace event.
 func (ex *Execution) refreshStats() {
 	ex.endWindow()
 	best, sum := ex.Pop[0].Fitness, 0.0
@@ -303,6 +314,7 @@ func (ex *Execution) refreshStats() {
 	ex.Stats.BestFitness = best
 	ex.Stats.MeanFitness = sum / float64(len(ex.Pop))
 	ex.Stats.ValidRules = valid
+	ex.noteRunDone()
 }
 
 // ValidRules returns the rules whose fitness exceeds the floor — the

@@ -77,7 +77,7 @@ func TestEvolutionImprovesMeanFitness(t *testing.T) {
 	}
 	ex.refreshStats()
 	before := ex.Stats.MeanFitness
-	ex.Run(context.Background())
+	ex.Run(context.Background(), 0, nil)
 	if ex.Stats.MeanFitness < before {
 		t.Fatalf("mean fitness fell: %v -> %v", before, ex.Stats.MeanFitness)
 	}
@@ -140,7 +140,7 @@ func TestExecutionDeterministicPerSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex.Run(context.Background())
+		ex.Run(context.Background(), 0, nil)
 		out := make([]float64, len(ex.Pop))
 		for i, r := range ex.Pop {
 			out[i] = r.Fitness
@@ -172,7 +172,7 @@ func TestValidRulesFiltered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex.Run(context.Background())
+	ex.Run(context.Background(), 0, nil)
 	for _, r := range ex.ValidRules() {
 		if r.Fitness <= ex.Config.FMin {
 			t.Fatalf("floor-fitness rule leaked: %+v", r)
@@ -191,7 +191,7 @@ func TestMutationOnlyReproductionPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex.Run(context.Background())
+	ex.Run(context.Background(), 0, nil)
 	if ex.Stats.Generations != cfg.Generations {
 		t.Fatal("mutation-only run did not complete")
 	}
@@ -208,7 +208,7 @@ func TestEvolvedSystemPredictsSine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex.Run(context.Background())
+	ex.Run(context.Background(), 0, nil)
 	rs := NewRuleSet(4)
 	rs.Add(ex.ValidRules()...)
 	if rs.Len() == 0 {

@@ -59,8 +59,8 @@ func ExampleRuleSet_Predict() {
 		Inputs:  [][]float64{{1}, {2}, {3}},
 		Targets: []float64{5, 5, 5},
 		D:       1, Horizon: 1,
-	}, 1.0, 0, 1e-8, 1)
-	ev.Evaluate(r)
+	}, 1.0, 0, 1e-8, 1, core.EvalOptions{})
+	ev.Evaluate(context.Background(), r)
 	rs.Add(r)
 
 	if v, ok := rs.Predict([]float64{4}); ok {

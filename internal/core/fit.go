@@ -15,26 +15,26 @@ import (
 // Evaluator fits rules against a fixed training dataset and computes
 // the paper's fitness. One Evaluator is shared by a whole execution;
 // it is safe for concurrent use by multiple goroutines: the dataset
-// and match index are read-only after construction and the evaluation
-// cache is internally synchronized.
+// and backend are read-only (or internally synchronized) and the
+// evaluation cache is internally synchronized.
 //
-// Matching goes through one of two interchangeable paths: the
-// evaluator's own MatchIndex (the sequential single-index path), or a
-// pluggable Backend such as the sharded engine in internal/engine.
-// Both return exact matched sets, and all regression/fitness math
-// lives here, so the paths are bit-identical by construction.
+// Every match query goes through one Backend: a MatchIndex by default,
+// or the sharded engine (internal/engine) or remote cluster
+// (internal/remote). Each returns exact matched sets, and all
+// regression/fitness math lives here, so every backend yields
+// bit-identical evaluations.
 type Evaluator struct {
 	data    *series.Dataset
 	emax    float64
 	fmin    float64
 	ridge   float64
 	workers int
-	idx     *MatchIndex // nil when backend is set
 	backend Backend
-	// backendCtx caches the backend's optional BackendCtx side (one
-	// type assertion at construction, not one per evaluation); nil when
-	// the backend doesn't implement it.
+	// backendCtx and health cache the backend's optional BackendCtx
+	// and BackendHealth sides (one type assertion at construction, not
+	// one per evaluation); nil when the backend doesn't implement them.
 	backendCtx BackendCtx
+	health     BackendHealth
 	cache      EvalCache
 
 	// Telemetry counters (nil handles no-op): full evaluations
@@ -47,15 +47,12 @@ type Evaluator struct {
 // be built around. All fields may be nil; the zero value reproduces a
 // self-contained evaluator with its own index and private cache.
 type EvalOptions struct {
-	// Index reuses a prebuilt MatchIndex so callers evaluating the
-	// same dataset many times (multi-run, islands, the Pittsburgh
-	// baseline) pay index construction once. Ignored (a fresh index is
-	// built) when nil or built over a different dataset.
-	Index *MatchIndex
-	// Backend routes all match queries through an external engine
-	// (see internal/engine). Ignored unless Backend.Data() is the
-	// evaluator's dataset — the same sharing predicate as Index. When
-	// adopted, no private MatchIndex is built at all.
+	// Backend answers every match query: a MatchIndex shared by the
+	// callers that evaluate one dataset many times (multi-run,
+	// islands, the Pittsburgh baseline), the sharded engine or the
+	// remote cluster. Nil, or a backend whose Data() is not the
+	// evaluator's dataset, makes the evaluator build its own
+	// MatchIndex.
 	Backend Backend
 	// Cache replaces the evaluator-private result cache with a shared
 	// one. Cache keys embed the data epoch and evaluator parameters,
@@ -71,25 +68,12 @@ type EvalOptions struct {
 	Telemetry *obs.Registry
 }
 
-// NewEvaluator builds an evaluator over the training dataset,
-// including its own indexed match engine. emax and fmin are the
-// paper's EMAX and f_min; ridge regularizes the consequent
-// regression; workers bounds the parallel fallback scan
-// (0 = GOMAXPROCS).
-func NewEvaluator(data *series.Dataset, emax, fmin, ridge float64, workers int) *Evaluator {
-	return NewEvaluatorOpt(data, emax, fmin, ridge, workers, EvalOptions{})
-}
-
-// NewEvaluatorWith is NewEvaluator reusing a prebuilt MatchIndex; see
-// EvalOptions.Index.
-func NewEvaluatorWith(data *series.Dataset, emax, fmin, ridge float64, workers int, idx *MatchIndex) *Evaluator {
-	return NewEvaluatorOpt(data, emax, fmin, ridge, workers, EvalOptions{Index: idx})
-}
-
-// NewEvaluatorOpt is the general constructor: an evaluator over the
-// training dataset wired to whatever subset of shared machinery the
-// options carry.
-func NewEvaluatorOpt(data *series.Dataset, emax, fmin, ridge float64, workers int, opt EvalOptions) *Evaluator {
+// NewEvaluator builds an evaluator over the training dataset wired to
+// whatever subset of shared machinery the options carry. emax and fmin
+// are the paper's EMAX and f_min; ridge regularizes the consequent
+// regression; workers bounds the batch regressions and the reference
+// scan (0 = GOMAXPROCS).
+func NewEvaluator(data *series.Dataset, emax, fmin, ridge float64, workers int, opt EvalOptions) *Evaluator {
 	e := &Evaluator{
 		data:    data,
 		emax:    emax,
@@ -97,15 +81,13 @@ func NewEvaluatorOpt(data *series.Dataset, emax, fmin, ridge float64, workers in
 		ridge:   ridge,
 		workers: workers,
 	}
-	if opt.Backend != nil && opt.Backend.Data() == data {
-		e.backend = opt.Backend
-		e.backendCtx, _ = opt.Backend.(BackendCtx)
-		if opt.Cache != nil {
-			e.cache = opt.Cache
-		}
+	if b := opt.Backend; b != nil && b.Data() == data {
+		e.backend, e.cache = b, opt.Cache
 	} else {
-		e.idx = ensureIndex(opt.Index, data)
+		e.backend = NewMatchIndex(data)
 	}
+	e.backendCtx, _ = e.backend.(BackendCtx)
+	e.health, _ = e.backend.(BackendHealth)
 	if e.cache == nil {
 		e.cache = newEvalCache()
 	}
@@ -122,13 +104,8 @@ func (e *Evaluator) EMax() float64 { return e.emax }
 // Data returns the training dataset the evaluator scores against.
 func (e *Evaluator) Data() *series.Dataset { return e.data }
 
-// Index returns the evaluator's match index so it can be shared with
-// other evaluators over the same dataset. It is nil when the
-// evaluator matches through a Backend instead.
-func (e *Evaluator) Index() *MatchIndex { return e.idx }
-
-// Backend returns the evaluator's match backend, or nil when it runs
-// on its own single index.
+// Backend returns the evaluator's match backend (its own MatchIndex
+// when none was adopted).
 func (e *Evaluator) Backend() Backend { return e.backend }
 
 // BackendErr reports the backend's sticky out-of-band failure (see
@@ -136,33 +113,17 @@ func (e *Evaluator) Backend() Backend { return e.backend }
 // loops poll it between generations so a lost shard server aborts the
 // run with an error instead of evolving against incomplete matches.
 func (e *Evaluator) BackendErr() error {
-	if h, ok := e.backend.(BackendHealth); ok {
-		return h.BackendErr()
+	if e.health != nil {
+		return e.health.BackendErr()
 	}
 	return nil
 }
 
-// MatchIndices returns the indices of training patterns matched by
-// the rule — the paper's C_R(S) — in ascending order. With a backend
-// the query fans out across its shards; otherwise the match index
-// answers it, and only NaN data or NaN gene bounds fall back to the
-// chunk-parallel scan. All paths return identical results, so the
-// choice (and the parallelism degree) never affects outcomes.
-func (e *Evaluator) MatchIndices(r *Rule) []int {
-	if e.backend != nil {
-		return e.backend.MatchIndices(r)
-	}
-	if out, ok := e.idx.Lookup(r); ok {
-		return out
-	}
-	return e.MatchIndicesScan(r)
-}
-
-// MatchIndicesScan is the reference implementation: a linear scan of
-// every training pattern, chunked over goroutines for large datasets
-// with chunk-ordered merging keeping the result deterministic. It is
-// exported for benchmarks and equivalence tests; MatchIndices is the
-// fast path.
+// MatchIndicesScan is the reference implementation of the paper's
+// C_R(S): a linear scan of every training pattern, chunked over
+// goroutines for large datasets with chunk-ordered merging keeping the
+// result deterministic. It is exported for benchmarks and equivalence
+// tests; every backend must return exactly its set.
 func (e *Evaluator) MatchIndicesScan(r *Rule) []int {
 	n := e.data.Len()
 	// Parallelism pays only for large scans; the threshold keeps the
@@ -188,19 +149,15 @@ func (e *Evaluator) MatchIndicesScan(r *Rule) []int {
 }
 
 // evalKey builds the cache key for a conditional part: the backend's
-// data epoch (0 without a backend — the dataset is then immutable),
-// the IEEE-754 bits of the evaluator parameters the result depends
-// on, and the byte-exact gene signature. Epoch-prefixing means a
-// result computed before a streaming append can never be served
-// afterwards — the key itself has expired.
+// data epoch (always 0 for an immutable MatchIndex), the IEEE-754
+// bits of the evaluator parameters the result depends on, and the
+// byte-exact gene signature. Epoch-prefixing means a result computed
+// before a streaming append can never be served afterwards — the key
+// itself has expired.
 func (e *Evaluator) evalKey(cond []Interval) string {
-	var epoch uint64
-	if e.backend != nil {
-		epoch = e.backend.Epoch()
-	}
 	b := make([]byte, 0, 32+len(cond)*17)
 	var u [8]byte
-	binary.LittleEndian.PutUint64(u[:], epoch)
+	binary.LittleEndian.PutUint64(u[:], e.backend.Epoch())
 	b = append(b, u[:]...)
 	binary.LittleEndian.PutUint64(u[:], math.Float64bits(e.emax))
 	b = append(b, u[:]...)
@@ -223,33 +180,13 @@ func (e *Evaluator) evalKey(cond []Interval) string {
 // Results are memoized by signature: an offspring whose genes survived
 // mutation/crossover unchanged reuses the prior match scan and
 // regression bit-for-bit instead of recomputing them.
-func (e *Evaluator) Evaluate(r *Rule) {
-	key := e.evalKey(r.Cond)
-	if c := e.cache.Get(key); c != nil {
-		c.apply(r)
-		e.evalsCached.Inc()
-		return
-	}
-	idx := e.MatchIndices(r)
-	if e.BackendErr() != nil {
-		// A faulted backend returns incomplete matched sets: leave the
-		// rule's prior evaluation intact and cache nothing. The run
-		// loops poll BackendErr and abort with the failure.
-		return
-	}
-	e.evalFromMatches(r, idx)
-	e.cache.Put(key, resultOf(r))
-	e.evalsComputed.Inc()
-}
-
-// EvaluateCtx is Evaluate with the caller's context threaded into the
-// match query: against a BackendCtx backend (the remote cluster) the
-// RPC becomes cancellable by the caller and inherits its trace span,
-// so a traced run shows every single-rule match it issues. A result
-// cut short by cancellation is discarded exactly like a backend
-// fault — the rule keeps its prior fields and nothing is cached.
-// Otherwise identical to Evaluate, bit for bit.
-func (e *Evaluator) EvaluateCtx(ctx context.Context, r *Rule) {
+//
+// ctx reaches the match query: against a BackendCtx backend (the
+// remote cluster) the RPC is cancellable by the caller and inherits
+// its trace span. A result cut short by cancellation or a backend
+// fault is discarded — the rule keeps its prior fields and nothing is
+// cached; the run loops poll BackendErr and abort with the failure.
+func (e *Evaluator) Evaluate(ctx context.Context, r *Rule) {
 	key := e.evalKey(r.Cond)
 	if c := e.cache.Get(key); c != nil {
 		c.apply(r)
@@ -260,7 +197,7 @@ func (e *Evaluator) EvaluateCtx(ctx context.Context, r *Rule) {
 	if e.backendCtx != nil {
 		idx = e.backendCtx.MatchIndicesCtx(ctx, r)
 	} else {
-		idx = e.MatchIndices(r)
+		idx = e.backend.MatchIndices(r)
 	}
 	if ctx.Err() != nil || e.BackendErr() != nil {
 		return
@@ -295,8 +232,8 @@ var fitScratchPool = sync.Pool{New: func() any { return new(fitScratch) }}
 
 // evalFromMatches is the post-match half of an evaluation: given the
 // rule's matched training indices, fit the consequent and assign the
-// paper's fitness. Both the per-rule and the batched path end here,
-// which is what keeps them bit-identical.
+// paper's fitness. Both Evaluate and EvaluateAll end here, which is
+// what keeps them bit-identical.
 func (e *Evaluator) evalFromMatches(r *Rule, idx []int) {
 	fs := fitScratchPool.Get().(*fitScratch)
 	e.evalFromMatchesScratch(r, idx, fs)
@@ -380,59 +317,22 @@ func (e *Evaluator) evalFromMatchesScratch(r *Rule, idx []int, fs *fitScratch) {
 // shared cache the counts aggregate every participating evaluator.
 func (e *Evaluator) CacheStats() (hits, misses int) { return e.cache.Stats() }
 
-// EvaluateAll evaluates every rule. With a backend the whole slice is
-// served by one batched scheduling pass (EvaluateBatch); otherwise it
-// parallelizes across rules (the per-rule work then runs serially,
-// avoiding nested parallelism). The workers share the match machinery
-// and evaluation cache; cached results are bit-identical to
-// recomputation, so scheduling cannot change outcomes.
-//
-// The context bounds the whole pass. On cancellation EvaluateAll
-// returns ctx.Err() promptly and the rules are in a mixed state: some
-// carry fresh evaluations, the rest still hold their prior fields —
-// but never a partial result, so any snapshot the caller keeps is
-// self-consistent.
-func (e *Evaluator) EvaluateAll(ctx context.Context, rules []*Rule) error {
-	if e.backend != nil && len(rules) > 1 {
-		return e.EvaluateBatch(ctx, rules)
-	}
-	serial := *e
-	serial.workers = 1
-	// Each iteration is one complete rule evaluation (match, regression
-	// and cache insert are atomic per rule), so stopping between
-	// iterations can never publish a torn result.
-	if err := parallel.ForCtx(ctx, len(rules), e.workers, func(i int) { serial.EvaluateCtx(ctx, rules[i]) }); err != nil {
-		return err
-	}
-	// Evaluate cannot report a backend fault itself (it skips the rule
-	// instead); surface it here so batch callers see the failure.
-	return e.BackendErr()
-}
-
-// EvaluateBatch evaluates a whole generation of rules through the
-// backend in one scheduling pass: signatures are deduplicated first
-// (offspring that collapsed to the same conditional part are computed
-// once), cache hits are peeled off, and the surviving unique rules go
-// to Backend.MatchBatch, which walks each shard once for the whole
-// batch instead of dispatching rule by rule. Consequent
-// regressions then run in parallel across rules. Results are
-// bit-identical to calling Evaluate on each rule in order.
+// EvaluateAll evaluates a whole generation of rules in one scheduling
+// pass: signatures are deduplicated first (offspring that collapsed to
+// the same conditional part are computed once), cache hits are peeled
+// off, and the surviving unique rules go to Backend.MatchBatch, which
+// answers them all in one call (one walk of each engine shard, one
+// cluster round trip). Consequent regressions then run in parallel
+// across rules. Results are bit-identical to calling Evaluate on each
+// rule in order, so scheduling cannot change outcomes.
 //
 // Cancellation discards the batch: a MatchBatch cut short by the
 // context returns incomplete matched sets, so nothing from a cancelled
-// pass is cached or applied — the rules keep their prior fields and
-// EvaluateBatch returns ctx.Err().
-func (e *Evaluator) EvaluateBatch(ctx context.Context, rules []*Rule) error {
-	if e.backend == nil {
-		// No batching substrate: preserve the semantics anyway.
-		for _, r := range rules {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			e.EvaluateCtx(ctx, r)
-		}
-		return nil
-	}
+// pass is cached or applied — the rules keep their prior fields (or,
+// when the regressions were cut short, hold complete evaluations that
+// are not cached) and EvaluateAll returns ctx.Err(). A backend fault
+// is handled the same way and returned.
+func (e *Evaluator) EvaluateAll(ctx context.Context, rules []*Rule) error {
 	keys := make([]string, len(rules))
 	for i, r := range rules {
 		keys[i] = e.evalKey(r.Cond)
@@ -474,10 +374,8 @@ func (e *Evaluator) EvaluateBatch(ctx context.Context, rules []*Rule) error {
 			return err
 		}
 		fresh := make([]*EvalResult, len(work))
-		serial := *e
-		serial.workers = 1
 		if parallel.ForCtx(ctx, len(work), e.workers, func(i int) {
-			serial.evalFromMatches(work[i], matched[i])
+			e.evalFromMatches(work[i], matched[i])
 			fresh[i] = resultOf(work[i])
 		}) != nil {
 			// Some regressions ran (and wrote into their work[i] rules),

@@ -34,9 +34,9 @@ func allMatchRule(d int) *Rule {
 
 func TestEvaluateLinearSeriesPerfectRule(t *testing.T) {
 	ds := linearDataset(t, 100, 3, 1)
-	ev := NewEvaluator(ds, 1.0, 0, 1e-8, 1)
+	ev := NewEvaluator(ds, 1.0, 0, 1e-8, 1, EvalOptions{})
 	r := allMatchRule(3)
-	ev.Evaluate(r)
+	ev.Evaluate(context.Background(), r)
 	if r.Matches != ds.Len() {
 		t.Fatalf("Matches = %d, want %d", r.Matches, ds.Len())
 	}
@@ -63,9 +63,9 @@ func TestEvaluateFitnessGateEMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := NewEvaluator(ds, 1e-9, -123, 1e-8, 1)
+	ev := NewEvaluator(ds, 1e-9, -123, 1e-8, 1, EvalOptions{})
 	r := allMatchRule(2)
-	ev.Evaluate(r)
+	ev.Evaluate(context.Background(), r)
 	if r.Fitness != -123 {
 		t.Fatalf("fitness gate failed: fitness %v, want floor -123", r.Fitness)
 	}
@@ -73,10 +73,10 @@ func TestEvaluateFitnessGateEMax(t *testing.T) {
 
 func TestEvaluateNoMatches(t *testing.T) {
 	ds := linearDataset(t, 50, 2, 1)
-	ev := NewEvaluator(ds, 1.0, 0, 1e-8, 1)
+	ev := NewEvaluator(ds, 1.0, 0, 1e-8, 1, EvalOptions{})
 	r := NewRule([]Interval{NewInterval(1e6, 2e6), NewInterval(1e6, 2e6)})
 	r.Prediction = 42 // prior must survive
-	ev.Evaluate(r)
+	ev.Evaluate(context.Background(), r)
 	if r.Matches != 0 || r.Fitness != 0 || r.Fit != nil {
 		t.Fatalf("no-match rule: %+v", r)
 	}
@@ -90,10 +90,10 @@ func TestEvaluateNoMatches(t *testing.T) {
 
 func TestEvaluateSingleMatchGetsFloor(t *testing.T) {
 	ds := linearDataset(t, 50, 2, 1)
-	ev := NewEvaluator(ds, 1.0, -7, 1e-8, 1)
+	ev := NewEvaluator(ds, 1.0, -7, 1e-8, 1, EvalOptions{})
 	// Exactly one pattern has input (0, 0.5): the first.
 	r := NewRule([]Interval{NewInterval(-0.1, 0.1), NewInterval(0.4, 0.6)})
-	ev.Evaluate(r)
+	ev.Evaluate(context.Background(), r)
 	if r.Matches != 1 {
 		t.Fatalf("Matches = %d, want 1", r.Matches)
 	}
@@ -112,10 +112,10 @@ func TestEvaluateSingleMatchGetsFloor(t *testing.T) {
 
 func TestMatchIndicesSubsetSemantics(t *testing.T) {
 	ds := linearDataset(t, 30, 2, 1)
-	ev := NewEvaluator(ds, 1.0, 0, 1e-8, 1)
+	ev := NewEvaluator(ds, 1.0, 0, 1e-8, 1, EvalOptions{})
 	// Patterns with first input in [2,4]: indices 4..8 (x_i = 0.5 i).
 	r := NewRule([]Interval{NewInterval(2, 4), Wild()})
-	idx := ev.MatchIndices(r)
+	idx := ev.Backend().MatchIndices(r)
 	want := []int{4, 5, 6, 7, 8}
 	if len(idx) != len(want) {
 		t.Fatalf("MatchIndices = %v, want %v", idx, want)
@@ -130,11 +130,11 @@ func TestMatchIndicesSubsetSemantics(t *testing.T) {
 func TestParallelMatchesSerial(t *testing.T) {
 	// Big enough to cross the parallel threshold.
 	ds := linearDataset(t, 9000, 4, 1)
-	serial := NewEvaluator(ds, 1.0, 0, 1e-8, 1)
-	par := NewEvaluator(ds, 1.0, 0, 1e-8, 4)
+	serial := NewEvaluator(ds, 1.0, 0, 1e-8, 1, EvalOptions{})
+	par := NewEvaluator(ds, 1.0, 0, 1e-8, 4, EvalOptions{})
 	r := NewRule([]Interval{NewInterval(100, 2000), Wild(), Wild(), NewInterval(0, 4000)})
-	a := serial.MatchIndices(r)
-	b := par.MatchIndices(r)
+	a := serial.MatchIndicesScan(r)
+	b := par.MatchIndicesScan(r)
 	if len(a) != len(b) {
 		t.Fatalf("serial %d matches, parallel %d", len(a), len(b))
 	}
@@ -144,8 +144,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 		}
 	}
 	r1, r2 := allMatchRule(4), allMatchRule(4)
-	serial.Evaluate(r1)
-	par.Evaluate(r2)
+	serial.Evaluate(context.Background(), r1)
+	par.Evaluate(context.Background(), r2)
 	if r1.Fitness != r2.Fitness || r1.Error != r2.Error || r1.Matches != r2.Matches {
 		t.Fatalf("parallel evaluate differs: %+v vs %+v", r1, r2)
 	}
@@ -153,7 +153,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 func TestEvaluateAll(t *testing.T) {
 	ds := linearDataset(t, 200, 3, 1)
-	ev := NewEvaluator(ds, 1.0, 0, 1e-8, 4)
+	ev := NewEvaluator(ds, 1.0, 0, 1e-8, 4, EvalOptions{})
 	rules := []*Rule{allMatchRule(3), allMatchRule(3), NewRule([]Interval{NewInterval(1e6, 2e6), Wild(), Wild()})}
 	ev.EvaluateAll(context.Background(), rules)
 	if rules[0].Fitness != rules[1].Fitness {
@@ -166,7 +166,7 @@ func TestEvaluateAll(t *testing.T) {
 
 func TestEvaluatorAccessors(t *testing.T) {
 	ds := linearDataset(t, 20, 2, 1)
-	ev := NewEvaluator(ds, 2.5, 0, 1e-8, 1)
+	ev := NewEvaluator(ds, 2.5, 0, 1e-8, 1, EvalOptions{})
 	if ev.EMax() != 2.5 {
 		t.Fatalf("EMax = %v", ev.EMax())
 	}

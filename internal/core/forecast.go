@@ -28,23 +28,3 @@ func (rs *RuleSet) IteratedForecast(window []float64, steps int) ([]float64, int
 	}
 	return out, steps
 }
-
-// SlidingForecast applies the rule system across an entire series,
-// producing the prediction (and abstention mask) for every complete
-// window at the system's native horizon. pred[i] forecasts
-// s[i+D-1+horizon] from the window starting at i — the same
-// alignment as series.Window.
-func (rs *RuleSet) SlidingForecast(values []float64, horizon int) (pred []float64, mask []bool) {
-	n := len(values) - rs.D - horizon + 1
-	if n <= 0 {
-		return nil, nil
-	}
-	pred = make([]float64, n)
-	mask = make([]bool, n)
-	for i := 0; i < n; i++ {
-		if v, ok := rs.Predict(values[i : i+rs.D]); ok {
-			pred[i], mask[i] = v, true
-		}
-	}
-	return pred, mask
-}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/linalg"
-	"repro/internal/series"
 )
 
 // identityRule matches everything and predicts the last window value
@@ -75,38 +74,5 @@ func TestIteratedForecastDegenerateInputs(t *testing.T) {
 	}
 	if out, done := rs.IteratedForecast([]float64{1, 2, 3}, 0); out != nil || done != 0 {
 		t.Fatal("zero steps accepted")
-	}
-}
-
-func TestSlidingForecastAlignment(t *testing.T) {
-	rs := NewRuleSet(2)
-	rs.Add(identityRule(2, 1)) // predicts last + 1
-	values := []float64{10, 20, 30, 40, 50}
-	pred, mask := rs.SlidingForecast(values, 1)
-	// Windows: (10,20)->pred 21 for x2, (20,30)->31, (30,40)->41.
-	if len(pred) != 3 {
-		t.Fatalf("len %d", len(pred))
-	}
-	want := []float64{21, 31, 41}
-	for i := range want {
-		if !mask[i] || pred[i] != want[i] {
-			t.Fatalf("pred=%v mask=%v", pred, mask)
-		}
-	}
-	// Consistency with series.Window alignment.
-	ds, err := series.Window(series.New("x", values), 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Len() != len(pred) {
-		t.Fatalf("Window len %d != SlidingForecast len %d", ds.Len(), len(pred))
-	}
-}
-
-func TestSlidingForecastTooShort(t *testing.T) {
-	rs := NewRuleSet(5)
-	pred, mask := rs.SlidingForecast([]float64{1, 2}, 1)
-	if pred != nil || mask != nil {
-		t.Fatal("too-short series accepted")
 	}
 }

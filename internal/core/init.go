@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/rng"
 	"repro/internal/series"
 )
 
@@ -96,47 +95,6 @@ func InitStratified(data *series.Dataset, popSize int) []*Rule {
 		r := NewRule(cond)
 		r.Prediction = prior
 		rules[b] = r
-	}
-	return rules
-}
-
-// InitRandom is the ablation baseline initializer: each gene is a
-// random sub-interval of the per-lag data range (or a wildcard with
-// probability wildcardRate).
-func InitRandom(data *series.Dataset, popSize int, wildcardRate float64, src *rng.Source) []*Rule {
-	// Per-lag bounds.
-	lo := make([]float64, data.D)
-	hi := make([]float64, data.D)
-	for j := 0; j < data.D; j++ {
-		lo[j], hi[j] = data.Inputs[0][j], data.Inputs[0][j]
-	}
-	for _, row := range data.Inputs {
-		for j, v := range row {
-			if v < lo[j] {
-				lo[j] = v
-			}
-			if v > hi[j] {
-				hi[j] = v
-			}
-		}
-	}
-	tLo, tHi := data.TargetRange()
-
-	rules := make([]*Rule, popSize)
-	for i := range rules {
-		cond := make([]Interval, data.D)
-		for j := 0; j < data.D; j++ {
-			if src.Bool(wildcardRate) {
-				cond[j] = Wild()
-				continue
-			}
-			a := src.Uniform(lo[j], hi[j])
-			b := src.Uniform(lo[j], hi[j])
-			cond[j] = NewInterval(a, b)
-		}
-		r := NewRule(cond)
-		r.Prediction = src.Uniform(tLo, tHi)
-		rules[i] = r
 	}
 	return rules
 }

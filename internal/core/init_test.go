@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/rng"
 	"repro/internal/series"
 )
 
@@ -98,37 +97,5 @@ func TestInitStratifiedConstantTargets(t *testing.T) {
 	// Constant series: at least the first bin's rule matches everything.
 	if !pop[0].Match(ds.Inputs[0]) {
 		t.Fatal("constant-series rule does not match")
-	}
-}
-
-func TestInitRandom(t *testing.T) {
-	ds := waveDataset(t, 300, 4)
-	src := rng.New(5)
-	pop := InitRandom(ds, 30, 0.3, src)
-	if len(pop) != 30 {
-		t.Fatalf("population size %d", len(pop))
-	}
-	sawWild, sawBounded := false, false
-	tLo, tHi := ds.TargetRange()
-	for _, r := range pop {
-		if r.D() != 4 {
-			t.Fatalf("rule D=%d", r.D())
-		}
-		if r.Prediction < tLo || r.Prediction > tHi {
-			t.Fatalf("random prior %v outside target range", r.Prediction)
-		}
-		for _, iv := range r.Cond {
-			if iv.Wildcard {
-				sawWild = true
-			} else {
-				sawBounded = true
-				if iv.Lo > iv.Hi {
-					t.Fatalf("malformed random interval %+v", iv)
-				}
-			}
-		}
-	}
-	if !sawWild || !sawBounded {
-		t.Fatal("random init lacks gene diversity")
 	}
 }

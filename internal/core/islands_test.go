@@ -180,7 +180,7 @@ func TestRunIslandsBeatsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single.Run(context.Background())
+	single.Run(context.Background(), 0, nil)
 	if island.RuleSet.Len() < len(single.ValidRules()) {
 		t.Fatalf("3 islands produced %d rules, single run %d",
 			island.RuleSet.Len(), len(single.ValidRules()))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"context"
 	"encoding/binary"
 	"math"
 	"math/bits"
@@ -35,9 +36,11 @@ import (
 // bits: ≈ 8·D·n bytes, plus 12·D·n for the sorted values and ranks.
 //
 // The index is immutable after construction and therefore safe for
-// concurrent use; it can be shared across every Evaluator, Execution,
-// island and experiment run over the same dataset. The sharded
-// evaluation engine (internal/engine) builds one MatchIndex per shard.
+// concurrent use. It is the default Backend: an Evaluator given none
+// builds one, and setting Runtime.Backend to one shares it across every
+// Execution, island and experiment run over the same dataset. The
+// sharded evaluation engine (internal/engine) builds one MatchIndex per
+// shard.
 type MatchIndex struct {
 	data    *series.Dataset
 	n       int       // patterns indexed
@@ -119,14 +122,38 @@ func (ix *MatchIndex) bucket(j, b int) []uint64 {
 // Data returns the dataset the index was built over.
 func (ix *MatchIndex) Data() *series.Dataset { return ix.data }
 
-// ensureIndex returns idx when it was built over data, otherwise a
-// fresh index — the single sharing predicate behind every wiring
-// site (evaluators, multi-run waves, islands).
-func ensureIndex(idx *MatchIndex, data *series.Dataset) *MatchIndex {
-	if idx == nil || idx.data != data {
-		return NewMatchIndex(data)
+// Epoch is always 0: the index is immutable, so no cached evaluation
+// made against it can ever go stale.
+func (ix *MatchIndex) Epoch() uint64 { return 0 }
+
+// MatchIndices returns the rule's matched pattern indices in ascending
+// order, nil when none match. Where the index cannot answer (NaN data
+// or a NaN gene bound) it scans the patterns serially with Rule.Match;
+// both answers are the same set.
+func (ix *MatchIndex) MatchIndices(r *Rule) []int {
+	if out, ok := ix.Lookup(r); ok {
+		return out
 	}
-	return idx
+	var out []int
+	for i, row := range ix.data.Inputs {
+		if r.Match(row) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// MatchBatch answers the rules one after another, checking ctx between
+// them; a cancelled batch is incomplete and the caller discards it.
+func (ix *MatchIndex) MatchBatch(ctx context.Context, rules []*Rule) [][]int {
+	out := make([][]int, len(rules))
+	for i, r := range rules {
+		if ctx.Err() != nil {
+			break
+		}
+		out[i] = ix.MatchIndices(r)
+	}
+	return out
 }
 
 // geneRange returns the rank range [lo,hi) in the lag-j sorted order

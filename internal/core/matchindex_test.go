@@ -25,9 +25,9 @@ func matchIndexDataset(t *testing.T, n, d int) *series.Dataset {
 
 func TestMatchIndexAllWildcard(t *testing.T) {
 	ds := matchIndexDataset(t, 60, 3)
-	ev := NewEvaluator(ds, 1.0, 0, 1e-8, 1)
+	ev := NewEvaluator(ds, 1.0, 0, 1e-8, 1, EvalOptions{})
 	r := NewRule([]Interval{Wild(), Wild(), Wild()})
-	got := ev.MatchIndices(r)
+	got := ev.Backend().MatchIndices(r)
 	if len(got) != ds.Len() {
 		t.Fatalf("all-wildcard rule matched %d of %d patterns", len(got), ds.Len())
 	}
@@ -40,12 +40,12 @@ func TestMatchIndexAllWildcard(t *testing.T) {
 
 func TestMatchIndexEmptyInterval(t *testing.T) {
 	ds := matchIndexDataset(t, 60, 3)
-	ev := NewEvaluator(ds, 1.0, 0, 1e-8, 1)
+	ev := NewEvaluator(ds, 1.0, 0, 1e-8, 1, EvalOptions{})
 	// Interval entirely above the data range: nothing matches, and the
 	// result must be nil (not an empty non-nil slice) to stay
 	// interchangeable with the linear scan.
 	r := NewRule([]Interval{NewInterval(10, 11), Wild(), Wild()})
-	if got := ev.MatchIndices(r); got != nil {
+	if got := ev.Backend().MatchIndices(r); got != nil {
 		t.Fatalf("impossible rule matched %v", got)
 	}
 }
@@ -69,9 +69,9 @@ func TestMatchIndexInvertedInterval(t *testing.T) {
 func TestMatchIndexNaNFallsBackToScan(t *testing.T) {
 	ds := matchIndexDataset(t, 60, 3)
 	ds.Inputs[7] = []float64{math.NaN(), 0.1, 0.1}
-	ev := NewEvaluator(ds, 1.0, 0, 1e-8, 1)
+	ev := NewEvaluator(ds, 1.0, 0, 1e-8, 1, EvalOptions{})
 	r := NewRule([]Interval{NewInterval(-0.5, 0.5), Wild(), Wild()})
-	indexed := ev.MatchIndices(r)
+	indexed := ev.Backend().MatchIndices(r)
 	naive := ev.MatchIndicesScan(r)
 	if len(indexed) != len(naive) {
 		t.Fatalf("indexed matched %d, naive %d", len(indexed), len(naive))
@@ -97,9 +97,9 @@ func TestMatchIndexNaNFallsBackToScan(t *testing.T) {
 // rather than return a spuriously empty match set.
 func TestMatchIndexNaNBoundFallsBackToScan(t *testing.T) {
 	ds := matchIndexDataset(t, 60, 3)
-	ev := NewEvaluator(ds, 1.0, 0, 1e-8, 1)
+	ev := NewEvaluator(ds, 1.0, 0, 1e-8, 1, EvalOptions{})
 	r := NewRule([]Interval{{Lo: math.NaN(), Hi: 0.5}, Wild(), Wild()})
-	indexed := ev.MatchIndices(r)
+	indexed := ev.Backend().MatchIndices(r)
 	naive := ev.MatchIndicesScan(r)
 	if len(indexed) == 0 || len(indexed) != len(naive) {
 		t.Fatalf("indexed matched %d, naive %d", len(indexed), len(naive))
@@ -112,7 +112,8 @@ func TestMatchIndexNaNBoundFallsBackToScan(t *testing.T) {
 }
 
 // A shared prebuilt index must not change results: the same MultiRun
-// with and without Config.Index serializes to identical bytes.
+// with and without a MatchIndex as Runtime.Backend serializes to
+// identical bytes.
 func TestSharedIndexIdenticalResults(t *testing.T) {
 	ds := matchIndexDataset(t, 300, 4)
 	run := func(idx *MatchIndex) []byte {
@@ -120,7 +121,9 @@ func TestSharedIndexIdenticalResults(t *testing.T) {
 		base.PopSize = 20
 		base.Generations = 150
 		base.Seed = 9
-		base.Runtime.Index = idx
+		if idx != nil {
+			base.Runtime.Backend = idx
+		}
 		res, err := MultiRun(context.Background(), MultiRunConfig{
 			Base:           base,
 			CoverageTarget: 2,
@@ -147,12 +150,12 @@ func TestSharedIndexIdenticalResults(t *testing.T) {
 func TestEvaluatorRejectsForeignIndex(t *testing.T) {
 	dsA := matchIndexDataset(t, 80, 3)
 	dsB := matchIndexDataset(t, 120, 3)
-	ev := NewEvaluatorWith(dsA, 1.0, 0, 1e-8, 1, NewMatchIndex(dsB))
-	if ev.Index().Data() != dsA {
+	ev := NewEvaluator(dsA, 1.0, 0, 1e-8, 1, EvalOptions{Backend: NewMatchIndex(dsB)})
+	if ev.Backend().Data() != dsA {
 		t.Fatal("evaluator kept an index built over a different dataset")
 	}
 	r := NewRule([]Interval{Wild(), Wild(), Wild()})
-	if got := ev.MatchIndices(r); len(got) != dsA.Len() {
+	if got := ev.Backend().MatchIndices(r); len(got) != dsA.Len() {
 		t.Fatalf("matched %d patterns, want %d", len(got), dsA.Len())
 	}
 }

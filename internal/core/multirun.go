@@ -81,13 +81,11 @@ func MultiRun(ctx context.Context, cfg MultiRunConfig, data *series.Dataset) (*M
 	}
 	seeds := rng.New(cfg.Base.Seed).SplitN(cfg.MaxExecutions)
 	res := &MultiRunResult{RuleSet: NewRuleSet(data.D)}
-	// One match backend serves every execution. With an engine
-	// (cfg.Base.Runtime.Backend) the executions share its shards and —
-	// when cfg.Base.Runtime.Cache is set — its result cache; otherwise
-	// one immutable match index is built here and shared by the
-	// concurrent waves.
+	// One match backend serves every execution: the configured one
+	// (with its result cache, when cfg.Base.Runtime.Cache is set), or
+	// one immutable match index built here and shared by the waves.
 	if cfg.Base.Runtime.Backend == nil {
-		cfg.Base.Runtime.Index = ensureIndex(cfg.Base.Runtime.Index, data)
+		cfg.Base.Runtime.Backend = NewMatchIndex(data)
 	}
 
 	// Serialize progress callbacks across the wave's goroutines so
@@ -135,18 +133,16 @@ func MultiRun(ctx context.Context, cfg MultiRunConfig, data *series.Dataset) (*M
 			// the loop condition surfaces ctx.Err() once the wave drains.
 			// Any other run error (a backend fault) is fatal — its rules
 			// were evolved against a failing match path.
-			var runErr error
+			var fn func(Progress) bool
 			if cfg.OnProgress != nil {
 				exec := done + i
-				runErr = ex.RunWithProgress(ctx, cfg.ProgressEvery, func(p Progress) bool {
+				fn = func(p Progress) bool {
 					progressMu.Lock()
 					defer progressMu.Unlock()
 					return cfg.OnProgress(exec, p)
-				})
-			} else {
-				runErr = ex.Run(ctx)
+				}
 			}
-			if runErr != nil && !errors.Is(runErr, ctx.Err()) {
+			if runErr := ex.Run(ctx, cfg.ProgressEvery, fn); runErr != nil && !errors.Is(runErr, ctx.Err()) {
 				outs[i] = runOut{err: runErr}
 				return
 			}

@@ -1,11 +1,9 @@
 package core
 
-import "context"
-
-// Progress reporting and early stopping for long executions: the
-// paper's full protocol runs 75,000 generations per execution, so
-// production use needs visibility into the trajectory and a way to
-// stop spending budget once the population has converged.
+// Progress reporting for long executions: the paper's full protocol
+// runs 75,000 generations per execution, so production use needs
+// visibility into the trajectory and a way to stop spending budget
+// once the population has converged (Execution.Run's callback).
 
 // Progress is a point-in-time snapshot passed to progress callbacks.
 type Progress struct {
@@ -30,70 +28,4 @@ func (ex *Execution) snapshot() Progress {
 		MeanFitness:  sum / float64(len(ex.Pop)),
 		Replacements: ex.Stats.Replacements,
 	}
-}
-
-// RunWithProgress behaves like Run but invokes fn every `every`
-// generations (and once more at the end). fn returning false stops
-// the execution early. every < 1 is treated as 1. Like Run, the
-// context is checked between generations; on cancellation the final
-// snapshot still fires (so observers see the best-so-far state) and
-// RunWithProgress returns ctx.Err().
-func (ex *Execution) RunWithProgress(ctx context.Context, every int, fn func(Progress) bool) error {
-	if every < 1 {
-		every = 1
-	}
-	ctx, sp := ex.spanCtx(ctx, "core.execution")
-	defer sp.End()
-	for g := 0; g < ex.Config.Generations; g++ {
-		if ctx.Err() != nil || ex.Eval.BackendErr() != nil {
-			break
-		}
-		ex.Step(ctx)
-		if (g+1)%every == 0 {
-			if !fn(ex.snapshot()) {
-				break
-			}
-		}
-	}
-	ex.refreshStats()
-	fn(ex.snapshot())
-	if err := ex.Eval.BackendErr(); err != nil {
-		return err
-	}
-	return ctx.Err()
-}
-
-// RunUntilStagnant runs at most the configured number of generations
-// but stops once `patience` consecutive generations pass without any
-// offspring entering the population — the steady-state analogue of
-// early stopping. Returns the number of generations actually run, and
-// ctx.Err() when the context (checked between generations, like Run)
-// ended the loop first.
-func (ex *Execution) RunUntilStagnant(ctx context.Context, patience int) (int, error) {
-	if patience < 1 {
-		patience = 1
-	}
-	idle := 0
-	ran := 0
-	ctx, sp := ex.spanCtx(ctx, "core.execution")
-	defer sp.End()
-	for g := 0; g < ex.Config.Generations; g++ {
-		if ctx.Err() != nil || ex.Eval.BackendErr() != nil {
-			break
-		}
-		if ex.Step(ctx) {
-			idle = 0
-		} else {
-			idle++
-		}
-		ran++
-		if idle >= patience {
-			break
-		}
-	}
-	ex.refreshStats()
-	if err := ex.Eval.BackendErr(); err != nil {
-		return ran, err
-	}
-	return ran, ctx.Err()
 }

@@ -14,7 +14,7 @@ func TestRunWithProgressCallbackCadence(t *testing.T) {
 		t.Fatal(err)
 	}
 	var calls []int
-	ex.RunWithProgress(context.Background(), 25, func(p Progress) bool {
+	ex.Run(context.Background(), 25, func(p Progress) bool {
 		calls = append(calls, p.Generation)
 		return true
 	})
@@ -38,7 +38,7 @@ func TestRunWithProgressEarlyStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex.RunWithProgress(context.Background(), 10, func(p Progress) bool {
+	ex.Run(context.Background(), 10, func(p Progress) bool {
 		return p.Generation < 50 // stop at the 50-generation snapshot
 	})
 	if ex.Stats.Generations != 50 {
@@ -55,7 +55,7 @@ func TestRunWithProgressMonotoneBest(t *testing.T) {
 		t.Fatal(err)
 	}
 	prev := -1e300
-	ex.RunWithProgress(context.Background(), 20, func(p Progress) bool {
+	ex.Run(context.Background(), 20, func(p Progress) bool {
 		if p.BestFitness < prev-1e-9 {
 			t.Fatalf("best fitness dropped: %v -> %v", prev, p.BestFitness)
 		}
@@ -73,45 +73,8 @@ func TestRunWithProgressClampsEvery(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := 0
-	ex.RunWithProgress(context.Background(), 0, func(Progress) bool { calls++; return true })
+	ex.Run(context.Background(), 0, func(Progress) bool { calls++; return true })
 	if calls != 6 { // every generation + final
 		t.Fatalf("calls = %d, want 6", calls)
-	}
-}
-
-func TestRunUntilStagnant(t *testing.T) {
-	ds := sineDataset(t, 300, 3)
-	cfg := quickConfig(3, 65)
-	cfg.Generations = 5000
-	ex, err := NewExecution(context.Background(), cfg, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ran, _ := ex.RunUntilStagnant(context.Background(), 30)
-	if ran > 5000 {
-		t.Fatalf("ran %d > budget", ran)
-	}
-	if ran < 30 {
-		t.Fatalf("stopped after only %d generations", ran)
-	}
-	// Either exhausted the budget or stopped on 30 idle generations;
-	// in the latter case the run must be shorter than the budget.
-	if ran < 5000 && ex.Stats.Generations != ran {
-		t.Fatalf("stats generations %d != ran %d", ex.Stats.Generations, ran)
-	}
-}
-
-func TestRunUntilStagnantPatienceClamp(t *testing.T) {
-	ds := sineDataset(t, 200, 3)
-	cfg := quickConfig(3, 66)
-	cfg.Generations = 50
-	ex, err := NewExecution(context.Background(), cfg, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// patience < 1 behaves as 1 (stop on first idle generation).
-	ran, _ := ex.RunUntilStagnant(context.Background(), 0)
-	if ran < 1 || ran > 50 {
-		t.Fatalf("ran %d", ran)
 	}
 }

@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/series"
+import (
+	"context"
+
+	"repro/internal/series"
+)
 
 // datasetFromValues windows raw values, returning nil when the series
 // is too short — property tests treat that as a vacuous case.
@@ -43,4 +47,38 @@ func intSlicesEqual(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// stopAfter is a context whose Err turns to context.Canceled after its
+// first n calls: a cancellation that lands mid-batch at a known rule.
+type stopAfter struct {
+	context.Context
+	n int
+}
+
+func (c *stopAfter) Err() error {
+	if c.n <= 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// matchBatchAgrees checks MatchIndex.MatchBatch against the scan's
+// sets want: a full batch answers every rule exactly, and a batch
+// cancelled before rule k answers rules [0,k) exactly and leaves the
+// rest nil.
+func matchBatchAgrees(ix *MatchIndex, rules []*Rule, want [][]int, k int) bool {
+	for i, got := range ix.MatchBatch(context.Background(), rules) {
+		if !intSlicesIdentical(got, want[i]) {
+			return false
+		}
+	}
+	cut := ix.MatchBatch(&stopAfter{context.Background(), k}, rules)
+	for i, got := range cut {
+		if i < k && !intSlicesIdentical(got, want[i]) || i >= k && got != nil {
+			return false
+		}
+	}
+	return len(cut) == len(rules)
 }

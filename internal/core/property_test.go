@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -112,8 +113,10 @@ var indexSizes = []int{1, 7, 63, 64, 65, 127, 129, 466, 2988}
 // empty — for random datasets (uniform, or integer-valued and
 // tie-heavy), the sizes in indexSizes plus random ones, any dimension,
 // and rules with wildcards, unselective, inverted, ±Inf and NaN bounds
-// and all-wildcard conditions. One scratch is reused across every
-// index, whatever its size.
+// and all-wildcard conditions — through the evaluator's own
+// MatchIndex backend (MatchIndices, and MatchBatch whole and cancelled
+// mid-batch) and LookupInto. One scratch is reused across every index,
+// whatever its size.
 func TestPropertyIndexedMatchEquivalence(t *testing.T) {
 	var sc MatchScratch
 	var reuse []int
@@ -137,8 +140,10 @@ func TestPropertyIndexedMatchEquivalence(t *testing.T) {
 		if ds == nil || ds.Len() != n {
 			return false
 		}
-		ev := NewEvaluator(ds, 0.8, -5, 1e-8, 1)
-		ix := ev.Index()
+		ev := NewEvaluator(ds, 0.8, -5, 1e-8, 1, EvalOptions{})
+		ix := ev.Backend().(*MatchIndex)
+		var rules []*Rule
+		var wants [][]int
 		bound := func() float64 {
 			if ties {
 				return float64(src.Intn(7) - 3) // lands on tied values exactly
@@ -171,9 +176,10 @@ func TestPropertyIndexedMatchEquivalence(t *testing.T) {
 			}
 			r := NewRule(cond)
 			naive := ev.MatchIndicesScan(r)
-			if !intSlicesIdentical(ev.MatchIndices(r), naive) {
+			if !intSlicesIdentical(ix.MatchIndices(r), naive) {
 				return false
 			}
+			rules, wants = append(rules, r), append(wants, naive)
 			if got, ok := ix.LookupInto(reuse[:0], r, nil, &sc); ok {
 				if !intSlicesEqual(got, naive) {
 					return false
@@ -181,7 +187,7 @@ func TestPropertyIndexedMatchEquivalence(t *testing.T) {
 				reuse = got
 			}
 		}
-		return true
+		return matchBatchAgrees(ix, rules, wants, src.Intn(len(rules)+1))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -204,7 +210,7 @@ func TestPropertyEvalCacheBitIdentical(t *testing.T) {
 		if ds == nil {
 			return true
 		}
-		ev := NewEvaluator(ds, 0.8, -5, 1e-8, 1)
+		ev := NewEvaluator(ds, 0.8, -5, 1e-8, 1, EvalOptions{})
 		cond := make([]Interval, 3)
 		for j := range cond {
 			if src.Bool(0.3) {
@@ -214,9 +220,9 @@ func TestPropertyEvalCacheBitIdentical(t *testing.T) {
 			}
 		}
 		a := NewRule(cond)
-		ev.Evaluate(a) // miss: computes and seeds the cache
+		ev.Evaluate(context.Background(), a) // miss: computes and seeds the cache
 		b := NewRule(append([]Interval(nil), cond...))
-		ev.Evaluate(b) // hit: must replay a's result exactly
+		ev.Evaluate(context.Background(), b) // hit: must replay a's result exactly
 		if a.Matches != b.Matches || a.Fitness != b.Fitness {
 			return false
 		}
@@ -263,7 +269,7 @@ func TestPropertyEvaluateConsistency(t *testing.T) {
 		if ds == nil {
 			return true
 		}
-		ev := NewEvaluator(ds, 0.8, -5, 1e-8, 1)
+		ev := NewEvaluator(ds, 0.8, -5, 1e-8, 1, EvalOptions{})
 		// Random rule.
 		cond := make([]Interval, 3)
 		for j := range cond {
@@ -274,7 +280,7 @@ func TestPropertyEvaluateConsistency(t *testing.T) {
 			}
 		}
 		r := NewRule(cond)
-		ev.Evaluate(r)
+		ev.Evaluate(context.Background(), r)
 		if r.Matches < 0 {
 			return false
 		}
@@ -299,7 +305,8 @@ func TestPropertyEvaluateConsistency(t *testing.T) {
 // (unconstraining, and unusable for rank ranges), and magnitudes at
 // the edges of the float range (values and bounds near ±1e308, and
 // subnormals). Identity is exact: same indices, same order, nil for
-// empty.
+// empty — for the evaluator's backend, the index's own MatchIndices
+// and MatchBatch (whole and cancelled mid-batch), and LookupInto.
 func TestPropertyIndexNaNEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		src := rng.New(seed)
@@ -324,10 +331,12 @@ func TestPropertyIndexNaNEquivalence(t *testing.T) {
 			return true
 		}
 		ix := NewMatchIndex(ds)
-		ev := NewEvaluator(ds, 0.8, -5, 1e-8, 1)
+		ev := NewEvaluator(ds, 0.8, -5, 1e-8, 1, EvalOptions{})
 		sc := matchScratchPool.Get().(*MatchScratch)
 		defer matchScratchPool.Put(sc)
 		var reuse []int
+		var rules []*Rule
+		var wants [][]int
 		for trial := 0; trial < 12; trial++ {
 			cond := make([]Interval, d)
 			for j := range cond {
@@ -346,10 +355,11 @@ func TestPropertyIndexNaNEquivalence(t *testing.T) {
 			}
 			r := NewRule(cond)
 			naive := ev.MatchIndicesScan(r)
-			indexed := ev.MatchIndices(r)
-			if !intSlicesIdentical(indexed, naive) {
+			if !intSlicesIdentical(ev.Backend().MatchIndices(r), naive) ||
+				!intSlicesIdentical(ix.MatchIndices(r), naive) {
 				return false
 			}
+			rules, wants = append(rules, r), append(wants, naive)
 			// The scratch variants must agree while reusing dirty
 			// buffers across rules (sc and reuse carry state between
 			// trials on purpose). Into appends to caller storage, so
@@ -361,7 +371,7 @@ func TestPropertyIndexNaNEquivalence(t *testing.T) {
 				reuse = got
 			}
 		}
-		return true
+		return matchBatchAgrees(ix, rules, wants, src.Intn(len(rules)+1))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

@@ -23,7 +23,7 @@ func TestReplacementStrategiesRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
-		ex.Run(context.Background())
+		ex.Run(context.Background(), 0, nil)
 		if ex.Stats.Generations != cfg.Generations {
 			t.Fatalf("%v: incomplete run", kind)
 		}
@@ -47,7 +47,7 @@ func TestCrowdingPreservesMoreDiversity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex.Run(context.Background())
+		ex.Run(context.Background(), 0, nil)
 		min, max := ex.Pop[0].Prediction, ex.Pop[0].Prediction
 		for _, r := range ex.Pop {
 			if r.Prediction < min {

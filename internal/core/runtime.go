@@ -14,22 +14,17 @@ import (
 // paper's hyperparameters — the fields that DO change results — in
 // one struct that can be hashed, compared and serialized on its own.
 type Runtime struct {
-	// Workers bounds the goroutines used for match scans and batch
-	// regressions; 0 = GOMAXPROCS.
+	// Workers bounds the goroutines used for batch regressions and
+	// reference scans; 0 = GOMAXPROCS.
 	Workers int
 
-	// Index optionally shares a prebuilt match engine across
-	// executions over the same dataset (multi-run waves, islands).
-	// Nil — or an index built over a different dataset — makes the
-	// execution build its own.
-	Index *MatchIndex
-
-	// Backend optionally routes every match query through an external
-	// evaluation backend — the sharded, batched engine in
-	// internal/engine — instead of the execution's own single index.
-	// Ignored unless it was built over this execution's dataset. Any
-	// backend returns exact matched sets, so results are bit-identical
-	// to the sequential path.
+	// Backend answers every match query of the run. Nil — or a backend
+	// built over a different dataset — makes each execution build its
+	// own MatchIndex; a shared *MatchIndex spares executions over the
+	// same dataset (multi-run waves, islands) that build, and the
+	// sharded engine (internal/engine) or remote cluster
+	// (internal/remote) spread the queries over shards. Every backend
+	// returns exact matched sets, so results are bit-identical.
 	//
 	// A backend may additionally be a lifecycle-managed Store
 	// (deletes, sliding windows, compaction, rebalancing); Store()

@@ -245,7 +245,7 @@ func faultedWindowRun(t *testing.T, n int32, tweak func(*core.Config), fault fun
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = ex.Run(ctx)
+	err = ex.Run(ctx, 0, nil)
 	if cacheAtFault < 0 {
 		t.Fatal("the fault never fired: no speculative window batch reached the store")
 	}
@@ -295,11 +295,11 @@ func TestSpeculationCancelledMidWindow(t *testing.T) {
 				ds := specDataset(t)
 				cfg := specConfig()
 				lo, hi := ds.TargetRange()
-				ev := core.NewEvaluator(ds, 0.1*(hi-lo), cfg.FMin, cfg.Ridge, 1)
+				ev := core.NewEvaluator(ds, 0.1*(hi-lo), cfg.FMin, cfg.Ridge, 1, core.EvalOptions{})
 				for i, r := range pop {
 					fresh := core.NewRule(append([]core.Interval(nil), r.Cond...))
 					fresh.Prediction = r.Prediction
-					ev.Evaluate(fresh)
+					ev.Evaluate(context.Background(), fresh)
 					if fresh.Matches != r.Matches || fresh.Fitness != r.Fitness ||
 						math.Float64bits(fresh.Error) != math.Float64bits(r.Error) ||
 						math.Float64bits(fresh.Prediction) != math.Float64bits(r.Prediction) {

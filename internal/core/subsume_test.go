@@ -106,7 +106,7 @@ func TestCompactPreservesCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex.Run(context.Background())
+	ex.Run(context.Background(), 0, nil)
 	rs := NewRuleSet(3)
 	rs.Add(ex.ValidRules()...)
 	before := rs.Coverage(ds)
@@ -132,7 +132,7 @@ func TestSubsumptionSoundness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex.Run(context.Background())
+	ex.Run(context.Background(), 0, nil)
 	rules := ex.ValidRules()
 	for _, a := range rules {
 		for _, b := range rules {

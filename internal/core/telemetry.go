@@ -144,8 +144,8 @@ func (ex *Execution) noteInitialBest() {
 	ex.noteImprovement(best)
 }
 
-// noteRunDone emits the end-of-run trace event (Run calls it after
-// refreshing Stats).
+// noteRunDone emits the end-of-run trace event (refreshStats calls it
+// once Stats are final).
 func (ex *Execution) noteRunDone() {
 	t := ex.tel
 	if t == nil || !t.reg.Tracing() {

@@ -27,7 +27,7 @@ func TestRunTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ex.Run(context.Background()); err != nil {
+	if err := ex.Run(context.Background(), 0, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -103,7 +103,7 @@ func TestTelemetryDoesNotChangeResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ex.Run(context.Background()); err != nil {
+		if err := ex.Run(context.Background(), 0, nil); err != nil {
 			t.Fatal(err)
 		}
 		return ex.Pop
@@ -152,7 +152,7 @@ func TestSpeculationTelemetry(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := ex.Run(context.Background()); err != nil {
+				if err := ex.Run(context.Background(), 0, nil); err != nil {
 					t.Fatal(err)
 				}
 				if force {

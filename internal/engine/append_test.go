@@ -103,7 +103,7 @@ func TestAppendMatchesRebuild(t *testing.T) {
 		t.Fatalf("grown dataset has %d patterns, a fresh window %d", ds.Len(), want.Len())
 	}
 
-	ref := core.NewEvaluator(ds, 0.5, 0, 1e-8, 1)
+	ref := core.NewEvaluator(ds, 0.5, 0, 1e-8, 1, core.EvalOptions{})
 	for ri, r := range randomRules(ds, 40, 3) {
 		if got := s.MatchIndices(r); !intsEqual(got, ref.MatchIndicesScan(r)) {
 			t.Fatalf("rule %d: post-append matched set diverges from sequential scan", ri)
@@ -126,10 +126,10 @@ func TestAppendInvalidatesCachedResults(t *testing.T) {
 	for _, bypass := range []bool{false, true} {
 		ds := testDataset(t, 120, 3, false)
 		eng := New(ds, Options{Shards: 3})
-		ev := core.NewEvaluatorOpt(ds, 0.5, 0, 1e-8, 1, core.EvalOptions{Backend: eng, Cache: eng.Cache()})
+		ev := core.NewEvaluator(ds, 0.5, 0, 1e-8, 1, core.EvalOptions{Backend: eng, Cache: eng.Cache()})
 
 		r := all.Clone()
-		ev.Evaluate(r)
+		ev.Evaluate(context.Background(), r)
 		if r.Matches != n0 {
 			t.Fatalf("pre-append Matches = %d, want %d", r.Matches, n0)
 		}
@@ -147,7 +147,7 @@ func TestAppendInvalidatesCachedResults(t *testing.T) {
 		}
 
 		r2 := all.Clone()
-		ev.Evaluate(r2)
+		ev.Evaluate(context.Background(), r2)
 		if r2.Matches != n0+2 {
 			t.Fatalf("bypass=%v: post-append Matches = %d, want %d — stale cache served a pre-append matched set",
 				bypass, r2.Matches, n0+2)

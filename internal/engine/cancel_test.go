@@ -73,14 +73,14 @@ func TestMatchBatchCancelledMidwayLeavesNoGoroutines(t *testing.T) {
 	settleGoroutines(t, baseline)
 }
 
-// TestEvaluateBatchCancelledDiscardsEverything: a batch cut short by
+// TestEvaluateBatchCancelledDiscardsEverything: an EvaluateAll batch cut short by
 // its context must neither cache nor apply partial results — the
 // rules keep their prior evaluations and the shared cache stays
 // byte-for-byte as it was.
 func TestEvaluateBatchCancelledDiscardsEverything(t *testing.T) {
 	ds := testDataset(t, 2048, 3, false)
 	eng := New(ds, Options{Shards: 4, Workers: 2})
-	ev := core.NewEvaluatorOpt(ds, 0.5, 0, 1e-8, 2,
+	ev := core.NewEvaluator(ds, 0.5, 0, 1e-8, 2,
 		core.EvalOptions{Backend: eng, Cache: eng.Cache()})
 
 	rules := randomRules(ds, 32, 3)

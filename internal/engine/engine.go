@@ -90,9 +90,9 @@ func New(data *series.Dataset, opt Options) *Engine {
 func (e *Engine) Cache() *SharedCache { return e.cache }
 
 // Configure wires the engine into a core.Config: match queries go
-// through the shards (Backend), results are memoized in the shared
-// cache (Cache), and any single-index override is cleared. Purely a
-// speed knob — results are bit-identical to the sequential path.
+// through the shards (Backend) and results are memoized in the shared
+// cache (Cache). Purely a speed knob — results are bit-identical to
+// the default single-index backend.
 //
 // Pending tombstones are compacted away first. Match paths skip dead
 // rows on their own, but training pipelines also consume Data()
@@ -105,7 +105,6 @@ func (e *Engine) Configure(cfg *core.Config) {
 	e.Compact()
 	cfg.Runtime.Backend = e
 	cfg.Runtime.Cache = e.cache
-	cfg.Runtime.Index = nil
 }
 
 // Append adds streaming patterns: the shard layer routes them to the

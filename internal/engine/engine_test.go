@@ -105,7 +105,7 @@ func TestShardsPartitionCoversDataset(t *testing.T) {
 func TestMatchIndicesEqualsSequential(t *testing.T) {
 	for _, nan := range []bool{false, true} {
 		ds := testDataset(t, 300, 4, nan)
-		ref := core.NewEvaluator(ds, 0.2, 0, 1e-8, 1)
+		ref := core.NewEvaluator(ds, 0.2, 0, 1e-8, 1, core.EvalOptions{})
 		rules := randomRules(ds, 60, 11)
 		for _, p := range []int{1, 2, 5} {
 			s := NewShards(ds, p, 0)
@@ -142,10 +142,10 @@ func TestConfigureWiresBackendAndCache(t *testing.T) {
 	ds := testDataset(t, 200, 3, false)
 	eng := New(ds, Options{Shards: 3})
 	cfg := core.Default(3)
-	cfg.Runtime.Index = core.NewMatchIndex(ds) // must be cleared
+	cfg.Runtime.Backend = core.NewMatchIndex(ds) // must be replaced
 	eng.Configure(&cfg)
-	if cfg.Runtime.Backend != core.Backend(eng) || cfg.Runtime.Cache != core.EvalCache(eng.Cache()) || cfg.Runtime.Index != nil {
-		t.Fatal("Configure did not wire backend/cache/index as documented")
+	if cfg.Runtime.Backend != core.Backend(eng) || cfg.Runtime.Cache != core.EvalCache(eng.Cache()) {
+		t.Fatal("Configure did not wire backend/cache as documented")
 	}
 	cfg.Generations = 30
 	cfg.PopSize = 10
@@ -156,7 +156,7 @@ func TestConfigureWiresBackendAndCache(t *testing.T) {
 	if ex.Eval.Backend() != core.Backend(eng) {
 		t.Fatal("execution did not adopt the engine backend")
 	}
-	ex.Run(context.Background())
+	ex.Run(context.Background(), 0, nil)
 	if hits, misses := eng.Cache().Stats(); hits+misses == 0 {
 		t.Fatal("execution never touched the shared cache")
 	}
@@ -170,13 +170,10 @@ func TestEvaluatorRejectsForeignEngine(t *testing.T) {
 	dsA := testDataset(t, 200, 3, false)
 	dsB := testDataset(t, 260, 3, false)
 	eng := New(dsB, Options{Shards: 2})
-	ev := core.NewEvaluatorOpt(dsA, 1.0, 0, 1e-8, 1,
+	ev := core.NewEvaluator(dsA, 1.0, 0, 1e-8, 1,
 		core.EvalOptions{Backend: eng, Cache: eng.Cache()})
-	if ev.Backend() != nil {
-		t.Fatal("evaluator adopted an engine built over a different dataset")
-	}
-	if ev.Index() == nil || ev.Index().Data() != dsA {
-		t.Fatal("evaluator did not fall back to its own index")
+	if _, ok := ev.Backend().(*core.MatchIndex); !ok || ev.Backend().Data() != dsA {
+		t.Fatal("evaluator did not fall back to its own index over its dataset")
 	}
 	ev.EvaluateAll(context.Background(), randomRules(dsA, 10, 5))
 	if hits, misses := eng.Cache().Stats(); hits+misses != 0 || eng.Cache().Len() != 0 {
@@ -190,7 +187,7 @@ func TestEvaluatorRejectsForeignEngine(t *testing.T) {
 func TestEvaluatorRejectsCacheWithoutBackend(t *testing.T) {
 	ds := testDataset(t, 200, 3, false)
 	eng := New(ds, Options{Shards: 2})
-	ev := core.NewEvaluatorOpt(ds, 1.0, 0, 1e-8, 1, core.EvalOptions{Cache: eng.Cache()})
+	ev := core.NewEvaluator(ds, 1.0, 0, 1e-8, 1, core.EvalOptions{Cache: eng.Cache()})
 	ev.EvaluateAll(context.Background(), randomRules(ds, 10, 5))
 	if hits, misses := eng.Cache().Stats(); hits+misses != 0 || eng.Cache().Len() != 0 {
 		t.Fatal("evaluator adopted a shared cache without its backend")

@@ -96,7 +96,7 @@ func TestCompactRebuildsOnlyDirtyShards(t *testing.T) {
 	}
 	// Every shard index — rewritten or remapped — still answers
 	// exactly like a fresh sequential evaluator over the shrunken view.
-	ref := core.NewEvaluator(eng.Data(), 0.5, 0, 1e-8, 1)
+	ref := core.NewEvaluator(eng.Data(), 0.5, 0, 1e-8, 1, core.EvalOptions{})
 	for ri, r := range randomRules(eng.Data(), 30, 9) {
 		if got := eng.MatchIndices(r); !intsEqual(got, ref.MatchIndicesScan(r)) {
 			t.Fatalf("rule %d: post-compaction matched set diverges from sequential scan", ri)

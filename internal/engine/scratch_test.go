@@ -19,7 +19,7 @@ func TestMatchBatchResultsCallerOwned(t *testing.T) {
 	rules := randomRules(ds, 24, 3)
 	ctx := context.Background()
 
-	ref := core.NewEvaluator(ds, 1, 0, 1e-8, 1)
+	ref := core.NewEvaluator(ds, 1, 0, 1e-8, 1, core.EvalOptions{})
 	want := make([][]int, len(rules))
 	for i, r := range rules {
 		want[i] = ref.MatchIndicesScan(r)
@@ -58,15 +58,15 @@ func TestSharedCacheEntriesUnaliased(t *testing.T) {
 	const emax, fmin, ridge = 0.7, 0.0, 1e-8
 	ds := testDataset(t, 300, 4, false)
 	eng := New(ds, Options{Shards: 4})
-	ev := core.NewEvaluatorOpt(ds, emax, fmin, ridge, 1,
+	ev := core.NewEvaluator(ds, emax, fmin, ridge, 1,
 		core.EvalOptions{Backend: eng, Cache: eng.Cache()})
 	rules := randomRules(ds, 16, 5)
 	ctx := context.Background()
 
 	want := cloneAll(rules)
-	ref := core.NewEvaluator(ds, emax, fmin, ridge, 1)
+	ref := core.NewEvaluator(ds, emax, fmin, ridge, 1, core.EvalOptions{})
 	for _, r := range want {
-		ref.Evaluate(r)
+		ref.Evaluate(context.Background(), r)
 	}
 
 	got := cloneAll(rules)
@@ -105,10 +105,10 @@ func TestSharedCacheEntriesUnaliased(t *testing.T) {
 	if eng.Cache().Len() != 0 {
 		t.Fatalf("%d cache entries survived the mutation epoch", eng.Cache().Len())
 	}
-	grown := core.NewEvaluator(eng.Data(), emax, fmin, ridge, 1)
+	grown := core.NewEvaluator(eng.Data(), emax, fmin, ridge, 1, core.EvalOptions{})
 	want2 := cloneAll(rules)
 	for _, r := range want2 {
-		grown.Evaluate(r)
+		grown.Evaluate(context.Background(), r)
 	}
 	after := cloneAll(rules)
 	ev.EvaluateAll(ctx, after)

@@ -86,7 +86,7 @@ func Ablations(ctx context.Context, sc Scale, seed int64) (*AblationResult, erro
 		if eng != nil {
 			eng.Configure(&base)
 		} else {
-			base.Runtime.Index = idx
+			base.Runtime.Backend = idx
 		}
 		v.mutate(&base)
 		mr, err := core.MultiRun(ctx, core.MultiRunConfig{

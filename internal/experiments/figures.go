@@ -40,7 +40,7 @@ func Figure1(ctx context.Context, sc Scale, seed int64) (*Figure1Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	ex.Run(ctx)
+	ex.Run(ctx, 0, nil)
 	rules := ex.ValidRules()
 	if len(rules) == 0 {
 		return nil, fmt.Errorf("figure1: no valid rules evolved")

@@ -32,11 +32,12 @@ type Config struct {
 	Seed         int64
 
 	// Backend optionally routes the per-rule match queries through a
-	// shared evaluation backend (the sharded engine in
-	// internal/engine) instead of a private single index; Cache
-	// optionally shares the evaluation-result store with other
-	// consumers of the same engine. Both are speed knobs only:
-	// results are bit-identical either way.
+	// shared evaluation backend (a core.MatchIndex, or the sharded
+	// engine in internal/engine) instead of a private single index;
+	// Cache optionally shares the evaluation-result store with other
+	// consumers of the same backend, and requires one (see
+	// core.Runtime.Validate). Both are speed knobs only: results are
+	// bit-identical either way.
 	Backend core.Backend
 	Cache   core.EvalCache
 }
@@ -78,6 +79,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("pittsburgh: Elitism=%d outside [0,PopSize)", c.Elitism)
 	case c.CoverWeight < 0 || c.CoverWeight > 1:
 		return fmt.Errorf("pittsburgh: CoverWeight=%v outside [0,1]", c.CoverWeight)
+	case c.Cache != nil && c.Backend == nil:
+		return errors.New("pittsburgh: Cache requires a Backend (shared cache keys are scoped by the backend's dataset identity and epoch)")
 	}
 	return nil
 }
@@ -110,14 +113,10 @@ func Run(ctx context.Context, cfg Config, data *series.Dataset) (*Result, error)
 	}
 	src := rng.New(cfg.Seed)
 	// The set evaluator re-fits every rule of every individual each
-	// generation against the same dataset — exactly the workload the
-	// core's indexed match engine (and, when cfg.Backend is set, the
-	// sharded batch engine) accelerates.
-	opt := core.EvalOptions{Backend: cfg.Backend, Cache: cfg.Cache}
-	if cfg.Backend == nil {
-		opt.Index = core.NewMatchIndex(data)
-	}
-	eval := newSetEvaluator(data, cfg.CoverWeight, opt)
+	// generation against the same dataset — exactly the workload a
+	// match backend (its own core.MatchIndex unless cfg.Backend is set)
+	// accelerates.
+	eval := newSetEvaluator(data, cfg.CoverWeight, core.EvalOptions{Backend: cfg.Backend, Cache: cfg.Cache})
 
 	// Initial population: each individual draws its rules from the
 	// paper's stratified initializer (so sets start with full output
@@ -222,7 +221,7 @@ func newSetEvaluator(data *series.Dataset, coverWeight float64, opt core.EvalOpt
 	return &setEvaluator{
 		data:        data,
 		coverWeight: coverWeight,
-		ruleEval:    core.NewEvaluatorOpt(data, math.Inf(1), 0, 1e-8, 1, opt),
+		ruleEval:    core.NewEvaluator(data, math.Inf(1), 0, 1e-8, 1, opt),
 		span:        span,
 		lagLo:       lagLo,
 		lagHi:       lagHi,

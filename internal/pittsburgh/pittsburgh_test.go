@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/series"
 )
 
@@ -37,6 +38,11 @@ func TestConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("default rejected: %v", err)
 	}
+	good.Backend = core.NewMatchIndex(sineDataset(t, 200, 3))
+	good.Cache = engine.NewSharedCache(0)
+	if err := good.Validate(); err != nil {
+		t.Fatalf("Cache with Backend rejected: %v", err)
+	}
 	mut := []func(*Config){
 		func(c *Config) { c.RulesPerSet = 0 },
 		func(c *Config) { c.PopSize = 1 },
@@ -48,6 +54,9 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Elitism = -1 },
 		func(c *Config) { c.Elitism = 99 },
 		func(c *Config) { c.CoverWeight = 2 },
+		// A shared cache is scoped by its backend's dataset identity
+		// and epoch: without one it is rejected, not silently dropped.
+		func(c *Config) { c.Cache = engine.NewSharedCache(0) },
 	}
 	for i, m := range mut {
 		c := Default()

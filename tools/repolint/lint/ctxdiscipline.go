@@ -4,22 +4,23 @@ import (
 	"go/ast"
 )
 
-// evalVerbs are the batch entry points of the evaluation data plane.
-// Everything that reaches them must be cancellable: PR 4 threaded
-// context.Context through every run loop precisely so a training pass
-// over a remote cluster can be interrupted; a caller that conjures a
-// root context mid-stack silently severs that chain.
+// evalVerbs are the entry points of the evaluation data plane: the
+// single-rule and batch evaluations and the batch match. Everything
+// that reaches them must be cancellable: every run loop threads a
+// context.Context precisely so a training pass over a remote cluster
+// can be interrupted; a caller that conjures a root context mid-stack
+// silently severs that chain.
 var evalVerbs = map[string]bool{
-	"EvaluateAll":   true,
-	"EvaluateBatch": true,
-	"MatchBatch":    true,
+	"Evaluate":    true,
+	"EvaluateAll": true,
+	"MatchBatch":  true,
 }
 
 // CtxDiscipline enforces the context chain: context.Background() and
 // context.TODO() belong only in main functions (and tests, which the
 // driver skips) — everywhere else the context must arrive as a
-// parameter; and any function calling the batch evaluation verbs
-// (EvaluateAll, EvaluateBatch, MatchBatch) must itself take a
+// parameter; and any function calling the evaluation verbs
+// (Evaluate, EvaluateAll, MatchBatch) must itself take a
 // context.Context so cancellation reaches the data plane.
 var CtxDiscipline = &Analyzer{
 	Name: "ctx",

@@ -7,6 +7,7 @@ import "context"
 // Evaluator stands in for the real evaluation data plane.
 type Evaluator struct{}
 
+func (Evaluator) Evaluate(ctx context.Context, r int)              {}
 func (Evaluator) EvaluateAll(ctx context.Context, pop []int) error { return nil }
 func (Evaluator) MatchBatch(ctx context.Context, rules []int) [][]int {
 	return nil
@@ -26,4 +27,10 @@ func TrainDetached(e Evaluator, pop []int) error {
 func Match(e Evaluator, rules []int) [][]int {
 	ctx := context.TODO()           // want "context.TODO outside func main severs the cancellation chain"
 	return e.MatchBatch(ctx, rules) // want "Match calls MatchBatch but takes no context.Context"
+}
+
+// Score evaluates one rule without taking a context: the single-rule
+// entry point needs one as much as the batch verbs do.
+func Score(e Evaluator, r int) {
+	e.Evaluate(context.TODO(), r) // want "context.TODO outside func main severs the cancellation chain" // want "Score calls Evaluate but takes no context.Context"
 }
