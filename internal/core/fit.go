@@ -35,7 +35,12 @@ type Evaluator struct {
 	// one per evaluation); nil when the backend doesn't implement them.
 	backendCtx BackendCtx
 	health     BackendHealth
-	cache      EvalCache
+	// local is the backend when it is an in-process MatchIndex.
+	// Batching buys an index nothing, so EvaluateAll matches each rule
+	// on the worker that regresses it, and Evaluate's scan fallback
+	// fans out over workers.
+	local *MatchIndex
+	cache EvalCache
 
 	// Telemetry counters (nil handles no-op): full evaluations
 	// performed vs results served from the cache.
@@ -88,6 +93,7 @@ func NewEvaluator(data *series.Dataset, emax, fmin, ridge float64, workers int, 
 	}
 	e.backendCtx, _ = e.backend.(BackendCtx)
 	e.health, _ = e.backend.(BackendHealth)
+	e.local, _ = e.backend.(*MatchIndex)
 	if e.cache == nil {
 		e.cache = newEvalCache()
 	}
@@ -124,23 +130,27 @@ func (e *Evaluator) BackendErr() error {
 // goroutines for large datasets with chunk-ordered merging keeping the
 // result deterministic. It is exported for benchmarks and equivalence
 // tests; every backend must return exactly its set.
-func (e *Evaluator) MatchIndicesScan(r *Rule) []int {
-	n := e.data.Len()
+func (e *Evaluator) MatchIndicesScan(r *Rule) []int { return scanMatches(e.data, r, e.workers) }
+
+// scanMatches is the scan behind MatchIndicesScan, and the fallback a
+// MatchIndex takes where it cannot answer (NaN data or bounds).
+func scanMatches(data *series.Dataset, r *Rule, workers int) []int {
+	n := data.Len()
 	// Parallelism pays only for large scans; the threshold keeps the
 	// tiny datasets in unit tests on the fast serial path.
-	if n < 4096 || parallel.Workers(e.workers) == 1 {
+	if n < 4096 || parallel.Workers(workers) == 1 {
 		var out []int
 		for i := 0; i < n; i++ {
-			if r.Match(e.data.Inputs[i]) {
+			if r.Match(data.Inputs[i]) {
 				out = append(out, i)
 			}
 		}
 		return out
 	}
-	return parallel.Fold(n, e.workers,
+	return parallel.Fold(n, workers,
 		func() []int { return nil },
 		func(acc []int, i int) []int {
-			if r.Match(e.data.Inputs[i]) {
+			if r.Match(data.Inputs[i]) {
 				acc = append(acc, i)
 			}
 			return acc
@@ -194,9 +204,12 @@ func (e *Evaluator) Evaluate(ctx context.Context, r *Rule) {
 		return
 	}
 	var idx []int
-	if e.backendCtx != nil {
+	switch {
+	case e.local != nil:
+		idx = e.local.match(r, e.workers)
+	case e.backendCtx != nil:
 		idx = e.backendCtx.MatchIndicesCtx(ctx, r)
-	} else {
+	default:
 		idx = e.backend.MatchIndices(r)
 	}
 	if ctx.Err() != nil || e.BackendErr() != nil {
@@ -323,8 +336,10 @@ func (e *Evaluator) CacheStats() (hits, misses int) { return e.cache.Stats() }
 // off, and the surviving unique rules go to Backend.MatchBatch, which
 // answers them all in one call (one walk of each engine shard, one
 // cluster round trip). Consequent regressions then run in parallel
-// across rules. Results are bit-identical to calling Evaluate on each
-// rule in order, so scheduling cannot change outcomes.
+// across rules. An in-process MatchIndex gains nothing from batching,
+// so there each worker matches its rule just before regressing it, and
+// matching runs in parallel too. Results are bit-identical to calling
+// Evaluate on each rule in order, so scheduling cannot change outcomes.
 //
 // Cancellation discards the batch: a MatchBatch cut short by the
 // context returns incomplete matched sets, so nothing from a cancelled
@@ -360,7 +375,12 @@ func (e *Evaluator) EvaluateAll(ctx context.Context, rules []*Rule) error {
 		workKeys = append(workKeys, k)
 	}
 	if len(work) > 0 {
-		matched := e.backend.MatchBatch(ctx, work)
+		var matched [][]int
+		if e.local == nil {
+			matched = e.backend.MatchBatch(ctx, work)
+		} else {
+			matched = make([][]int, len(work)) // filled per rule below
+		}
 		if err := ctx.Err(); err != nil {
 			// The matched sets may be truncated: drop the whole batch on
 			// the floor. Nothing has been cached or applied yet, so the
@@ -375,6 +395,9 @@ func (e *Evaluator) EvaluateAll(ctx context.Context, rules []*Rule) error {
 		}
 		fresh := make([]*EvalResult, len(work))
 		if parallel.ForCtx(ctx, len(work), e.workers, func(i int) {
+			if e.local != nil {
+				matched[i] = e.local.match(work[i], 1)
+			}
 			e.evalFromMatches(work[i], matched[i])
 			fresh[i] = resultOf(work[i])
 		}) != nil {

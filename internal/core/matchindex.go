@@ -128,23 +128,23 @@ func (ix *MatchIndex) Epoch() uint64 { return 0 }
 
 // MatchIndices returns the rule's matched pattern indices in ascending
 // order, nil when none match. Where the index cannot answer (NaN data
-// or a NaN gene bound) it scans the patterns serially with Rule.Match;
-// both answers are the same set.
-func (ix *MatchIndex) MatchIndices(r *Rule) []int {
+// or a NaN gene bound) it scans the patterns serially; both answers
+// are the same set.
+func (ix *MatchIndex) MatchIndices(r *Rule) []int { return ix.match(r, 1) }
+
+// match is MatchIndices with the fallback scan spread over workers
+// goroutines (0 = GOMAXPROCS).
+func (ix *MatchIndex) match(r *Rule, workers int) []int {
 	if out, ok := ix.Lookup(r); ok {
 		return out
 	}
-	var out []int
-	for i, row := range ix.data.Inputs {
-		if r.Match(row) {
-			out = append(out, i)
-		}
-	}
-	return out
+	return scanMatches(ix.data, r, workers)
 }
 
 // MatchBatch answers the rules one after another, checking ctx between
 // them; a cancelled batch is incomplete and the caller discards it.
+// An Evaluator over an index does not call it: its EvaluateAll matches
+// each rule on the worker that regresses it.
 func (ix *MatchIndex) MatchBatch(ctx context.Context, rules []*Rule) [][]int {
 	out := make([][]int, len(rules))
 	for i, r := range rules {

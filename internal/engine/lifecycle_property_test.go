@@ -179,7 +179,7 @@ func driveLifecycle(t *testing.T, seed int64, n0, d, nanEvery, shards, workers, 
 	const emax, fmin, ridge = 0.7, 0.0, 1e-8
 	ev := core.NewEvaluator(eng.Data(), emax, fmin, ridge, workers,
 		core.EvalOptions{Backend: eng, Cache: eng.Cache()})
-	if ev.Backend() == nil {
+	if ev.Backend() != core.Backend(eng) {
 		t.Fatal("evaluator did not adopt the engine")
 	}
 

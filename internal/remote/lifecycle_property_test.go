@@ -234,7 +234,7 @@ func driveRemoteLifecycle(t *testing.T, seed int64, n0, d, nanEvery, servers, sh
 	const emax, fmin, ridge = 0.7, 0.0, 1e-8
 	cev := core.NewEvaluator(c.Data(), emax, fmin, ridge, workers,
 		core.EvalOptions{Backend: c, Cache: c.Cache()})
-	if cev.Backend() == nil {
+	if cev.Backend() != core.Backend(c) {
 		t.Fatal("evaluator did not adopt the cluster")
 	}
 
