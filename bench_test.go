@@ -534,7 +534,7 @@ func BenchmarkShardsCompact(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		eng := benchLifecycleEngine(b, v, n, d, engine.Options{Shards: 8, CompactThreshold: -1})
-		del := eng.ShardSizes()[0] / 2
+		del := eng.ShardStats()[0].Resident / 2
 		eng.Delete(append([]series.RowID(nil), eng.Data().IDs[:del]...))
 		b.StartTimer()
 		if got := eng.Compact(); got != del {
@@ -542,55 +542,6 @@ func BenchmarkShardsCompact(b *testing.B) {
 		}
 	}
 }
-
-// benchRebalanceSkew drives the skewed append stream: four 2000-row
-// chunks land on a 2k-pattern, 8-shard engine (each chunk routed
-// whole to one shard). With rebalancing the live spread stays within
-// the 2x bound; without it the hot shards grow unboundedly with the
-// chunk size. The resulting max/min live ratio is attached as a
-// metric so the bound is visible in benchmark output.
-func benchRebalanceSkew(b *testing.B, rebalance bool) {
-	const n, d, chunk, rounds = 2000, 24, 2000, 4
-	v := benchGrownSeries(b, n+rounds*chunk+2*d)
-	ratio := 0.0
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		eng := benchLifecycleEngine(b, v, n, d, engine.Options{Shards: 8, Rebalance: rebalance})
-		pos := n
-		b.StartTimer()
-		for r := 0; r < rounds; r++ {
-			inputs := make([][]float64, chunk)
-			targets := make([]float64, chunk)
-			for k := range inputs {
-				inputs[k] = v[pos : pos+d]
-				targets[k] = v[pos+d]
-				pos++
-			}
-			if err := eng.Append(inputs, targets); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		lo, hi := eng.LiveSpread()
-		if lo == 0 {
-			b.Fatal("rebalance left an empty shard")
-		}
-		ratio = float64(hi) / float64(lo)
-		if rebalance && ratio > 2 {
-			b.Fatalf("rebalancing on: live ratio %.2f exceeds the 2x bound", ratio)
-		}
-		b.StartTimer()
-	}
-	b.ReportMetric(ratio, "max/min_live")
-}
-
-// BenchmarkRebalanceSkew is the skewed stream with the split/merge
-// policy on: bounded spread, at the cost of split rebuilds.
-func BenchmarkRebalanceSkew(b *testing.B) { benchRebalanceSkew(b, true) }
-
-// BenchmarkRebalanceSkewOff is the same stream with the policy off:
-// cheaper appends, unbounded spread (see the max/min_live metric).
-func BenchmarkRebalanceSkewOff(b *testing.B) { benchRebalanceSkew(b, false) }
 
 // BenchmarkGenerationStep measures one steady-state generation
 // (selection, crossover, mutation, evaluation, crowding replacement).

@@ -8,7 +8,7 @@
 //	experiments -figure 1           # rule diagram
 //	experiments -figure 2           # unusual-tide trace
 //	experiments -ablations
-//	experiments -stream -rebalance  # windowed-stream lifecycle scenario
+//	experiments -stream             # windowed-stream lifecycle scenario
 //	experiments -all                # everything at the chosen scale
 //
 // The -full flag switches from the quick (laptop) scale to the
@@ -39,14 +39,14 @@ func main() {
 		noise      = flag.Bool("noise", false, "run the noise-robustness sweep")
 		approaches = flag.Bool("approaches", false, "compare Michigan vs Pittsburgh vs islands")
 		general    = flag.Bool("generalization", false, "run the Lorenz generalization check")
-		stream     = flag.Bool("stream", false, "run the windowed-stream lifecycle scenario (sliding window + rebalancing)")
+		stream     = flag.Bool("stream", false, "run the windowed-stream lifecycle scenario (sliding window + compaction)")
 		all        = flag.Bool("all", false, "regenerate every table and figure")
 		extras     = flag.Bool("extras", false, "also run every extension experiment with -all")
 		full       = flag.Bool("full", false, "use the paper's full-scale protocol")
 		tiny       = flag.Bool("tiny", false, "use the unit-test scale (fast smoke run)")
 		seed       = flag.Int64("seed", 42, "base RNG seed")
 	)
-	ef := forecast.RegisterFlags(flag.CommandLine)     // -shards, -window, -rebalance
+	ef := forecast.RegisterFlags(flag.CommandLine)     // -shards, -window, -remote
 	ofl := forecast.RegisterObsFlags(flag.CommandLine) // -debug-addr, -trace
 	flag.Parse()
 
@@ -60,13 +60,12 @@ func main() {
 	if ef.Enabled() {
 		// Route every rule evaluation through the sharded engine (or,
 		// with -remote, a cluster of shard servers); bit-identical to
-		// the single-index path at any shard count, window, remote or
-		// rebalancing history.
+		// the single-index path at any shard count, window or number
+		// of shard servers.
 		sc.EngineShards = ef.Shards()
 		if sc.EngineShards == 0 {
 			sc.EngineShards = runtime.GOMAXPROCS(0)
 		}
-		sc.EngineRebalance = ef.Rebalance()
 		sc.EngineWindow = ef.Window()
 		sc.EngineRemote = ef.Remote()
 		if sc.EngineRemote != nil {

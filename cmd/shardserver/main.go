@@ -41,7 +41,6 @@ func main() {
 	listen := fs.String("listen", ":7070", "address to serve the shard protocol on")
 	shards := fs.Int("shards", 0, "dataset shards inside this server's engine (0 = one per core)")
 	workers := fs.Int("workers", 0, "goroutines for shard fan-out (0 = one per core)")
-	rebalance := fs.Bool("rebalance", false, "adaptive shard split/merge rebalancing inside this server")
 	csv := fs.String("csv", "", "optional CSV slice to preload (clients then attach with Sync instead of Load)")
 	d := fs.Int("d", 0, "window width for -csv")
 	horizon := fs.Int("horizon", 1, "prediction horizon for -csv")
@@ -52,7 +51,7 @@ func main() {
 	}
 	fs.Parse(os.Args[1:])
 
-	opt := engine.Options{Shards: *shards, Workers: *workers, Rebalance: *rebalance}
+	opt := engine.Options{Shards: *shards, Workers: *workers}
 	var srv *remote.Server
 	if *csv != "" {
 		if *d <= 0 {

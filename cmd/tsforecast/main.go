@@ -121,7 +121,7 @@ func cmdTrain(ctx context.Context, args []string) error {
 	coverage := fs.Float64("coverage", 0.98, "training coverage target")
 	emax := fs.Float64("emax", 0, "EMAX (0 = 10% of target range)")
 	seed := fs.Int64("seed", 1, "RNG seed")
-	fl := forecast.RegisterFlags(fs) // -shards, -window, -rebalance
+	fl := forecast.RegisterFlags(fs) // -shards, -window, -remote
 	out := fs.String("out", "rules.json", "output rule-set path")
 	ofl := forecast.RegisterObsFlags(fs) // -debug-addr, -trace
 	if err := fs.Parse(args); err != nil {
@@ -151,7 +151,7 @@ func cmdTrain(ctx context.Context, args []string) error {
 	// Sharded, batched evaluation engine with a result cache shared
 	// across the accumulated executions (empty when no engine flag was
 	// passed). Results are bit-identical to the single-index path at
-	// any shard count, window or rebalancing history.
+	// any shard count or window.
 	opts = append(opts, fl.Options()...)
 	// Telemetry: batch latencies, cache counters, fit trace spans and
 	// the best-of-run trajectory, live on -debug-addr and/or traced to

@@ -23,7 +23,7 @@ import (
 )
 
 func main() {
-	fl := forecast.RegisterFlags(flag.CommandLine) // -shards, -window, -rebalance, -remote
+	fl := forecast.RegisterFlags(flag.CommandLine) // -shards, -window, -remote
 	flag.Parse()
 	// 1. A workload: the Mackey-Glass chaotic series, normalized to
 	//    [0,1], split 1000 train / 500 test as in the paper.

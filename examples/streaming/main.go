@@ -5,9 +5,9 @@
 // prequential test), then calls Append: the chunk's patterns join the
 // engine-backed store (routed to the emptiest shard, one index
 // rebuild), the oldest patterns beyond the sliding window are evicted
-// and compacted away, the shard layout is rebalanced, and the system
-// retrains on the window through the same engine and shared cache —
-// learning the new regime as fast as it forgets the old one.
+// and compacted away, and the system retrains on the window through
+// the same engine and shared cache — learning the new regime as fast
+// as it forgets the old one.
 //
 // With -remote host:port,host:port the same loop runs against live
 // shardserver processes: appends scatter to the emptiest server,
@@ -35,7 +35,7 @@ const (
 )
 
 func main() {
-	fl := forecast.RegisterFlags(flag.CommandLine) // -shards, -window, -rebalance, -remote
+	fl := forecast.RegisterFlags(flag.CommandLine) // -shards, -window, -remote
 	flag.Parse()
 
 	ctx := context.Background()
@@ -62,9 +62,9 @@ func main() {
 		forecast.WithSeed(1),
 	}
 	// Distributed or in-process store — only the store option differs;
-	// the shared cache, sliding window and rebalancing setup (and the
-	// results) are identical either way. -shards and -window override
-	// the example's defaults (4 in-process shards, window = prefix).
+	// the shared cache and sliding window setup (and the results) are
+	// identical either way. -shards and -window override the example's
+	// defaults (4 in-process shards, window = prefix).
 	store := forecast.WithEngine(4)
 	switch {
 	case fl.Remote() != nil:
@@ -76,7 +76,6 @@ func main() {
 		store,
 		forecast.WithSharedCache(),
 		forecast.WithSlidingWindow(window),
-		forecast.WithRebalance(),
 	)
 	f, err := forecast.New(opts...)
 	if err != nil {
@@ -110,9 +109,9 @@ func main() {
 
 		// Slide the window and retrain in one verb: Append adds the
 		// chunk, evicts what the window no longer holds, compacts the
-		// tombstones away, rebalances and refits through the same
-		// engine. Every cached evaluation from the old window has
-		// expired with the epoch.
+		// tombstones away and refits through the same engine. Every
+		// cached evaluation from the old window has expired with the
+		// epoch.
 		before, _ := f.StoreStats()
 		if err := f.Append(ctx, inputs, targets); err != nil {
 			log.Fatal(err)

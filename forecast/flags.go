@@ -7,13 +7,12 @@ import (
 
 // Flags bundles the facade's engine-related CLI knobs so every binary
 // (tsforecast, experiments, the examples) registers
-// -shards/-window/-rebalance/-remote once, with one shared spelling
-// and meaning, instead of each re-declaring and re-interpreting them.
+// -shards/-window/-remote once, with one shared spelling and meaning,
+// instead of each re-declaring and re-interpreting them.
 type Flags struct {
-	shards    *int
-	window    *int
-	rebalance *bool
-	remote    *string
+	shards *int
+	window *int
+	remote *string
 }
 
 // RegisterFlags defines the engine flags on fs and returns the handle
@@ -24,8 +23,6 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 			"training-set shards for the batched evaluation engine (0 = single index, -1 = one per core; ignored with -remote, shard each server instead)"),
 		window: fs.Int("window", 0,
 			"sliding-window cap on live training patterns: older rows are evicted and compacted away (0 = keep everything; enables the engine)"),
-		rebalance: fs.Bool("rebalance", false,
-			"adaptive shard split/merge rebalancing under skewed streams (enables the engine)"),
 		remote: fs.String("remote", "",
 			"comma-separated shardserver addresses (host:port,host:port); evaluation is scattered across them instead of the in-process engine"),
 	}
@@ -33,9 +30,9 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 
 // Enabled reports whether any flag asked for an engine-backed store.
 // -shards 0 alone keeps the sequential single-index path, but
-// -window, -rebalance or -remote each enable a store on their own.
+// -window or -remote each enable a store on their own.
 func (f *Flags) Enabled() bool {
-	return *f.shards != 0 || *f.window > 0 || *f.rebalance || *f.remote != ""
+	return *f.shards != 0 || *f.window > 0 || *f.remote != ""
 }
 
 // Remote returns the parsed shardserver addresses, nil when -remote
@@ -70,15 +67,12 @@ func (f *Flags) Window() int {
 	return *f.window
 }
 
-// Rebalance reports whether adaptive rebalancing was requested.
-func (f *Flags) Rebalance() bool { return *f.rebalance }
-
 // Options resolves the parsed flags into facade options: a remote
 // shard-server cluster when -remote is given, otherwise the
 // in-process sharded engine — in both cases with one result cache
-// shared across executions, plus the sliding window and rebalancing
-// when requested. Nil when no flag asked for a store — results are
-// bit-identical either way, the store is purely a capacity knob.
+// shared across executions, plus the sliding window when requested.
+// Nil when no flag asked for a store — results are bit-identical
+// either way, the store is purely a capacity knob.
 func (f *Flags) Options() []Option {
 	if !f.Enabled() {
 		return nil
@@ -94,9 +88,6 @@ func (f *Flags) Options() []Option {
 	}
 	if w := f.Window(); w > 0 {
 		opts = append(opts, WithSlidingWindow(w))
-	}
-	if f.Rebalance() {
-		opts = append(opts, WithRebalance())
 	}
 	return opts
 }

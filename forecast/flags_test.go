@@ -30,9 +30,6 @@ func TestFlagsSharedWiring(t *testing.T) {
 	if f := parse("-window", "500"); !f.Enabled() || f.Window() != 500 {
 		t.Fatalf("-window 500: Enabled=%v Window=%d", f.Enabled(), f.Window())
 	}
-	if f := parse("-rebalance"); !f.Enabled() || !f.Rebalance() {
-		t.Fatalf("-rebalance: Enabled=%v Rebalance=%v", f.Enabled(), f.Rebalance())
-	}
 	if f := parse("-window", "-3"); f.Enabled() || f.Window() != 0 {
 		t.Fatalf("negative -window must clamp to unbounded, got %d", f.Window())
 	}
@@ -55,10 +52,10 @@ func TestFlagsSharedWiring(t *testing.T) {
 	// The resolved option sets build valid Forecasters.
 	for _, args := range [][]string{
 		{"-shards", "4"},
-		{"-window", "100", "-rebalance"},
+		{"-window", "100"},
 		{"-shards", "-1", "-window", "50"},
 		{"-remote", "h0:7070,h1:7071"},
-		{"-remote", "h0:7070", "-window", "100", "-rebalance"},
+		{"-remote", "h0:7070", "-window", "100"},
 		// -shards with -remote is documented as ignored, not an error.
 		{"-remote", "h0:7070", "-shards", "8"},
 	} {

@@ -21,8 +21,8 @@
 // best-so-far rule system installed, so the Forecaster remains usable.
 //
 // All speed machinery — worker counts, sharding, batching, shared
-// caches, sliding windows, rebalancing — is configured through options
-// and guaranteed not to change results: for a fixed seed the fitted
+// caches, sliding windows — is configured through options and
+// guaranteed not to change results: for a fixed seed the fitted
 // system is bit-identical at any parallelism, shard count or cache
 // configuration. Only the hyperparameter options (generations,
 // population, EMax, topology) affect what is learned.
@@ -198,10 +198,7 @@ func (f *Forecaster) Fit(ctx context.Context, ds *Dataset) error {
 		if old, ok := f.eng.(*remote.Cluster); ok {
 			old.Retire()
 		}
-		cl, err := remote.Dial(ctx, f.s.remote, remote.Options{
-			Workers:   f.s.workers,
-			Rebalance: f.s.rebalance,
-		})
+		cl, err := remote.Dial(ctx, f.s.remote, remote.Options{Workers: f.s.workers})
 		if err != nil {
 			return fmt.Errorf("forecast: remote cluster: %w", err)
 		}
@@ -217,11 +214,7 @@ func (f *Forecaster) Fit(ctx context.Context, ds *Dataset) error {
 		}
 		st = cl
 	case f.s.engine:
-		st = engine.New(ds, engine.Options{
-			Shards:    f.s.shards,
-			Workers:   f.s.workers,
-			Rebalance: f.s.rebalance,
-		})
+		st = engine.New(ds, engine.Options{Shards: f.s.shards, Workers: f.s.workers})
 		if f.s.telemetry != nil {
 			st.Instrument(f.s.telemetry)
 		}

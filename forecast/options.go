@@ -44,7 +44,6 @@ type settings struct {
 	engine         bool
 	engineExplicit bool
 	shards         int
-	rebalance      bool
 	slidingWin     int
 	sharedCache    bool
 	remote         []string
@@ -225,9 +224,9 @@ func WithEngine(shards int) Option {
 // wrapping ErrRemote from Fit/Append (never a hang, never silently
 // wrong rules); the next Fit dials a fresh cluster. Call Close to
 // release the connections when done. Mutually exclusive with
-// WithEngine; WithSlidingWindow, WithRebalance and WithSharedCache
-// compose with it (the shared cache lives client-side, keyed by the
-// cluster's composite epoch).
+// WithEngine; WithSlidingWindow and WithSharedCache compose with it
+// (the shared cache lives client-side, keyed by the cluster's
+// composite epoch).
 func WithRemoteCluster(addrs ...string) Option {
 	return func(s *settings) error {
 		if len(addrs) == 0 {
@@ -239,18 +238,6 @@ func WithRemoteCluster(addrs ...string) Option {
 			}
 		}
 		s.remote = append([]string(nil), addrs...)
-		return nil
-	}
-}
-
-// WithRebalance enables the store's adaptive rebalancing policy,
-// keeping live shard sizes within a 2x spread under skewed streams.
-// Implies WithEngine; with WithRemoteCluster it instead asks every
-// shard server to rebalance its own shards after each mutation.
-func WithRebalance() Option {
-	return func(s *settings) error {
-		s.engine = true
-		s.rebalance = true
 		return nil
 	}
 }

@@ -285,7 +285,7 @@ func TestWithRemoteClusterValidation(t *testing.T) {
 	if _, err := forecast.New(forecast.WithRemoteCluster("a:1"), forecast.WithEngine(4)); !errors.Is(err, forecast.ErrOption) {
 		t.Fatalf("remote+engine: %v", err)
 	}
-	if _, err := forecast.New(forecast.WithRemoteCluster("a:1"), forecast.WithSharedCache(), forecast.WithRebalance()); err != nil {
-		t.Fatalf("remote+cache+rebalance must be valid: %v", err)
+	if _, err := forecast.New(forecast.WithRemoteCluster("a:1"), forecast.WithSharedCache(), forecast.WithSlidingWindow(10)); err != nil {
+		t.Fatalf("remote+cache+window must be valid: %v", err)
 	}
 }

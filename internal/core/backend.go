@@ -85,11 +85,6 @@ type Store interface {
 	// only renumbers positions, never the live row set or its order.
 	Compact() int
 
-	// Rebalance runs the adaptive split/merge policy until live shard
-	// sizes are balanced, returning the number of split/merge steps
-	// taken. Like Compact, it can never change results.
-	Rebalance() int
-
 	// LiveLen returns the number of live rows — Data().Len() minus
 	// rows tombstoned but not yet compacted away.
 	LiveLen() int

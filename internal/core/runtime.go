@@ -27,7 +27,7 @@ type Runtime struct {
 	// returns exact matched sets, so results are bit-identical.
 	//
 	// A backend may additionally be a lifecycle-managed Store
-	// (deletes, sliding windows, compaction, rebalancing); Store()
+	// (deletes, sliding windows, compaction); Store()
 	// returns that view. Mutations flow through the same seam appends
 	// do — each bumps the backend's epoch, so every cached evaluation
 	// from an older snapshot expires with it.

@@ -58,7 +58,7 @@ func TestAppendMatchesRebuild(t *testing.T) {
 		for i, sh := range s.parts {
 			before[i] = sh.idx
 		}
-		sizes := s.ShardSizes()
+		sizes := shardSizes(s)
 		smallest := 0
 		for i, n := range sizes {
 			if n < sizes[smallest] {

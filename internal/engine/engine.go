@@ -11,9 +11,8 @@ import (
 type Options struct {
 	// Shards is the number of dataset partitions (0 = GOMAXPROCS,
 	// clamped to the dataset size). 1 degenerates to the sequential
-	// single-index layout — still exact, just without fan-out. When
-	// Rebalance is set the count adapts at runtime; this is then the
-	// target the policy steers toward.
+	// single-index layout — still exact, just without fan-out. The
+	// count is fixed for the engine's lifetime.
 	Shards int
 	// Workers bounds the goroutines used to fan queries out across
 	// shards and rules (0 = GOMAXPROCS).
@@ -27,12 +26,6 @@ type Options struct {
 	// compaction — explicit Compact() always works; values above 1 are
 	// clamped to 1 (compact only fully-dead shards).
 	CompactThreshold float64
-	// Rebalance enables the adaptive shard split/merge policy: after
-	// every mutation, oversized hot shards are split and undersized
-	// ones merged so live shard sizes stay within a 2x spread under
-	// skewed streams. Purely a layout knob — results are bit-identical
-	// with it on or off.
-	Rebalance bool
 }
 
 // Clamped returns a copy of the options with every field normalized
@@ -76,8 +69,8 @@ type Engine struct {
 // New builds an engine over the training dataset: the dataset is
 // partitioned into opt.Shards shards with one MatchIndex each, and a
 // fresh shared cache is attached. The engine owns the dataset's
-// lifecycle from here on: streaming appends, deletes, windows,
-// compaction and rebalancing must go through the Engine methods.
+// lifecycle from here on: streaming appends, deletes, windows and
+// compaction must go through the Engine methods.
 func New(data *series.Dataset, opt Options) *Engine {
 	opt = opt.Clamped()
 	return &Engine{
@@ -159,18 +152,6 @@ func (e *Engine) Compact() int {
 		e.cache.Invalidate()
 	}
 	return removed
-}
-
-// Rebalance runs the adaptive split/merge policy explicitly,
-// invalidating the shared cache when the layout changed (results
-// never do, but one-mutation-one-epoch keeps staleness reasoning
-// trivial). Returns the number of split/merge steps taken.
-func (e *Engine) Rebalance() int {
-	ops := e.Shards.Rebalance()
-	if ops > 0 {
-		e.cache.Invalidate()
-	}
-	return ops
 }
 
 // Engine must satisfy the full lifecycle-store contract.

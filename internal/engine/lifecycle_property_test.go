@@ -14,7 +14,7 @@ import (
 // naiveStore is the reference model of the lifecycle-managed store: a
 // flat list of live rows in insertion order, rebuilt from scratch on
 // every mutation. The engine — any shard count, any worker count, any
-// append/delete/window/compact/rebalance interleaving — must be
+// append/delete/window/compact interleaving — must be
 // bit-identical to a sequential evaluator over exactly these rows.
 type naiveStore struct {
 	inputs  [][]float64
@@ -161,7 +161,7 @@ func checkEvalEquivalence(t *testing.T, step string, eng *Engine, ev *core.Evalu
 }
 
 // driveLifecycle runs one random interleaving of
-// append/delete/window/compact/rebalance against an engine and the
+// append/delete/window/compact against an engine and the
 // naive model, asserting equivalence (and cache emptiness after every
 // mutation) throughout.
 func driveLifecycle(t *testing.T, seed int64, n0, d, nanEvery, shards, workers, rounds int) {
@@ -173,7 +173,6 @@ func driveLifecycle(t *testing.T, seed int64, n0, d, nanEvery, shards, workers, 
 		Shards:           shards,
 		Workers:          workers,
 		CompactThreshold: []float64{0, -1, 0.1, 0.6}[src.Intn(4)],
-		Rebalance:        src.Bool(0.5),
 	})
 	m := newNaiveStore(ds)
 	const emax, fmin, ridge = 0.7, 0.0, 1e-8
@@ -190,7 +189,7 @@ func driveLifecycle(t *testing.T, seed int64, n0, d, nanEvery, shards, workers, 
 	for round := 0; round < rounds; round++ {
 		mutated := false
 		step := ""
-		switch op := src.Intn(6); op {
+		switch op := src.Intn(5); op {
 		case 0, 1: // append a chunk
 			k := 1 + src.Intn(20)
 			inputs := make([][]float64, k)
@@ -244,9 +243,6 @@ func driveLifecycle(t *testing.T, seed int64, n0, d, nanEvery, shards, workers, 
 		case 4:
 			mutated = eng.Compact() > 0
 			step = "compact"
-		case 5:
-			mutated = eng.Rebalance() > 0
-			step = "rebalance"
 		}
 		if mutated && eng.Cache().Len() != 0 {
 			t.Fatalf("round %d (%s): %d cache entries survived a mutation epoch", round, step, eng.Cache().Len())
@@ -271,7 +267,7 @@ func driveLifecycle(t *testing.T, seed int64, n0, d, nanEvery, shards, workers, 
 }
 
 // TestLifecycleEquivalentToNaiveRebuild is the tentpole property:
-// after arbitrary append/delete/compact/rebalance sequences, match
+// after arbitrary append/delete/window/compact sequences, match
 // and evaluation results are bit-identical to a from-scratch
 // sequential engine over only the live rows — at any shard and worker
 // count, on clean and NaN-degenerate data — and no cache entry ever

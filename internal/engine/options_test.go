@@ -26,8 +26,8 @@ func TestOptionsClamped(t *testing.T) {
 		},
 		{
 			name: "positive fields pass through",
-			in:   Options{Shards: 4, Workers: 2, CacheCapacity: 99, CompactThreshold: 0.5, Rebalance: true},
-			want: Options{Shards: 4, Workers: 2, CacheCapacity: 99, CompactThreshold: 0.5, Rebalance: true},
+			in:   Options{Shards: 4, Workers: 2, CacheCapacity: 99, CompactThreshold: 0.5},
+			want: Options{Shards: 4, Workers: 2, CacheCapacity: 99, CompactThreshold: 0.5},
 		},
 		{
 			name: "negative threshold disables auto-compaction",

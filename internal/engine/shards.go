@@ -6,14 +6,13 @@
 // generation-aware result cache across evaluators, multi-run waves,
 // islands and the Pittsburgh baseline; and manages the dataset's full
 // lifecycle under streaming data — incremental appends, tombstoned
-// deletes and sliding windows, threshold-triggered compaction, and
-// adaptive shard split/merge rebalancing — instead of rebuilding from
-// scratch.
+// deletes and sliding windows, and threshold-triggered compaction —
+// instead of rebuilding from scratch.
 //
 // The engine implements core.Store (and therefore core.Backend). It
 // accelerates only the match side — all regression and fitness math
 // stays in core — so every configuration (any shard count, any
-// parallelism, cache on or off, any append/delete/compact/rebalance
+// parallelism, cache on or off, any append/delete/window/compact
 // history) is bit-identical to the sequential single-index path over
 // the same live rows.
 package engine
@@ -50,7 +49,7 @@ import (
 // order is part of the contract).
 //
 // Match queries are safe for concurrent use with each other;
-// mutations (Append, Delete, Window, Compact, Rebalance) exclude
+// mutations (Append, Delete, Window, Compact) exclude
 // queries via the RWMutex but mutate the shared dataset in place —
 // callers must not mutate concurrently with code reading the dataset
 // outside the engine (streaming loops alternate evolve and mutate
@@ -68,8 +67,6 @@ type Shards struct {
 
 	// Lifecycle policy (fixed at construction; see Options).
 	compactThreshold float64 // per-shard dead ratio that triggers auto-compaction; <0 disables
-	autoRebalance    bool
-	targetP          int // configured shard count rebalancing regrows toward
 }
 
 // shard is one partition: a shard-local dataset whose rows alias the
@@ -83,9 +80,8 @@ type shard struct {
 	global []int32         // global[i]: full-dataset index of local pattern i
 	data   *series.Dataset // local view; Inputs/Targets own their headers
 	idx    *core.MatchIndex
-	dead   []uint64     // tombstone bitmap over local indices; nil until first delete
-	deadN  int          // set bits in dead
-	cost   atomic.Int64 // cumulative match work served (rows returned + 1 per query); rebalancing tiebreak
+	dead   []uint64 // tombstone bitmap over local indices; nil until first delete
+	deadN  int      // set bits in dead
 }
 
 // live returns the shard's live (non-tombstoned) row count.
@@ -121,8 +117,8 @@ func NewShards(data *series.Dataset, p, workers int) *Shards {
 	return NewShardsOpt(data, Options{Shards: p, Workers: workers})
 }
 
-// NewShardsOpt is NewShards with the full option set (lifecycle
-// thresholds, rebalancing). Options are clamped in one place; see
+// NewShardsOpt is NewShards with the full option set (compaction
+// threshold included). Options are clamped in one place; see
 // Options.Clamped.
 func NewShardsOpt(data *series.Dataset, opt Options) *Shards {
 	opt = opt.Clamped()
@@ -131,7 +127,6 @@ func NewShardsOpt(data *series.Dataset, opt Options) *Shards {
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
-	targetP := p // a tiny seed clamps p below; rebalancing regrows toward the configured count
 	if p > n {
 		p = n
 	}
@@ -142,8 +137,6 @@ func NewShardsOpt(data *series.Dataset, opt Options) *Shards {
 		data:             data,
 		workers:          opt.Workers,
 		compactThreshold: opt.CompactThreshold,
-		autoRebalance:    opt.Rebalance,
-		targetP:          targetP,
 	}
 	// Stable row identity: adopt the dataset's ids when it already has
 	// ascending ones (a store handing data across engines), otherwise
@@ -184,8 +177,9 @@ func NewShardsOpt(data *series.Dataset, opt Options) *Shards {
 	return s
 }
 
-// P returns the current number of shards. Rebalancing splits and
-// merges shards, so the count can drift from the configured one.
+// P returns the number of shards: the configured count, clamped to the
+// initial dataset size. It never changes afterwards; a shard a window
+// empties stays in place until an append refills it.
 func (s *Shards) P() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -221,38 +215,18 @@ func (s *Shards) Data() *series.Dataset {
 }
 
 // Epoch returns the data epoch: the number of mutations (appends,
-// deletes, windows, compactions, rebalances) performed. Evaluation-
-// cache keys embed it, expiring every result computed against an
-// older snapshot.
+// deletes, windows, compactions) performed. Evaluation-cache keys
+// embed it, expiring every result computed against an older snapshot.
 func (s *Shards) Epoch() uint64 { return s.epoch.Load() }
-
-// ShardSizes returns the current resident pattern count of every
-// shard (a diagnostics hook for tests and the streaming example).
-func (s *Shards) ShardSizes() []int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	sizes := make([]int, len(s.parts))
-	for i, sh := range s.parts {
-		sizes[i] = sh.data.Len()
-	}
-	return sizes
-}
 
 // ShardStat is one shard's lifecycle diagnostics.
 type ShardStat struct {
 	Resident int // rows physically in the shard (live + tombstoned)
 	Live     int // rows match queries can return
 	Dead     int // tombstoned rows awaiting compaction
-	// Cost approximates match work served: rows returned (plus one
-	// per query) for an index lookup, the full resident shard for a
-	// NaN fallback scan. The units differ per path — it is a coarse
-	// heat heuristic for rebalancing tie-breaks, not a precise
-	// counter — and it resets when the shard is rewritten.
-	Cost int64
 }
 
-// ShardStats returns per-shard live/dead sizes and cumulative query
-// cost — the observables the rebalancing policy keys on.
+// ShardStats returns per-shard resident, live and dead sizes.
 func (s *Shards) ShardStats() []ShardStat {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -262,15 +236,13 @@ func (s *Shards) ShardStats() []ShardStat {
 			Resident: sh.data.Len(),
 			Live:     sh.live(),
 			Dead:     sh.deadN,
-			Cost:     sh.cost.Load(),
 		}
 	}
 	return stats
 }
 
-// LiveSpread returns the smallest and largest live shard sizes — the
-// observable the rebalancing policy bounds (hi <= 2*lo once balanced)
-// and the one its consumers report.
+// LiveSpread returns the smallest and largest live shard sizes — how
+// evenly append routing and windowing have left the layout.
 func (s *Shards) LiveSpread() (lo, hi int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -296,9 +268,8 @@ func (s *Shards) LiveSpread() (lo, hi int) {
 // so the layout is deterministic) and only that shard's index is
 // rebuilt — O(n_s log n_s) instead of the full O(n log n) rebuild.
 // The global dataset view grows in place and each new row receives
-// the next ascending RowID. When rebalancing is enabled, a chunk that
-// leaves the routed shard oversized is split apart again before
-// Append returns. Returns an error when a pattern's width does not
+// the next ascending RowID. Routing by live size also refills a shard
+// a window emptied. Returns an error when a pattern's width does not
 // match the dataset's D or inputs and targets disagree in length.
 func (s *Shards) Append(inputs [][]float64, targets []float64) error {
 	return s.AppendRows(inputs, targets, nil)
@@ -364,12 +335,8 @@ func (s *Shards) appendRows(inputs [][]float64, targets []float64, ids []series.
 		sh.data.Targets = append(sh.data.Targets, s.data.Targets[g])
 	}
 	sh.idx = core.NewMatchIndex(sh.data)
-	sh.cost.Store(0)
 
 	s.epoch.Add(1)
-	if s.autoRebalance {
-		s.rebalanceLocked()
-	}
 	return nil
 }
 
@@ -404,12 +371,10 @@ func (s *Shards) MatchIndices(r *core.Rule) []int {
 // index lookup that leaves tombstoned rows out, or — only for
 // NaN-degenerate data or NaN gene bounds — a scan of the shard.
 func (sh *shard) matchInto(dst []int, r *core.Rule, sc *core.MatchScratch) []int {
-	start := len(dst)
 	out, ok := sh.idx.LookupInto(dst, r, sh.dead, sc)
 	if !ok {
 		return sh.scanInto(dst, r)
 	}
-	sh.cost.Add(int64(len(out)-start) + 1)
 	return out
 }
 
@@ -417,7 +382,6 @@ func (sh *shard) matchInto(dst []int, r *core.Rule, sc *core.MatchScratch) []int
 // provide the parallelism, so it stays serial), appending to dst.
 // Tombstoned rows are skipped.
 func (sh *shard) scanInto(dst []int, r *core.Rule) []int {
-	sh.cost.Add(int64(sh.data.Len()) + 1)
 	for i, row := range sh.data.Inputs {
 		if sh.isDead(i) {
 			continue

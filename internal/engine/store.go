@@ -125,31 +125,25 @@ func (s *Shards) compact() int {
 	removed := s.compactLocked(sel)
 	if removed > 0 {
 		s.epoch.Add(1)
-		if s.autoRebalance {
-			s.rebalanceLocked()
-		}
 	}
 	return removed
 }
 
 // maintainLocked is the post-mutation policy pass shared by Delete
 // and Window: compact every shard whose dead ratio crossed the
-// threshold, then rebalance if enabled. The caller already bumped the
-// epoch. Callers hold mu.
+// threshold. The caller already bumped the epoch. Callers hold mu.
 func (s *Shards) maintainLocked() {
-	if s.compactThreshold >= 0 {
-		var sel []int
-		for i, sh := range s.parts {
-			if n := sh.data.Len(); n > 0 && sh.deadN > 0 &&
-				float64(sh.deadN) >= s.compactThreshold*float64(n) {
-				sel = append(sel, i)
-			}
+	if s.compactThreshold < 0 {
+		return
+	}
+	var sel []int
+	for i, sh := range s.parts {
+		if n := sh.data.Len(); n > 0 && sh.deadN > 0 &&
+			float64(sh.deadN) >= s.compactThreshold*float64(n) {
+			sel = append(sel, i)
 		}
-		s.compactLocked(sel)
 	}
-	if s.autoRebalance {
-		s.rebalanceLocked()
-	}
+	s.compactLocked(sel)
 }
 
 // compactLocked rewrites the selected shards live-only and shrinks
@@ -236,7 +230,6 @@ func (s *Shards) compactLocked(sel []int) int {
 		sh.data = local
 		sh.dead = nil
 		sh.deadN = 0
-		sh.cost.Store(0)
 	}
 	parallel.For(len(sel), s.workers, func(k int) {
 		sh := s.parts[sel[k]]

@@ -25,11 +25,10 @@ type telemetry struct {
 	batchNs    *obs.Histogram // MatchBatch wall time, ns
 	batchRules *obs.Histogram // rules served per MatchBatch call
 
-	appendNs    *obs.Histogram
-	deleteNs    *obs.Histogram
-	windowNs    *obs.Histogram
-	compactNs   *obs.Histogram
-	rebalanceNs *obs.Histogram
+	appendNs  *obs.Histogram
+	deleteNs  *obs.Histogram
+	windowNs  *obs.Histogram
+	compactNs *obs.Histogram
 
 	mutations *obs.Counter // mutations that changed the store
 	epoch     *obs.Gauge   // current data epoch
@@ -42,18 +41,17 @@ func newTelemetry(reg *obs.Registry) *telemetry {
 		return nil
 	}
 	return &telemetry{
-		reg:         reg,
-		batchNs:     reg.Histogram("engine_matchbatch_ns"),
-		batchRules:  reg.Histogram("engine_matchbatch_rules"),
-		appendNs:    reg.Histogram("engine_append_ns"),
-		deleteNs:    reg.Histogram("engine_delete_ns"),
-		windowNs:    reg.Histogram("engine_window_ns"),
-		compactNs:   reg.Histogram("engine_compact_ns"),
-		rebalanceNs: reg.Histogram("engine_rebalance_ns"),
-		mutations:   reg.Counter("engine_mutations"),
-		epoch:       reg.Gauge("engine_epoch"),
-		liveRows:    reg.Gauge("engine_live_rows"),
-		liveSkew:    reg.Gauge("engine_live_skew"),
+		reg:        reg,
+		batchNs:    reg.Histogram("engine_matchbatch_ns"),
+		batchRules: reg.Histogram("engine_matchbatch_rules"),
+		appendNs:   reg.Histogram("engine_append_ns"),
+		deleteNs:   reg.Histogram("engine_delete_ns"),
+		windowNs:   reg.Histogram("engine_window_ns"),
+		compactNs:  reg.Histogram("engine_compact_ns"),
+		mutations:  reg.Counter("engine_mutations"),
+		epoch:      reg.Gauge("engine_epoch"),
+		liveRows:   reg.Gauge("engine_live_rows"),
+		liveSkew:   reg.Gauge("engine_live_skew"),
 	}
 }
 
@@ -144,8 +142,7 @@ func (s *Shards) AppendRows(inputs [][]float64, targets []float64, ids []series.
 // how many were live before the call. Unknown or already-dead ids are
 // ignored. Matched sets exclude the rows immediately; the epoch bump
 // expires every cached evaluation. Shards whose dead ratio crosses
-// the compaction threshold are compacted before Delete returns, and
-// when rebalancing is enabled the surviving layout is rebalanced.
+// the compaction threshold are compacted before Delete returns.
 func (s *Shards) Delete(ids []series.RowID) int {
 	t := s.tel
 	if t == nil {
@@ -165,7 +162,7 @@ func (s *Shards) Delete(ids []series.RowID) int {
 // "Newest" is insertion order (ascending RowID), so a stream that
 // appends chunks and calls Window(w) after each one trains on exactly
 // the trailing w patterns. Eviction triggers the same threshold
-// compaction and rebalancing as Delete.
+// compaction as Delete.
 func (s *Shards) Window(n int) int {
 	t := s.tel
 	if t == nil {
@@ -198,24 +195,4 @@ func (s *Shards) Compact() int {
 		t.afterMutation(s)
 	}
 	return removed
-}
-
-// Rebalance runs the split/merge policy until live shard sizes are
-// balanced (or a safety cap of steps is hit), returning the number of
-// split/merge steps taken. It is invoked automatically after
-// Append/Delete/Window/Compact when Options.Rebalance is set, and can
-// always be called explicitly. Each step rebuilds only the indexes of
-// the one or two shards it touches.
-func (s *Shards) Rebalance() int {
-	t := s.tel
-	if t == nil {
-		return s.rebalance()
-	}
-	start := t.reg.Now()
-	ops := s.rebalance()
-	t.rebalanceNs.Observe(t.reg.Now() - start)
-	if ops > 0 {
-		t.afterMutation(s)
-	}
-	return ops
 }

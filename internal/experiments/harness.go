@@ -63,16 +63,10 @@ func ruleSystemRun(ctx context.Context, train, val *series.Dataset, sc Scale, se
 		// Scatter evaluation across live shard servers; one
 		// client-side result cache shared across the executions.
 		opts = append(opts, forecast.WithRemoteCluster(sc.EngineRemote...), forecast.WithSharedCache())
-		if sc.EngineRebalance {
-			opts = append(opts, forecast.WithRebalance())
-		}
 	case sc.EngineShards > 0:
 		// Sharded, batched evaluation with one result cache shared
 		// across the accumulated executions.
 		opts = append(opts, forecast.WithEngine(sc.EngineShards), forecast.WithSharedCache())
-		if sc.EngineRebalance {
-			opts = append(opts, forecast.WithRebalance())
-		}
 	}
 	if emaxFrac > 0 {
 		lo, hi := train.TargetRange()

@@ -44,11 +44,6 @@ type Scale struct {
 	// -shards).
 	EngineShards int
 
-	// EngineRebalance enables the engine's adaptive shard split/merge
-	// policy (cmd/experiments: -rebalance). Like EngineShards, purely
-	// a layout knob — results are unchanged.
-	EngineRebalance bool
-
 	// EngineWindow > 0 caps the live training set of streaming
 	// scenarios at that many patterns: the windowed-stream experiment
 	// evicts and compacts older rows each round (cmd/experiments:
@@ -74,7 +69,7 @@ type Scale struct {
 // engineOptions resolves the scale's engine knobs into one option
 // set, so every harness builds its engine the same way.
 func (s Scale) engineOptions() engine.Options {
-	return engine.Options{Shards: s.EngineShards, Rebalance: s.EngineRebalance}.Clamped()
+	return engine.Options{Shards: s.EngineShards}.Clamped()
 }
 
 // Tiny is the unit-test scale: everything completes in well under a

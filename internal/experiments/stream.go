@@ -18,7 +18,7 @@ import (
 // — every round appends the incoming chunk, evicts what fell out of
 // the window, compacts the tombstones away and retrains through the
 // same engine and shared cache. It exercises the full data-plane
-// lifecycle (append → window → compact → rebalance) at experiment
+// lifecycle (append → window → compact) at experiment
 // scale, reporting forecast quality next to the store's balance so
 // regressions in either are visible in one table.
 
@@ -28,7 +28,7 @@ type StreamRow struct {
 	NewPatterns int     // patterns that arrived this round
 	Evicted     int     // patterns that left the window
 	Live        int     // live training patterns after the slide
-	Shards      int     // shard count after rebalancing
+	Shards      int     // shard count (fixed at construction)
 	MaxMinRatio float64 // live shard-size spread (1 = perfectly balanced, +Inf = an empty shard)
 	RMSE        float64 // forecast error on the chunk, before training saw it
 	CoveragePct float64 // chunk coverage

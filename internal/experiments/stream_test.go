@@ -9,12 +9,10 @@ import (
 
 // TestWindowedStreamTiny smoke-runs the windowed-stream lifecycle
 // scenario: the window must actually slide (evictions every round),
-// the live set must stay capped, and rebalancing must keep the shard
-// spread bounded.
+// the live set must stay capped, and the shard count must stay fixed.
 func TestWindowedStreamTiny(t *testing.T) {
 	sc := Tiny()
 	sc.EngineShards = 4
-	sc.EngineRebalance = true
 	res, err := WindowedStream(context.Background(), sc, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -29,8 +27,8 @@ func TestWindowedStreamTiny(t *testing.T) {
 		if row.Live > res.Window {
 			t.Fatalf("round %d: %d live patterns exceed the %d window", row.Round, row.Live, res.Window)
 		}
-		if row.MaxMinRatio > 2 {
-			t.Fatalf("round %d: live shard spread %.2f exceeds the rebalancing bound", row.Round, row.MaxMinRatio)
+		if row.Shards != sc.EngineShards {
+			t.Fatalf("round %d: %d shards, want the configured %d", row.Round, row.Shards, sc.EngineShards)
 		}
 	}
 	text := res.Format()

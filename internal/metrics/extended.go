@@ -32,26 +32,6 @@ func MAPE(pred, want []float64) (float64, error) {
 	return 100 * s / float64(n), nil
 }
 
-// SMAPE returns the symmetric mean absolute percentage error (0-200).
-// Pairs where both values are zero contribute zero error.
-func SMAPE(pred, want []float64) (float64, error) {
-	if len(pred) != len(want) {
-		return 0, ErrLength
-	}
-	if len(pred) == 0 {
-		return 0, ErrEmpty
-	}
-	s := 0.0
-	for i := range pred {
-		denom := (math.Abs(pred[i]) + math.Abs(want[i])) / 2
-		if denom == 0 {
-			continue
-		}
-		s += math.Abs(pred[i]-want[i]) / denom
-	}
-	return 100 * s / float64(len(pred)), nil
-}
-
 // TheilU returns Theil's U statistic against the naive "no-change"
 // forecast: U < 1 means the predictor beats persistence, U = 1
 // matches it. prev holds the last observed value for each pattern
@@ -74,37 +54,6 @@ func TheilU(pred, want, prev []float64) (float64, error) {
 		return 0, errors.New("metrics: TheilU undefined (persistence is exact)")
 	}
 	return math.Sqrt(num / den), nil
-}
-
-// Correlation returns the Pearson correlation between predictions and
-// targets, in [-1,1]. Zero-variance inputs are an error.
-func Correlation(pred, want []float64) (float64, error) {
-	if len(pred) != len(want) {
-		return 0, ErrLength
-	}
-	if len(pred) == 0 {
-		return 0, ErrEmpty
-	}
-	n := float64(len(pred))
-	var mp, mw float64
-	for i := range pred {
-		mp += pred[i]
-		mw += want[i]
-	}
-	mp /= n
-	mw /= n
-	var cov, vp, vw float64
-	for i := range pred {
-		dp := pred[i] - mp
-		dw := want[i] - mw
-		cov += dp * dw
-		vp += dp * dp
-		vw += dw * dw
-	}
-	if vp == 0 || vw == 0 {
-		return 0, errors.New("metrics: correlation undefined for constant series")
-	}
-	return cov / math.Sqrt(vp*vw), nil
 }
 
 // R2 returns the coefficient of determination 1 - SSE/SST. A perfect

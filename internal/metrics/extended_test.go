@@ -30,27 +30,6 @@ func TestMAPE(t *testing.T) {
 	}
 }
 
-func TestSMAPE(t *testing.T) {
-	got, err := SMAPE([]float64{110}, []float64{90})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-20) > 1e-12 {
-		t.Fatalf("SMAPE = %v, want 20", got)
-	}
-	// Both-zero pairs contribute nothing.
-	got, err = SMAPE([]float64{0, 110}, []float64{0, 90})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-10) > 1e-12 {
-		t.Fatalf("SMAPE with zero pair = %v", got)
-	}
-	if _, err := SMAPE([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
 func TestTheilU(t *testing.T) {
 	want := []float64{10, 12, 11}
 	prev := []float64{9, 10, 12}
@@ -72,29 +51,6 @@ func TestTheilU(t *testing.T) {
 	}
 	if _, err := TheilU(want, want, want); err == nil {
 		t.Fatal("exact persistence baseline accepted")
-	}
-}
-
-func TestCorrelation(t *testing.T) {
-	a := []float64{1, 2, 3, 4}
-	b := []float64{2, 4, 6, 8}
-	got, err := Correlation(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-1) > 1e-12 {
-		t.Fatalf("correlation = %v, want 1", got)
-	}
-	neg := []float64{8, 6, 4, 2}
-	got, err = Correlation(a, neg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got+1) > 1e-12 {
-		t.Fatalf("anti-correlation = %v, want -1", got)
-	}
-	if _, err := Correlation([]float64{1, 1}, []float64{2, 3}); err == nil {
-		t.Fatal("constant input accepted")
 	}
 }
 

@@ -1,9 +1,8 @@
 // Package parallel provides the goroutine-level runtime the rule
-// system uses to exploit multicore machines: a chunked parallel for,
-// a parallel fold (map-reduce over index ranges), and a bounded worker
-// pool for coarse-grained jobs such as independent evolutionary
-// executions. All primitives are deterministic given deterministic
-// work functions — parallelism never changes results, only wall time.
+// system uses to exploit multicore machines: a chunked parallel for
+// and a parallel fold (map-reduce over index ranges). All primitives
+// are deterministic given deterministic work functions — parallelism
+// never changes results, only wall time.
 package parallel
 
 import (
@@ -161,48 +160,4 @@ func Map[T any](n, workers int, fn func(i int) T) []T {
 	out := make([]T, n)
 	For(n, workers, func(i int) { out[i] = fn(i) })
 	return out
-}
-
-// Pool is a bounded worker pool for coarse jobs (e.g. independent
-// evolutionary executions). Jobs are executed by exactly `workers`
-// long-lived goroutines; Submit blocks when the queue is full, and
-// Wait drains everything.
-type Pool struct {
-	jobs chan func()
-	wg   sync.WaitGroup
-	once sync.Once
-}
-
-// NewPool starts a pool with the given number of workers (0 →
-// GOMAXPROCS) and queue capacity equal to the worker count.
-func NewPool(workers int) *Pool {
-	w := Workers(workers)
-	p := &Pool{jobs: make(chan func(), w)}
-	for i := 0; i < w; i++ {
-		go func() {
-			for job := range p.jobs {
-				job()
-				p.wg.Done()
-			}
-		}()
-	}
-	return p
-}
-
-// Submit enqueues a job. It must not be called after Close.
-func (p *Pool) Submit(job func()) {
-	p.wg.Add(1)
-	p.jobs <- job
-}
-
-// Wait blocks until all submitted jobs have completed.
-func (p *Pool) Wait() { p.wg.Wait() }
-
-// Close waits for outstanding jobs and shuts the workers down. The
-// pool cannot be reused afterwards. Close is idempotent.
-func (p *Pool) Close() {
-	p.once.Do(func() {
-		p.wg.Wait()
-		close(p.jobs)
-	})
 }

@@ -87,32 +87,6 @@ func TestMap(t *testing.T) {
 	}
 }
 
-func TestPoolRunsEverything(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var count int64
-	for i := 0; i < 100; i++ {
-		p.Submit(func() { atomic.AddInt64(&count, 1) })
-	}
-	p.Wait()
-	if count != 100 {
-		t.Fatalf("pool ran %d jobs, want 100", count)
-	}
-	// Pool remains usable after Wait.
-	p.Submit(func() { atomic.AddInt64(&count, 1) })
-	p.Wait()
-	if count != 101 {
-		t.Fatalf("pool unusable after Wait: %d", count)
-	}
-}
-
-func TestPoolCloseIdempotent(t *testing.T) {
-	p := NewPool(2)
-	p.Submit(func() {})
-	p.Close()
-	p.Close() // must not panic
-}
-
 // Property: Fold with associative merge equals the serial loop for
 // any worker count.
 func TestPropertyFoldMatchesSerial(t *testing.T) {

@@ -34,12 +34,6 @@ type Options struct {
 	// put a deadline on the training context to take over entirely.
 	// 0 means DefaultTimeout; negative disables the cap.
 	Timeout time.Duration
-	// Rebalance mirrors engine.Options.Rebalance at cluster level:
-	// after every mutation each server runs its adaptive split/merge
-	// policy, keeping per-server shard layouts balanced under skewed
-	// streams. Purely a layout knob — results are bit-identical with
-	// it on or off.
-	Rebalance bool
 }
 
 // DefaultTimeout bounds mutation RPCs when Options.Timeout is unset,
@@ -59,8 +53,9 @@ const DefaultTimeout = 30 * time.Second
 //     through a global RowID→position remap into ascending positions
 //     over the merged view — bit-identical to the in-process engine
 //     over the same live rows.
-//   - The lifecycle verbs (Append/Delete/Window/Compact/Rebalance)
-//     decompose into per-owner RPCs; the client keeps the global
+//   - The lifecycle verbs (Append/Delete/Window/Compact) decompose
+//     into per-owner RPCs, and an append goes whole to the server
+//     with the fewest live rows; the client keeps the global
 //     bookkeeping (merged view, ownership, tombstones) and a
 //     composite epoch so the shared evaluation cache stays
 //     bypass-proof across remote mutations.
@@ -76,7 +71,6 @@ type Cluster struct {
 	workers int
 	timeout time.Duration
 	cache   *engine.SharedCache
-	auto    bool                // per-server rebalance after every mutation
 	tel     *rpcClientTelemetry // set by Instrument before the cluster is shared; nil = disabled
 
 	mu     sync.RWMutex
@@ -114,7 +108,6 @@ func NewCluster(dialers []Dialer, opt Options) (*Cluster, error) {
 		workers: opt.Workers,
 		timeout: opt.Timeout,
 		cache:   engine.NewSharedCache(opt.CacheCapacity),
-		auto:    opt.Rebalance,
 		liveBy:  make([]int, len(dialers)),
 		epochs:  make([]uint64, len(dialers)),
 	}
@@ -731,7 +724,6 @@ func (c *Cluster) Append(inputs [][]float64, targets []float64) error {
 	}
 	c.liveBy[si] += len(inputs)
 	c.nextID += series.RowID(len(inputs))
-	c.rebalanceLocked()
 	c.finishMutationLocked()
 	return nil
 }
@@ -795,14 +787,8 @@ func (c *Cluster) deleteLocked(ids []series.RowID) int {
 		return nil
 	})
 	if err != nil {
-		// The cluster is poisoned; skip the rebalance fan-out (it
-		// would burn a redial + timeout per server while holding the
-		// write lock) and let the sticky error surface.
 		c.setFail(err)
-		c.finishMutationLocked()
-		return removed
 	}
-	c.rebalanceLocked()
 	c.finishMutationLocked()
 	return removed
 }
@@ -886,56 +872,6 @@ func (c *Cluster) Compact() int {
 	c.dead, c.deadN = nil, 0
 	c.finishMutationLocked()
 	return reclaimed
-}
-
-// Rebalance asks every server to run its adaptive shard split/merge
-// policy and returns the total steps taken. Cross-server row movement
-// is deliberately out of scope: appends already route to the emptiest
-// server, and moving rows would change ownership under a live view.
-func (c *Cluster) Rebalance() int {
-	if c.BackendErr() != nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ops := c.rebalanceAllLocked()
-	if ops > 0 {
-		c.finishMutationLocked()
-	}
-	return ops
-}
-
-// rebalanceLocked fans the rebalance RPC out when the cluster-level
-// policy is on (or when called via the explicit verb). Callers hold
-// the write lock and handle epoch/cache bookkeeping.
-func (c *Cluster) rebalanceLocked() int {
-	if !c.auto {
-		return 0
-	}
-	return c.rebalanceAllLocked()
-}
-
-func (c *Cluster) rebalanceAllLocked() int {
-	if c.BackendErr() != nil {
-		return 0
-	}
-	ctx, cancel := c.opCtx()
-	defer cancel()
-	var total atomic.Int64
-	err := c.fan(nil, func(si int) error {
-		resp, err := c.conns[si].roundTrip(ctx, []byte{opRebalance})
-		if err != nil {
-			return err
-		}
-		d := &dec{b: resp}
-		total.Add(int64(d.uvarint()))
-		c.epochs[si] = d.u64()
-		return d.err
-	})
-	if err != nil {
-		c.setFail(err)
-	}
-	return int(total.Load())
 }
 
 // Cluster must satisfy the full lifecycle-store contract plus the

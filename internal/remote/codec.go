@@ -53,7 +53,10 @@ var ErrTransport = errors.New("remote: transport failure")
 // frame itself kept its version-1 shape, so a version-skewed pairing
 // in either direction still dies at the hello exchange instead of
 // misparsing a body.
-const protoVersion = 2
+//
+// Version 3 retired opcode 9 (a shard-layout verb the engine no longer
+// has): a version-3 server answers it as an unknown opcode.
+const protoVersion = 3
 
 // maxFrame bounds one protocol frame (256 MiB). Snapshots of larger
 // datasets must be sharded across more servers; the bound keeps a
@@ -72,9 +75,9 @@ const (
 	opDelete     byte = 6
 	opWindow     byte = 7
 	opCompact    byte = 8
-	opRebalance  byte = 9
-	opEpoch      byte = 10
-	opLiveLen    byte = 11
+	// 9 is retired (see protoVersion); never reuse it.
+	opEpoch   byte = 10
+	opLiveLen byte = 11
 )
 
 // flushWriter is the buffered sink frames are written to.

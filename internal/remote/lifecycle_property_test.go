@@ -16,7 +16,7 @@ import (
 // server loop — just no sockets) must be bit-identical to BOTH the
 // in-process engine and a from-scratch sequential evaluator over the
 // live rows, across arbitrary interleavings of
-// append/delete/window/compact/rebalance, on clean and NaN-degenerate
+// append/delete/window/compact, on clean and NaN-degenerate
 // data — and no client-side cache entry may survive a mutation epoch.
 
 // naiveStore is the flat reference model: live rows in insertion
@@ -221,14 +221,12 @@ func driveRemoteLifecycle(t *testing.T, seed int64, n0, d, nanEvery, servers, sh
 		Shards:           shards,
 		Workers:          workers,
 		CompactThreshold: []float64{0, -1, 0.1, 0.6}[src.Intn(4)],
-		Rebalance:        src.Bool(0.5),
 	}
-	auto := src.Bool(0.5)
-	c, _ := newLoopbackCluster(t, servers, srvOpt, Options{Workers: workers, Rebalance: auto})
+	c, _ := newLoopbackCluster(t, servers, srvOpt, Options{Workers: workers})
 	if err := c.Load(context.Background(), cloneDataset(ds)); err != nil {
 		t.Fatal(err)
 	}
-	eng := engine.New(cloneDataset(ds), engine.Options{Shards: shards * servers, Workers: workers, Rebalance: auto})
+	eng := engine.New(cloneDataset(ds), engine.Options{Shards: shards * servers, Workers: workers})
 	m := newNaiveStore(ds)
 
 	const emax, fmin, ridge = 0.7, 0.0, 1e-8
@@ -244,7 +242,7 @@ func driveRemoteLifecycle(t *testing.T, seed int64, n0, d, nanEvery, servers, sh
 	for round := 0; round < rounds; round++ {
 		mutated := false
 		step := ""
-		switch op := src.Intn(6); op {
+		switch op := src.Intn(5); op {
 		case 0, 1: // append a chunk
 			k := 1 + src.Intn(16)
 			inputs := make([][]float64, k)
@@ -304,10 +302,6 @@ func driveRemoteLifecycle(t *testing.T, seed int64, n0, d, nanEvery, servers, sh
 			mutated = c.Compact() > 0
 			eng.Compact()
 			step = "compact"
-		case 5:
-			mutated = c.Rebalance() > 0
-			eng.Rebalance()
-			step = "rebalance"
 		}
 		if mutated && c.Cache().Len() != 0 {
 			t.Fatalf("round %d (%s): %d cache entries survived a mutation epoch", round, step, c.Cache().Len())

@@ -1,16 +1,18 @@
 package remote
 
 // Version-skew regression tests. Protocol version 2 moved the trace
-// header into every non-hello request frame; these tests pin the
-// failure mode when one side still speaks version 1: the hello
-// exchange fails fast with a transport error in BOTH directions —
-// never a desynchronized stream or a hang.
+// header into every non-hello request frame and version 3 retired
+// opcode 9; these tests pin the failure mode when one side speaks an
+// older version: the hello exchange fails fast with a transport error
+// in BOTH directions — never a desynchronized stream or a hang — and
+// a retired opcode gets the same typed answer as an unknown one.
 
 import (
 	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -43,13 +45,13 @@ func TestHelloRejectsOldClient(t *testing.T) {
 		t.Fatalf("response op = %v, want opError", resp)
 	}
 	msg := string(resp[1:])
-	if !strings.Contains(msg, "protocol version 1") || !strings.Contains(msg, "speaks 2") {
+	if !strings.Contains(msg, "protocol version 1") || !strings.Contains(msg, fmt.Sprintf("speaks %d", protoVersion)) {
 		t.Fatalf("error %q does not name both versions", msg)
 	}
 }
 
 // v1ServerDialer fakes an old (version-1) shard server: it rejects
-// the client's version-2 hello with the error frame a v1 server
+// the client's current hello with the error frame a v1 server
 // produces, then hangs up.
 type v1ServerDialer struct{}
 
@@ -93,5 +95,38 @@ func TestHelloRejectsOldServer(t *testing.T) {
 	}
 	if errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("hello mismatch hit the deadline instead of failing fast: %v", err)
+	}
+}
+
+// TestUnknownOpcodeRejected sends opcodes a current server does not
+// serve — the retired opcode 9 and one past the table — through the
+// real client stack: each comes back as the typed serverError naming
+// the opcode, the connection stays in lockstep, and the cluster's
+// sticky transport failure is not tripped.
+func TestUnknownOpcodeRejected(t *testing.T) {
+	c, _ := newLoopbackCluster(t, 1, engine.Options{Shards: 2}, Options{})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := c.Load(ctx, testDataset(t, 50, 3, false)); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []byte{9, byte(nOps)} {
+		_, err := c.conns[0].roundTrip(ctx, []byte{op})
+		var se serverError
+		if !errors.As(err, &se) {
+			t.Fatalf("opcode %d: err = %v, want a serverError", op, err)
+		}
+		if errors.Is(err, ErrTransport) {
+			t.Fatalf("opcode %d: an application error must not be a transport failure: %v", op, err)
+		}
+		if want := fmt.Sprintf("unknown opcode %d", op); !strings.Contains(err.Error(), want) {
+			t.Fatalf("opcode %d: err %q does not say %q", op, err, want)
+		}
+		if _, err := c.conns[0].roundTrip(ctx, []byte{opEpoch}); err != nil {
+			t.Fatalf("opcode %d: connection unusable afterwards: %v", op, err)
+		}
+	}
+	if err := c.BackendErr(); err != nil {
+		t.Fatalf("unknown opcode tripped the sticky failure: %v", err)
 	}
 }

@@ -250,7 +250,7 @@ func TestServerApplicationErrorKeepsConnection(t *testing.T) {
 // composite epoch and empties the client-side shared cache.
 func TestCompositeEpochMonotonic(t *testing.T) {
 	ds := testDataset(t, 200, 2, false)
-	c, _ := newLoopbackCluster(t, 2, engine.Options{Rebalance: true}, Options{Rebalance: true})
+	c, _ := newLoopbackCluster(t, 2, engine.Options{}, Options{})
 	if err := c.Load(context.Background(), cloneDataset(ds)); err != nil {
 		t.Fatal(err)
 	}

@@ -40,8 +40,8 @@ type Server struct {
 
 // NewServer returns a server with no dataset yet: the first Reset RPC
 // (a Cluster.Load) ships its slice. opt shapes every engine the
-// server builds — shard count, workers, compaction threshold,
-// rebalancing — exactly as for an in-process engine.
+// server builds — shard count, workers, compaction threshold —
+// exactly as for an in-process engine.
 func NewServer(opt engine.Options) *Server {
 	return &Server{opt: opt.Clamped()}
 }
@@ -294,11 +294,6 @@ func (s *Server) dispatch(ctx context.Context, payload []byte) []byte {
 	case opCompact:
 		n := s.eng.Compact()
 		b := binary.AppendUvarint([]byte{opCompact}, uint64(n))
-		return appendU64(b, s.eng.Epoch())
-
-	case opRebalance:
-		n := s.eng.Rebalance()
-		b := binary.AppendUvarint([]byte{opRebalance}, uint64(n))
 		return appendU64(b, s.eng.Epoch())
 	}
 	return errFrame("unknown opcode %d", op)

@@ -22,7 +22,8 @@ const nOps = int(opLiveLen) + 1
 const frameHeaderLen = 4
 
 // verbNames names each opcode in metric keys ("rpc_matchbatch_count",
-// "rpc_client_append_ns", …).
+// "rpc_client_append_ns", …). A retired opcode has no name and no
+// metrics of its own.
 var verbNames = [nOps]string{
 	opError:      "error",
 	opHello:      "hello",
@@ -33,15 +34,15 @@ var verbNames = [nOps]string{
 	opDelete:     "delete",
 	opWindow:     "window",
 	opCompact:    "compact",
-	opRebalance:  "rebalance",
 	opEpoch:      "epoch",
 	opLiveLen:    "livelen",
 }
 
 // opIndex maps an opcode (possibly hostile, on the server side) into
-// the metric tables; anything unknown lands on the error row.
+// the metric tables; anything unknown or retired lands on the error
+// row.
 func opIndex(op byte) int {
-	if int(op) >= nOps {
+	if int(op) >= nOps || verbNames[op] == "" {
 		return 0
 	}
 	return int(op)
@@ -72,6 +73,9 @@ func newRPCClientTelemetry(reg *obs.Registry) *rpcClientTelemetry {
 		deadlineTrips: reg.Counter("rpc_client_deadline_trips"),
 	}
 	for op, verb := range verbNames {
+		if verb == "" {
+			continue
+		}
 		t.latency[op] = reg.Histogram("rpc_client_" + verb + "_ns")
 		t.bytes[op] = reg.Histogram("rpc_client_" + verb + "_bytes")
 	}
@@ -95,6 +99,9 @@ func newRPCServerTelemetry(reg *obs.Registry) *rpcServerTelemetry {
 	}
 	t := &rpcServerTelemetry{reg: reg}
 	for op, verb := range verbNames {
+		if verb == "" {
+			continue
+		}
 		t.count[op] = reg.Counter("rpc_" + verb + "_count")
 		t.latency[op] = reg.Histogram("rpc_" + verb + "_ns")
 		t.bytesIn[op] = reg.Histogram("rpc_" + verb + "_bytes_in")

@@ -23,12 +23,6 @@ var draws = []draw{
 	{"Norm", func(s *Source) []float64 { return []float64{s.Norm(1, 2)} }},
 	{"Exp", func(s *Source) []float64 { return []float64{s.Exp(3)} }},
 	{"Perm", func(s *Source) []float64 { return ints(s.Perm(9)) }},
-	{"Shuffle", func(s *Source) []float64 {
-		var out []float64
-		s.Shuffle(11, func(i, j int) { out = append(out, float64(i), float64(j)) })
-		return out
-	}},
-	{"Choice", func(s *Source) []float64 { return []float64{float64(s.Choice(13))} }},
 	{"Roulette", func(s *Source) []float64 {
 		return []float64{float64(s.Roulette([]float64{0.5, 0, math.NaN(), 3, -1, 2}))}
 	}},

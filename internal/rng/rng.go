@@ -191,13 +191,6 @@ func (s *Source) Exp(rate float64) float64 {
 // Perm returns a random permutation of [0,n).
 func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
 
-// Shuffle shuffles n elements using the provided swap function.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
-
-// Choice returns a uniform index into a slice of length n, useful for
-// picking parents or genes. It panics if n <= 0.
-func (s *Source) Choice(n int) int { return s.r.Intn(n) }
-
 // Roulette performs fitness-proportional (roulette-wheel) selection
 // over the given non-negative weights and returns the chosen index.
 // If all weights are zero (or the slice is empty) it falls back to a

@@ -9,8 +9,8 @@ import (
 
 // Additional generators used by the robustness experiments and
 // available to downstream users: the Lorenz attractor (a second
-// chaotic benchmark), a generic ARMA process, a random walk, and a
-// noise-injection wrapper for perturbation studies.
+// chaotic benchmark), a random walk, and a noise-injection wrapper for
+// perturbation studies.
 
 // LorenzConfig parameterizes the Lorenz system
 //
@@ -73,51 +73,6 @@ func Lorenz(cfg LorenzConfig) (*Series, error) {
 		}
 	}
 	return New("lorenz-x", out), nil
-}
-
-// ARMAConfig parameterizes a synthetic ARMA(p,q) process
-//
-//	x_t = C + Σ φ_k x_{t-k} + ε_t + Σ θ_k ε_{t-k},  ε ~ N(0, σ²)
-type ARMAConfig struct {
-	Phi   []float64 // AR coefficients φ_1..φ_p
-	Theta []float64 // MA coefficients θ_1..θ_q
-	C     float64   // intercept
-	Sigma float64   // innovation std
-	N     int
-	Seed  int64
-	Burn  int // warm-up samples discarded
-}
-
-// ARMAProcess generates the series. Stationarity is the caller's
-// responsibility (explosive φ yields explosive output).
-func ARMAProcess(cfg ARMAConfig) (*Series, error) {
-	if cfg.N <= 0 {
-		return nil, fmt.Errorf("series: ARMA N=%d must be positive", cfg.N)
-	}
-	if cfg.Sigma < 0 {
-		return nil, fmt.Errorf("series: ARMA Sigma=%v must be non-negative", cfg.Sigma)
-	}
-	if cfg.Burn < 0 {
-		return nil, fmt.Errorf("series: ARMA Burn=%d must be non-negative", cfg.Burn)
-	}
-	src := rng.New(cfg.Seed)
-	p, q := len(cfg.Phi), len(cfg.Theta)
-	total := cfg.N + cfg.Burn
-	xs := make([]float64, total)
-	eps := make([]float64, total)
-	for t := 0; t < total; t++ {
-		e := src.Norm(0, cfg.Sigma)
-		eps[t] = e
-		v := cfg.C + e
-		for k := 1; k <= p && t-k >= 0; k++ {
-			v += cfg.Phi[k-1] * xs[t-k]
-		}
-		for k := 1; k <= q && t-k >= 0; k++ {
-			v += cfg.Theta[k-1] * eps[t-k]
-		}
-		xs[t] = v
-	}
-	return New("arma", xs[cfg.Burn:]), nil
 }
 
 // RandomWalk generates x_t = x_{t-1} + N(drift, σ²), the classic

@@ -64,57 +64,6 @@ func TestLorenzErrors(t *testing.T) {
 	}
 }
 
-func TestARMAProcessMoments(t *testing.T) {
-	// AR(1) with φ=0.5, C=1: stationary mean = C/(1-φ) = 2,
-	// stationary variance = σ²/(1-φ²) = 1/(0.75).
-	s, err := ARMAProcess(ARMAConfig{
-		Phi: []float64{0.5}, C: 1, Sigma: 1, N: 100000, Seed: 3, Burn: 500,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean := stats.Mean(s.Values)
-	if math.Abs(mean-2) > 0.05 {
-		t.Fatalf("AR(1) mean %v, want ~2", mean)
-	}
-	v := stats.Variance(s.Values)
-	if math.Abs(v-1/0.75) > 0.08 {
-		t.Fatalf("AR(1) variance %v, want ~%v", v, 1/0.75)
-	}
-}
-
-func TestARMAProcessMAPart(t *testing.T) {
-	// Pure MA(1): autocorrelation at lag 1 = θ/(1+θ²), zero at lag 2.
-	theta := 0.8
-	s, err := ARMAProcess(ARMAConfig{
-		Theta: []float64{theta}, Sigma: 1, N: 200000, Seed: 5, Burn: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := theta / (1 + theta*theta)
-	ac1 := stats.Autocorrelation(s.Values, 1)
-	if math.Abs(ac1-want) > 0.02 {
-		t.Fatalf("MA(1) lag-1 autocorr %v, want ~%v", ac1, want)
-	}
-	ac2 := stats.Autocorrelation(s.Values, 2)
-	if math.Abs(ac2) > 0.02 {
-		t.Fatalf("MA(1) lag-2 autocorr %v, want ~0", ac2)
-	}
-}
-
-func TestARMAErrors(t *testing.T) {
-	if _, err := ARMAProcess(ARMAConfig{N: 0}); err == nil {
-		t.Fatal("N=0 accepted")
-	}
-	if _, err := ARMAProcess(ARMAConfig{N: 5, Sigma: -1}); err == nil {
-		t.Fatal("negative sigma accepted")
-	}
-	if _, err := ARMAProcess(ARMAConfig{N: 5, Burn: -1}); err == nil {
-		t.Fatal("negative burn accepted")
-	}
-}
-
 func TestRandomWalk(t *testing.T) {
 	s, err := RandomWalk(10000, 0.1, 1, 7)
 	if err != nil {

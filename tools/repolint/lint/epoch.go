@@ -26,7 +26,6 @@ var mutationVerbs = map[string]bool{
 	"Delete":     true,
 	"Window":     true,
 	"Compact":    true,
-	"Rebalance":  true,
 	"Load":       true,
 	"Sync":       true,
 	"Reset":      true,
