@@ -383,7 +383,7 @@ func benchEngineSetup(b *testing.B, reg *obs.Registry) (*core.Evaluator, []*core
 	b.Helper()
 	ds := benchTrainDataset(b, 10000, 24)
 	eng := engine.New(ds, engine.Options{Shards: 8})
-	opt := core.EvalOptions{Backend: eng, Cache: eng.Cache()}
+	opt := core.EvalOptions{Backend: eng}
 	if reg != nil {
 		eng.Instrument(reg)
 		opt.Telemetry = reg
@@ -469,7 +469,7 @@ func BenchmarkShardsAppend(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s := engine.NewShards(ds, 8, 0)
+		s := engine.New(ds, engine.Options{Shards: 8})
 		b.StartTimer()
 		if err := s.Append(inputs, targets); err != nil {
 			b.Fatal(err)
@@ -488,7 +488,7 @@ func BenchmarkShardsFullRebuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		engine.NewShards(grown, 8, 0)
+		engine.New(grown, engine.Options{Shards: 8})
 	}
 }
 

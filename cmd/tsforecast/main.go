@@ -148,9 +148,8 @@ func cmdTrain(ctx context.Context, args []string) error {
 	if *emax > 0 {
 		opts = append(opts, forecast.WithEMax(*emax))
 	}
-	// Sharded, batched evaluation engine with a result cache shared
-	// across the accumulated executions (empty when no engine flag was
-	// passed). Results are bit-identical to the single-index path at
+	// Sharded, batched evaluation engine (empty when no engine flag
+	// was passed). Results are bit-identical to the single-index path at
 	// any shard count or window.
 	opts = append(opts, fl.Options()...)
 	// Telemetry: batch latencies, cache counters, fit trace spans and

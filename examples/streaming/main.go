@@ -6,8 +6,8 @@
 // engine-backed store (routed to the emptiest shard, one index
 // rebuild), the oldest patterns beyond the sliding window are evicted
 // and compacted away, and the system retrains on the window through
-// the same engine and shared cache — learning the new regime as fast
-// as it forgets the old one.
+// the same engine — learning the new regime as fast as it forgets the
+// old one.
 //
 // With -remote host:port,host:port the same loop runs against live
 // shardserver processes: appends scatter to the emptiest server,
@@ -62,8 +62,8 @@ func main() {
 		forecast.WithSeed(1),
 	}
 	// Distributed or in-process store — only the store option differs;
-	// the shared cache and sliding window setup (and the results) are
-	// identical either way. -shards and -window override the example's
+	// the sliding window setup (and the results) are identical either
+	// way. -shards and -window override the example's
 	// defaults (4 in-process shards, window = prefix).
 	store := forecast.WithEngine(4)
 	switch {
@@ -74,7 +74,6 @@ func main() {
 	}
 	opts = append(opts,
 		store,
-		forecast.WithSharedCache(),
 		forecast.WithSlidingWindow(window),
 	)
 	f, err := forecast.New(opts...)
@@ -125,6 +124,6 @@ func main() {
 	}
 
 	st, _ = f.StoreStats()
-	fmt.Printf("done: %d rules over a %d-pattern window (%d patterns evicted in total); shared cache %d hits / %d misses\n",
-		f.Stats().Rules, st.Live, totalEvicted, st.CacheHits, st.CacheMisses)
+	fmt.Printf("done: %d rules over a %d-pattern window (%d patterns evicted in total)\n",
+		f.Stats().Rules, st.Live, totalEvicted)
 }

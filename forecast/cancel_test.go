@@ -22,7 +22,6 @@ func TestFitCancelledInstallsBestSoFar(t *testing.T) {
 		WithGenerations(1<<30), // would run ~forever without cancellation
 		WithSeed(13),
 		WithEngine(4),
-		WithSharedCache(),
 		// Deterministic trigger: cancel from the first progress
 		// snapshot, while every execution is mid-run.
 		WithProgress(50, func(Progress) bool {

@@ -40,7 +40,6 @@ func ExampleWithRemoteCluster() {
 		forecast.WithGenerations(2000),
 		forecast.WithSeed(1),
 		forecast.WithRemoteCluster(addrs...), // scatter evaluation across the servers
-		forecast.WithSharedCache(),           // client-side cache, keyed by the composite epoch
 	)
 	if err != nil {
 		panic(err)

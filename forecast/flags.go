@@ -69,8 +69,7 @@ func (f *Flags) Window() int {
 
 // Options resolves the parsed flags into facade options: a remote
 // shard-server cluster when -remote is given, otherwise the
-// in-process sharded engine — in both cases with one result cache
-// shared across executions, plus the sliding window when requested.
+// in-process sharded engine, plus the sliding window when requested.
 // Nil when no flag asked for a store — results are bit-identical
 // either way, the store is purely a capacity knob.
 func (f *Flags) Options() []Option {
@@ -82,9 +81,9 @@ func (f *Flags) Options() []Option {
 		// WithRemoteCluster validates the parsed list, so a -remote
 		// of only commas/whitespace fails loudly at New instead of
 		// silently training on the in-process engine.
-		opts = []Option{WithRemoteCluster(f.Remote()...), WithSharedCache()}
+		opts = []Option{WithRemoteCluster(f.Remote()...)}
 	} else {
-		opts = []Option{WithEngine(f.Shards()), WithSharedCache()}
+		opts = []Option{WithEngine(f.Shards())}
 	}
 	if w := f.Window(); w > 0 {
 		opts = append(opts, WithSlidingWindow(w))

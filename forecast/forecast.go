@@ -9,7 +9,6 @@
 //		forecast.WithMultiRun(3),
 //		forecast.WithCoverageTarget(0.95),
 //		forecast.WithEngine(0),       // sharded evaluation, one shard per core
-//		forecast.WithSharedCache(),   // reuse evaluations across executions
 //	)
 //	err := f.Fit(ctx, train)          // evolve a rule system (cancellable)
 //	v, ok := f.Predict(pattern)       // forecast one pattern (ok=false: abstain)
@@ -20,11 +19,10 @@
 // cancellation promptly: a cancelled Fit returns ctx.Err() with the
 // best-so-far rule system installed, so the Forecaster remains usable.
 //
-// All speed machinery — worker counts, sharding, batching, shared
-// caches, sliding windows — is configured through options and
-// guaranteed not to change results: for a fixed seed the fitted
-// system is bit-identical at any parallelism, shard count or cache
-// configuration. Only the hyperparameter options (generations,
+// All speed machinery — worker counts, sharding, batching — is
+// configured through options and guaranteed not to change results:
+// for a fixed seed the fitted system is bit-identical at any
+// parallelism or shard count. Only the hyperparameter options (generations,
 // population, EMax, topology) affect what is learned.
 package forecast
 
@@ -77,13 +75,11 @@ type FitStats struct {
 
 // StoreStats is a snapshot of the engine-backed training store.
 type StoreStats struct {
-	Live        int    // live training patterns
-	Shards      int    // current shard count
-	MinLive     int    // smallest live shard
-	MaxLive     int    // largest live shard
-	Epoch       uint64 // data epoch (bumped by every mutation)
-	CacheHits   int    // shared-cache hits (cumulative)
-	CacheMisses int    // shared-cache misses (cumulative)
+	Live    int    // live training patterns
+	Shards  int    // current shard count
+	MinLive int    // smallest live shard
+	MaxLive int    // largest live shard
+	Epoch   uint64 // data epoch (bumped by every mutation)
 }
 
 // ErrData wraps training-data failures reported by Fit (empty
@@ -114,7 +110,6 @@ type store interface {
 	core.Store
 	P() int
 	LiveSpread() (lo, hi int)
-	Cache() *engine.SharedCache
 	Instrument(*obs.Registry)
 }
 
@@ -289,9 +284,6 @@ func (f *Forecaster) config(data *Dataset, eng store) core.Config {
 	cfg.Runtime.Telemetry = f.s.telemetry
 	if eng != nil {
 		cfg.Runtime.Backend = eng
-		if f.s.sharedCache {
-			cfg.Runtime.Cache = eng.Cache()
-		}
 	}
 	return cfg
 }
@@ -397,9 +389,9 @@ func (f *Forecaster) Refit(ctx context.Context) error {
 // Append streams new patterns into the training store and retrains on
 // the updated window: the chunk is routed to the emptiest shard (one
 // index rebuild), anything a configured sliding window no longer
-// holds is evicted and compacted away, and the system refits — with
-// WithSharedCache every evaluation still valid for the new window is
-// reused. Requires WithEngine. Same cancellation contract as Fit; the
+// holds is evicted and compacted away, and the system refits from
+// scratch: the mutation bumps the data epoch, so no cached evaluation
+// of the old window is reused. Requires WithEngine. Same cancellation contract as Fit; the
 // data mutation itself is not rolled back on cancellation.
 func (f *Forecaster) Append(ctx context.Context, inputs [][]float64, targets []float64) error {
 	if f.eng == nil {
@@ -494,15 +486,12 @@ func (f *Forecaster) StoreStats() (st StoreStats, ok bool) {
 		return StoreStats{}, false
 	}
 	lo, hi := f.eng.LiveSpread()
-	hits, misses := f.eng.Cache().Stats()
 	return StoreStats{
-		Live:        f.eng.LiveLen(),
-		Shards:      f.eng.P(),
-		MinLive:     lo,
-		MaxLive:     hi,
-		Epoch:       f.eng.Epoch(),
-		CacheHits:   hits,
-		CacheMisses: misses,
+		Live:    f.eng.LiveLen(),
+		Shards:  f.eng.P(),
+		MinLive: lo,
+		MaxLive: hi,
+		Epoch:   f.eng.Epoch(),
 	}, true
 }
 

@@ -43,7 +43,6 @@ func TestOptionValidation(t *testing.T) {
 		{"negative generations", []Option{WithGenerations(-1)}},
 		{"population of one", []Option{WithPopulation(1)}},
 		{"bad coverage", []Option{WithCoverageTarget(1.5)}},
-		{"shared cache without engine", []Option{WithSharedCache()}},
 		{"islands and multirun", []Option{WithIslands(2, 10, 1), WithMultiRun(3)}},
 		{"one island", []Option{WithIslands(1, 10, 1)}},
 		{"migrants vs population", []Option{WithIslands(2, 10, 5), WithPopulation(4)}},
@@ -56,8 +55,11 @@ func TestOptionValidation(t *testing.T) {
 			t.Errorf("%s: want ErrOption, got %v", tc.name, err)
 		}
 	}
-	if _, err := New(WithMultiRun(3), WithCoverageTarget(0.9), WithEngine(0), WithSharedCache()); err != nil {
+	if _, err := New(WithMultiRun(3), WithCoverageTarget(0.9), WithEngine(0)); err != nil {
 		t.Fatalf("valid option set rejected: %v", err)
+	}
+	if _, err := New(WithSharedCache()); err != nil {
+		t.Fatalf("the no-op WithSharedCache was rejected: %v", err)
 	}
 }
 
@@ -132,8 +134,10 @@ func TestFacadeEngineBitIdentical(t *testing.T) {
 	}
 	sequential := run()
 	for _, shards := range []int{1, 3} {
-		engined := run(WithEngine(shards), WithSharedCache())
-		if !bytes.Equal(sequential, engined) {
+		if engined := run(WithEngine(shards)); !bytes.Equal(sequential, engined) {
+			t.Fatalf("WithEngine(%d) changed results", shards)
+		}
+		if shared := run(WithEngine(shards), WithSharedCache()); !bytes.Equal(sequential, shared) {
 			t.Fatalf("WithEngine(%d)+WithSharedCache changed results", shards)
 		}
 	}
@@ -195,7 +199,6 @@ func TestFacadeStreaming(t *testing.T) {
 	f, err := New(
 		WithEngine(3),
 		WithSlidingWindow(window),
-		WithSharedCache(),
 		WithPopulation(16),
 		WithGenerations(120),
 		WithSeed(3),

@@ -9,9 +9,9 @@ import (
 var ErrOption = errors.New("forecast: invalid option")
 
 // Option configures a Forecaster. Options are applied in order by New
-// and validated together, so contradictory combinations (a shared
-// cache without the engine, islands together with multi-run) fail
-// fast instead of silently degrading.
+// and validated together, so contradictory combinations (islands
+// together with multi-run, a remote cluster together with the
+// engine) fail fast instead of silently degrading.
 type Option func(*settings) error
 
 // islandSettings carries the island-model topology when WithIslands
@@ -45,7 +45,6 @@ type settings struct {
 	engineExplicit bool
 	shards         int
 	slidingWin     int
-	sharedCache    bool
 	remote         []string
 
 	progress      func(Progress) bool
@@ -95,8 +94,7 @@ func WithPopulation(n int) Option {
 }
 
 // WithSeed fixes the RNG seed. Every run is deterministic for a fixed
-// seed at any parallelism, shard count or cache configuration; the
-// default seed is 1.
+// seed at any parallelism or shard count; the default seed is 1.
 func WithSeed(seed int64) Option {
 	return func(s *settings) error {
 		s.seed = seed
@@ -224,9 +222,7 @@ func WithEngine(shards int) Option {
 // wrapping ErrRemote from Fit/Append (never a hang, never silently
 // wrong rules); the next Fit dials a fresh cluster. Call Close to
 // release the connections when done. Mutually exclusive with
-// WithEngine; WithSlidingWindow and WithSharedCache compose with it
-// (the shared cache lives client-side, keyed by the cluster's
-// composite epoch).
+// WithEngine; WithSlidingWindow composes with it.
 func WithRemoteCluster(addrs ...string) Option {
 	return func(s *settings) error {
 		if len(addrs) == 0 {
@@ -258,18 +254,13 @@ func WithSlidingWindow(n int) Option {
 	}
 }
 
-// WithSharedCache shares one evaluation-result cache across every
-// execution, island and refit of this Forecaster, so repeated
-// evaluations of the same rule signature are computed once. Cache
-// keys embed the data epoch and evaluator parameters, so sharing
-// never changes results. Requires WithEngine or WithRemoteCluster:
-// cache keys are scoped by the store's dataset identity and epoch
-// (for a cluster, the composite epoch spanning every server).
+// WithSharedCache does nothing: every evaluator keeps its own result
+// cache, and nothing is shared across executions, islands or refits.
+//
+// Deprecated: kept only so the end-to-end benchmark (perfbench), which
+// still passes it, keeps compiling; drop it from new code.
 func WithSharedCache() Option {
-	return func(s *settings) error {
-		s.sharedCache = true
-		return nil
-	}
+	return func(*settings) error { return nil }
 }
 
 // WithProgress registers a callback observing the evolution: it fires
@@ -298,9 +289,6 @@ func (s *settings) validate() error {
 	}
 	if len(s.remote) > 0 && s.engineExplicit {
 		return fmt.Errorf("%w: WithRemoteCluster and WithEngine are mutually exclusive (the cluster's servers shard server-side; set -shards on each shardserver)", ErrOption)
-	}
-	if s.sharedCache && !s.engine && len(s.remote) == 0 {
-		return fmt.Errorf("%w: WithSharedCache requires WithEngine or WithRemoteCluster (cache keys are scoped by the store's dataset identity and epoch)", ErrOption)
 	}
 	if s.islands != nil && s.popSize > 0 && s.islands.migrants >= s.popSize {
 		return fmt.Errorf("%w: WithIslands migrants %d must be smaller than the population (%d)", ErrOption, s.islands.migrants, s.popSize)

@@ -107,7 +107,6 @@ func fitOptions(extra ...forecast.Option) []forecast.Option {
 		forecast.WithGenerations(400),
 		forecast.WithMultiRun(2),
 		forecast.WithSeed(11),
-		forecast.WithSharedCache(),
 	}, extra...)
 }
 
@@ -184,7 +183,6 @@ func TestRemoteFitCancelledReturnsBestSoFar(t *testing.T) {
 		forecast.WithGenerations(1<<30),
 		forecast.WithSeed(3),
 		forecast.WithRemoteCluster(addrs...),
-		forecast.WithSharedCache(),
 		forecast.WithProgress(50, func(forecast.Progress) bool {
 			cancel()
 			return true
@@ -251,7 +249,6 @@ func TestRemoteFitDeadServerFailsLoudly(t *testing.T) {
 		forecast.WithGenerations(1<<30),
 		forecast.WithSeed(5),
 		forecast.WithRemoteCluster(servers[0].addr, servers[1].addr),
-		forecast.WithSharedCache(),
 		forecast.WithProgress(50, func(forecast.Progress) bool {
 			once.Do(servers[1].kill)
 			return true
@@ -285,7 +282,7 @@ func TestWithRemoteClusterValidation(t *testing.T) {
 	if _, err := forecast.New(forecast.WithRemoteCluster("a:1"), forecast.WithEngine(4)); !errors.Is(err, forecast.ErrOption) {
 		t.Fatalf("remote+engine: %v", err)
 	}
-	if _, err := forecast.New(forecast.WithRemoteCluster("a:1"), forecast.WithSharedCache(), forecast.WithSlidingWindow(10)); err != nil {
+	if _, err := forecast.New(forecast.WithRemoteCluster("a:1"), forecast.WithSlidingWindow(10)); err != nil {
 		t.Fatalf("remote+cache+window must be valid: %v", err)
 	}
 }

@@ -11,9 +11,9 @@ import (
 // Telemetry re-exports the metrics registry so facade consumers can
 // attach one without importing internal packages. A registry collects
 // counters, gauges and histograms from every layer it is wired into —
-// the engine's batch latencies and cache counters, the remote
-// cluster's per-verb RPC timings, the evolutionary core's generation
-// and trajectory metrics — all lock-free on the hot paths. The same
+// the engine's batch latencies and mutation timings, the remote
+// cluster's per-verb RPC timings, the evolutionary core's generation,
+// cache and trajectory metrics — all lock-free on the hot paths. The same
 // registry can additionally be served live over HTTP (see the
 // -debug-addr flag on cmd/tsforecast and cmd/shardserver).
 type (

@@ -26,7 +26,6 @@ func TestWithTelemetryEndToEnd(t *testing.T) {
 
 	f, err := New(
 		WithEngine(2),
-		WithSharedCache(),
 		WithSeed(7),
 		WithGenerations(300),
 		WithTelemetry(reg),
@@ -45,8 +44,8 @@ func TestWithTelemetryEndToEnd(t *testing.T) {
 	}
 
 	s := f.Telemetry()
-	// One snapshot spans the layers: the engine's batches, the cache,
-	// and the evolutionary core.
+	// One snapshot spans the layers: the engine's batches and the
+	// evolutionary core, whose evaluation counters show the cache.
 	for _, name := range []string{"engine_matchbatch_ns", "engine_epoch", "core_generations", "core_evals_computed", "core_best_fitness"} {
 		if _, ok := s[name]; !ok {
 			t.Fatalf("snapshot missing %s (have %d metrics)", name, len(s))

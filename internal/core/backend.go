@@ -24,7 +24,7 @@ type Backend interface {
 	Data() *series.Dataset
 
 	// Epoch returns the backend's data epoch. It increments whenever
-	// the underlying dataset changes (streaming appends), and is mixed
+	// the underlying dataset changes (a Store's mutations), and is mixed
 	// into every evaluation-cache key so results computed against an
 	// older snapshot can never be served afterwards.
 	Epoch() uint64
@@ -52,10 +52,11 @@ type Backend interface {
 // (internal/remote), which takes the same shard layout multi-node
 // while staying bit-identical — the evaluator cannot tell them apart.
 //
-// Every mutation must bump Epoch before it returns, exactly as
-// appends do today — evaluation-cache keys embed the epoch, so a
-// result computed against any earlier snapshot can never be served
-// afterwards. Mutations must not run concurrently with evaluation
+// Every mutation that changes the store must bump Epoch before it
+// returns. Evaluation-cache keys embed the epoch, so a result computed
+// against any earlier snapshot can never be served afterwards; that
+// is the whole invalidation story, and a store never drops cache
+// entries itself. Mutations must not run concurrently with evaluation
 // (the same exclusion Append already requires); match queries remain
 // safe with each other.
 //
@@ -115,24 +116,6 @@ type BackendCtx interface {
 // fault and simply do not implement the interface.
 type BackendHealth interface {
 	BackendErr() error
-}
-
-// EvalCache is the pluggable evaluation-result cache. The default is
-// one private cache per Evaluator (see evalCache); internal/engine
-// provides a SharedCache that serves multi-run waves, islands and the
-// Pittsburgh baseline from one synchronized store. Keys are opaque
-// byte-exact signatures built by the evaluator (data epoch, evaluator
-// parameters, conditional part), so implementations need no domain
-// knowledge — and a stale entry can never collide with a fresh key.
-type EvalCache interface {
-	// Get returns the memoized result for the key, or nil.
-	Get(key string) *EvalResult
-	// Put memoizes a result. Implementations may evict arbitrarily;
-	// entries are pure functions of their key, so eviction (or
-	// cross-goroutine sharing) never changes evaluation results.
-	Put(key string, res *EvalResult)
-	// Stats returns cumulative hit/miss counters.
-	Stats() (hits, misses int)
 }
 
 // EvalResult is one memoized rule evaluation. Fit is stored as a

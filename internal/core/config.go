@@ -39,7 +39,7 @@ type Config struct {
 	Seed int64 // RNG seed for this execution
 
 	// Runtime holds the execution-machinery knobs — worker counts and
-	// the shared match/cache plumbing. Every Runtime field is a pure
+	// the match backend. Every Runtime field is a pure
 	// speed knob: results are bit-identical for any setting, unlike
 	// the hyperparameters above. The zero value is always valid and
 	// means "self-contained sequential execution".

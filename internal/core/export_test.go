@@ -8,3 +8,10 @@ func ForceSpeculation() (restore func()) {
 	specMinWork = 0
 	return func() { specMinWork = w }
 }
+
+// CacheLen returns the number of entries resident in c.
+func CacheLen(c *ResultCache) int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.m)
+}

@@ -40,7 +40,7 @@ type Evaluator struct {
 	// on the worker that regresses it, and Evaluate's scan fallback
 	// fans out over workers.
 	local *MatchIndex
-	cache EvalCache
+	cache *ResultCache
 
 	// Telemetry counters (nil handles no-op): full evaluations
 	// performed vs results served from the cache.
@@ -59,15 +59,15 @@ type EvalOptions struct {
 	// evaluator's dataset, makes the evaluator build its own
 	// MatchIndex.
 	Backend Backend
-	// Cache replaces the evaluator-private result cache with a shared
-	// one. Cache keys embed the data epoch and evaluator parameters,
-	// so evaluators with different EMAX/f_min/ridge can safely share
-	// one store. Ignored unless Backend is adopted: keys carry no
-	// dataset identity of their own — it is the backend (same-data by
-	// the sharing predicate, epoch-stamped against appends) that
-	// scopes them, so a cache without its backend could leak results
-	// across datasets or data epochs.
-	Cache EvalCache
+	// Cache replaces the evaluator's own result cache. Only the
+	// end-to-end benchmark (perfbench) sets it, sharing one cache
+	// across executions through Runtime.Cache; the field stays until
+	// that benchmark drops it. Keys embed the data epoch and evaluator
+	// parameters, so sharing never changes results. Ignored unless
+	// Backend is adopted: keys carry no dataset identity of their own
+	// — it is the backend (same-data by the sharing predicate,
+	// epoch-stamped against mutations) that scopes them.
+	Cache *ResultCache
 	// Telemetry registers the computed-vs-cached evaluation counters;
 	// nil disables them (see Runtime.Telemetry).
 	Telemetry *obs.Registry
@@ -95,7 +95,7 @@ func NewEvaluator(data *series.Dataset, emax, fmin, ridge float64, workers int, 
 	e.health, _ = e.backend.(BackendHealth)
 	e.local, _ = e.backend.(*MatchIndex)
 	if e.cache == nil {
-		e.cache = newEvalCache()
+		e.cache = NewResultCache()
 	}
 	if opt.Telemetry != nil {
 		e.evalsComputed = opt.Telemetry.Counter("core_evals_computed")
@@ -326,8 +326,7 @@ func (e *Evaluator) evalFromMatchesScratch(r *Rule, idx []int, fs *fitScratch) {
 }
 
 // CacheStats returns the evaluation cache's hit and miss counts (a
-// diagnostics hook for tests, benches and progress reporting). With a
-// shared cache the counts aggregate every participating evaluator.
+// diagnostics hook for tests, benches and progress reporting).
 func (e *Evaluator) CacheStats() (hits, misses int) { return e.cache.Stats() }
 
 // EvaluateAll evaluates a whole generation of rules in one scheduling

@@ -448,33 +448,35 @@ func appendCondKey(b []byte, cond []Interval) []byte {
 	return b
 }
 
-// evalCache is the default, evaluator-private EvalCache: offspring
-// whose genes survived mutation/crossover unchanged reuse prior
-// match/regression work. Because evaluation is a deterministic
-// function of the key (which encodes epoch, parameters and the
-// conditional part), cache hits are bit-identical to recomputation —
-// results never depend on hit patterns, and therefore not on
-// goroutine scheduling either.
-type evalCache struct {
+// ResultCache is the evaluation-result cache every Evaluator keeps
+// privately: offspring whose genes survived mutation/crossover
+// unchanged reuse their parent's match/regression work. Because
+// evaluation is a deterministic function of the key (which encodes
+// epoch, parameters and the conditional part), cache hits are
+// bit-identical to recomputation — results never depend on hit
+// patterns, and therefore not on goroutine scheduling either. It is
+// safe for concurrent use.
+type ResultCache struct {
 	mu     sync.RWMutex
 	m      map[string]*EvalResult // guarded by mu
 	hits   atomic.Int64
 	misses atomic.Int64
 }
 
-// evalCacheLimit bounds cache memory. When the map fills up it is
+// resultCacheLimit bounds cache memory. When the map fills up it is
 // dropped wholesale (generation-style eviction): the population keeps
 // re-seeding the hot entries, and the bound keeps week-long runs flat.
-const evalCacheLimit = 1 << 15
+const resultCacheLimit = 1 << 15
 
-func newEvalCache() *evalCache {
-	return &evalCache{m: make(map[string]*EvalResult)}
+// NewResultCache returns an empty cache.
+func NewResultCache() *ResultCache {
+	return &ResultCache{m: make(map[string]*EvalResult)}
 }
 
 // Get is the hot path shared by every EvaluateAll worker: a read lock
 // on the map plus atomic counters, so concurrent cache hits never
-// serialize on an exclusive lock.
-func (c *evalCache) Get(key string) *EvalResult {
+// serialize on an exclusive lock. It returns nil on a miss.
+func (c *ResultCache) Get(key string) *EvalResult {
 	c.mu.RLock()
 	e := c.m[key]
 	c.mu.RUnlock()
@@ -487,16 +489,16 @@ func (c *evalCache) Get(key string) *EvalResult {
 }
 
 // Put memoizes one result, dropping the whole map at the size bound.
-func (c *evalCache) Put(key string, e *EvalResult) {
+func (c *ResultCache) Put(key string, e *EvalResult) {
 	c.mu.Lock()
-	if len(c.m) >= evalCacheLimit {
+	if len(c.m) >= resultCacheLimit {
 		c.m = make(map[string]*EvalResult)
 	}
 	c.m[key] = e
 	c.mu.Unlock()
 }
 
-// Stats returns the hit/miss counters (for tests and benchmarks).
-func (c *evalCache) Stats() (hits, misses int) {
+// Stats returns the cumulative hit and miss counts.
+func (c *ResultCache) Stats() (hits, misses int) {
 	return int(c.hits.Load()), int(c.misses.Load())
 }

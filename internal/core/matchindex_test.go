@@ -162,16 +162,16 @@ func TestEvaluatorRejectsForeignIndex(t *testing.T) {
 
 // The cache must evict rather than grow without bound.
 func TestEvalCacheBounded(t *testing.T) {
-	c := newEvalCache()
-	for i := 0; i < evalCacheLimit+10; i++ {
+	c := NewResultCache()
+	for i := 0; i < resultCacheLimit+10; i++ {
 		key := string(appendCondKey(nil, []Interval{NewInterval(float64(i), float64(i)+1)}))
 		c.Put(key, &EvalResult{})
 	}
 	c.mu.RLock()
 	size := len(c.m)
 	c.mu.RUnlock()
-	if size > evalCacheLimit {
-		t.Fatalf("cache holds %d entries, limit %d", size, evalCacheLimit)
+	if size > resultCacheLimit {
+		t.Fatalf("cache holds %d entries, limit %d", size, resultCacheLimit)
 	}
 }
 

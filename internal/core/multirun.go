@@ -81,8 +81,7 @@ func MultiRun(ctx context.Context, cfg MultiRunConfig, data *series.Dataset) (*M
 	}
 	seeds := rng.New(cfg.Base.Seed).SplitN(cfg.MaxExecutions)
 	res := &MultiRunResult{RuleSet: NewRuleSet(data.D)}
-	// One match backend serves every execution: the configured one
-	// (with its result cache, when cfg.Base.Runtime.Cache is set), or
+	// One match backend serves every execution: the configured one, or
 	// one immutable match index built here and shared by the waves.
 	if cfg.Base.Runtime.Backend == nil {
 		cfg.Base.Runtime.Backend = NewMatchIndex(data)

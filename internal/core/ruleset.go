@@ -131,17 +131,6 @@ func (rs *RuleSet) Coverage(ds *series.Dataset) float64 {
 	return float64(n) / float64(ds.Len())
 }
 
-// MatchCount returns how many rules match the pattern.
-func (rs *RuleSet) MatchCount(pattern []float64) int {
-	n := 0
-	for _, r := range rs.Rules {
-		if r.Fitted() && r.Match(pattern) {
-			n++
-		}
-	}
-	return n
-}
-
 // Prune removes rules whose training error exceeds emax or whose
 // match count is below minMatches, returning the number removed. The
 // paper tunes the balance between coverage and accuracy; pruning is

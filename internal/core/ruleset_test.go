@@ -93,9 +93,6 @@ func TestPredictDatasetAndCoverage(t *testing.T) {
 	if got := rs.Coverage(ds); math.Abs(got-2.0/3.0) > 1e-12 {
 		t.Fatalf("Coverage = %v", got)
 	}
-	if got := rs.MatchCount([]float64{1, 9}); got != 1 {
-		t.Fatalf("MatchCount = %d", got)
-	}
 }
 
 func TestCoverageEmptyDataset(t *testing.T) {

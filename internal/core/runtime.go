@@ -7,10 +7,10 @@ import (
 )
 
 // Runtime collects the execution-machinery knobs of a run — how fast
-// it goes, never what it computes. Every field is a pure speed (or
-// sharing) knob: any Runtime produces results bit-identical to the
-// zero value, which is also always valid and means "self-contained
-// sequential execution". Splitting these out of Config keeps the
+// it goes, never what it computes. Every field is a pure speed knob:
+// any Runtime produces results bit-identical to the zero value, which
+// is also always valid and means "self-contained sequential
+// execution". Splitting these out of Config keeps the
 // paper's hyperparameters — the fields that DO change results — in
 // one struct that can be hashed, compared and serialized on its own.
 type Runtime struct {
@@ -27,21 +27,21 @@ type Runtime struct {
 	// returns exact matched sets, so results are bit-identical.
 	//
 	// A backend may additionally be a lifecycle-managed Store
-	// (deletes, sliding windows, compaction); Store()
-	// returns that view. Mutations flow through the same seam appends
-	// do — each bumps the backend's epoch, so every cached evaluation
-	// from an older snapshot expires with it.
+	// (deletes, sliding windows, compaction). Every mutation bumps the
+	// backend's epoch, which every evaluation-cache key embeds, so a
+	// result computed against an older snapshot can never be served.
 	Backend Backend
 
-	// Cache optionally shares one evaluation-result cache across
-	// executions (multi-run waves, islands, the Pittsburgh baseline).
-	// Nil gives each evaluator its own private cache. Keys embed the
-	// data epoch and evaluator parameters, so sharing never changes
-	// results. Valid only together with Backend (see
-	// EvalOptions.Cache): without the backend's dataset identity and
-	// epoch, a shared store could leak results across datasets —
+	// Cache overrides the private result cache each evaluator keeps,
+	// sharing one across the run's executions. Only the end-to-end
+	// benchmark (perfbench) sets it; nothing else in the repository
+	// shares a cache, and the field stays until that benchmark drops
+	// it. Keys embed the data epoch and evaluator parameters, so
+	// sharing never changes results. Valid only together with Backend
+	// (see EvalOptions.Cache): without the backend's dataset identity
+	// and epoch, a shared store could leak results across datasets —
 	// Validate rejects the pairing.
-	Cache EvalCache
+	Cache *ResultCache
 
 	// Telemetry optionally attaches a metrics registry: per-generation
 	// durations, evaluations computed vs cache-served, and the

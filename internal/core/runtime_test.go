@@ -47,12 +47,12 @@ func TestRuntimeValidate(t *testing.T) {
 
 	// The documented-invalid pairing: a shared cache with no backend to
 	// scope its keys. This used to be accepted and silently ignored.
-	orphan := Runtime{Cache: newEvalCache()}
+	orphan := Runtime{Cache: NewResultCache()}
 	if err := orphan.Validate(); !errors.Is(err, ErrConfig) {
 		t.Fatalf("Cache without Backend: want ErrConfig, got %v", err)
 	}
 
-	paired := Runtime{Backend: &fakeBackend{data: ds}, Cache: newEvalCache()}
+	paired := Runtime{Backend: &fakeBackend{data: ds}, Cache: NewResultCache()}
 	if err := paired.Validate(); err != nil {
 		t.Fatalf("Cache with Backend must be valid, got %v", err)
 	}
@@ -64,7 +64,7 @@ func TestRuntimeValidate(t *testing.T) {
 func TestConfigValidateRejectsOrphanCache(t *testing.T) {
 	ds := runtimeTestDataset(t)
 	cfg := Default(ds.D)
-	cfg.Runtime.Cache = newEvalCache()
+	cfg.Runtime.Cache = NewResultCache()
 	if err := cfg.Validate(); !errors.Is(err, ErrConfig) {
 		t.Fatalf("Config.Validate with orphan cache: want ErrConfig, got %v", err)
 	}

@@ -229,9 +229,10 @@ func faultedWindowRun(t *testing.T, n int32, tweak func(*core.Config), fault fun
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cacheAtFault := -1
+	cache := core.NewResultCache()
 	hs := &hookStore{Store: c, n: n}
 	hs.hook = func() {
-		cacheAtFault = c.Cache().Len()
+		cacheAtFault = core.CacheLen(cache)
 		fault(cancel, loops)
 	}
 	cfg := specConfig()
@@ -240,7 +241,7 @@ func faultedWindowRun(t *testing.T, n int32, tweak func(*core.Config), fault fun
 	}
 	cfg.Generations = 1 << 20
 	cfg.Runtime.Workers = 1
-	cfg.Runtime.Backend, cfg.Runtime.Cache = hs, c.Cache()
+	cfg.Runtime.Backend, cfg.Runtime.Cache = hs, cache
 	ex, err := core.NewExecution(context.Background(), cfg, c.Data())
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +253,7 @@ func faultedWindowRun(t *testing.T, n int32, tweak func(*core.Config), fault fun
 	if ex.Stats.Generations >= cfg.Generations {
 		t.Fatal("the run ignored the fault")
 	}
-	return ex.Pop, cacheAtFault, c.Cache().Len(), err
+	return ex.Pop, cacheAtFault, core.CacheLen(cache), err
 }
 
 // TestSpeculationCancelledMidWindow cancels the fit inside a window's

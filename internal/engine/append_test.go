@@ -47,7 +47,7 @@ func TestAppendMatchesRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewShards(ds, 4, 1)
+	s := New(ds, Options{Shards: 4, Workers: 1})
 
 	grown := prefix
 	for _, chunk := range []int{50, 80, 70} {
@@ -111,62 +111,38 @@ func TestAppendMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestAppendInvalidatesCachedResults is the satellite regression: a
-// cache warmed before an append must never serve pre-append matched
-// sets afterwards — whether invalidated explicitly (Engine.Append) or
-// reached through a bypassing Shards.Append, where only the
-// epoch-prefixed keys stand between a stale entry and a wrong result.
+// TestAppendInvalidatesCachedResults: a cache warmed before an append
+// must never serve pre-append matched sets afterwards. Nothing drops
+// the evaluator's entries; only the epoch-prefixed keys stand between
+// a stale entry and a wrong result.
 func TestAppendInvalidatesCachedResults(t *testing.T) {
 	ds := testDataset(t, 120, 3, false)
 	n0 := ds.Len()
 	// A rule matching everything: its matched count is exactly the
 	// dataset size, making staleness directly observable.
 	all := core.NewRule([]core.Interval{core.Wild(), core.Wild(), core.Wild()})
+	eng := New(ds, Options{Shards: 3})
+	ev := core.NewEvaluator(ds, 0.5, 0, 1e-8, 1, core.EvalOptions{Backend: eng})
 
-	for _, bypass := range []bool{false, true} {
-		ds := testDataset(t, 120, 3, false)
-		eng := New(ds, Options{Shards: 3})
-		ev := core.NewEvaluator(ds, 0.5, 0, 1e-8, 1, core.EvalOptions{Backend: eng, Cache: eng.Cache()})
-
-		r := all.Clone()
-		ev.Evaluate(context.Background(), r)
-		if r.Matches != n0 {
-			t.Fatalf("pre-append Matches = %d, want %d", r.Matches, n0)
-		}
-
-		inputs := [][]float64{{0, 0, 0}, {0.1, 0.1, 0.1}}
-		targets := []float64{0, 0.1}
-		var err error
-		if bypass {
-			err = eng.Shards.Append(inputs, targets) // no cache Invalidate
-		} else {
-			err = eng.Append(inputs, targets)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		r2 := all.Clone()
-		ev.Evaluate(context.Background(), r2)
-		if r2.Matches != n0+2 {
-			t.Fatalf("bypass=%v: post-append Matches = %d, want %d — stale cache served a pre-append matched set",
-				bypass, r2.Matches, n0+2)
-		}
-		// And batched evaluation agrees.
-		r3 := all.Clone()
-		ev.EvaluateAll(context.Background(), []*core.Rule{r3, all.Clone()})
-		if r3.Matches != n0+2 {
-			t.Fatalf("bypass=%v: batched post-append Matches = %d, want %d", bypass, r3.Matches, n0+2)
-		}
+	r := all.Clone()
+	ev.Evaluate(context.Background(), r)
+	if r.Matches != n0 {
+		t.Fatalf("pre-append Matches = %d, want %d", r.Matches, n0)
 	}
 
-	// Engine.Append must also release the stale entries' memory.
-	eng := New(testDataset(t, 120, 3, false), Options{Shards: 2})
-	eng.Cache().Put("k", &core.EvalResult{})
-	if err := eng.Append([][]float64{{1, 2, 3}}, []float64{4}); err != nil {
+	if err := eng.Append([][]float64{{0, 0, 0}, {0.1, 0.1, 0.1}}, []float64{0, 0.1}); err != nil {
 		t.Fatal(err)
 	}
-	if eng.Cache().Len() != 0 {
-		t.Fatalf("Engine.Append left %d entries resident", eng.Cache().Len())
+
+	r2 := all.Clone()
+	ev.Evaluate(context.Background(), r2)
+	if r2.Matches != n0+2 {
+		t.Fatalf("post-append Matches = %d, want %d — stale cache served a pre-append matched set", r2.Matches, n0+2)
+	}
+	// And batched evaluation agrees.
+	r3 := all.Clone()
+	ev.EvaluateAll(context.Background(), []*core.Rule{r3, all.Clone()})
+	if r3.Matches != n0+2 {
+		t.Fatalf("batched post-append Matches = %d, want %d", r3.Matches, n0+2)
 	}
 }

@@ -35,7 +35,7 @@ var mergeScratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
 
 // matchBatch is the MatchBatch implementation; the exported wrapper
 // (telemetry.go) adds the optional latency/size instrumentation.
-func (s *Shards) matchBatch(ctx context.Context, rules []*core.Rule) [][]int {
+func (s *Engine) matchBatch(ctx context.Context, rules []*core.Rule) [][]int {
 	out := make([][]int, len(rules))
 	if len(rules) == 0 {
 		return out
@@ -130,7 +130,7 @@ func (p *shardPass) walk(ctx context.Context, sh *shard, rules []*core.Rule) [][
 // word range is swept in order (clearing as it goes, restoring the
 // scratch's all-zero invariant): O(k + touched-words), independent of
 // shard layout, and deterministic for any parallelism.
-func (s *Shards) mergeIntoLocked(dst []int, segs [][]int, ms *mergeScratch) []int {
+func (s *Engine) mergeIntoLocked(dst []int, segs [][]int, ms *mergeScratch) []int {
 	need := (s.data.Len() + 63) >> 6
 	if cap(ms.words) < need {
 		ms.words = make([]uint64, need)

@@ -24,50 +24,8 @@ func TestSharedCacheHitMissStats(t *testing.T) {
 	}
 }
 
-// Filling past capacity must rotate generations, not grow without
-// bound — and entries still being reached must survive a rotation via
-// promotion.
-func TestSharedCacheGenerations(t *testing.T) {
-	const capacity = 16
-	c := NewSharedCache(capacity)
-	c.Put("keep", &core.EvalResult{Matches: 1})
-	for i := 0; i < 3*capacity; i++ {
-		// Touch "keep" every few inserts so it keeps being promoted.
-		if i%4 == 0 && c.Get("keep") == nil {
-			t.Fatalf("entry lost after %d inserts despite being hot", i)
-		}
-		c.Put(fmt.Sprintf("k%d", i), &core.EvalResult{})
-	}
-	if n := c.Len(); n > 2*capacity {
-		t.Fatalf("cache holds %d entries, bound is %d", n, 2*capacity)
-	}
-	// An entry never touched again must eventually age out.
-	c2 := NewSharedCache(capacity)
-	c2.Put("cold", &core.EvalResult{})
-	for i := 0; i < 3*capacity; i++ {
-		c2.Put(fmt.Sprintf("k%d", i), &core.EvalResult{})
-	}
-	if c2.Get("cold") != nil {
-		t.Fatal("cold entry survived two generation rotations")
-	}
-}
-
-func TestSharedCacheInvalidate(t *testing.T) {
-	c := NewSharedCache(4)
-	for i := 0; i < 10; i++ {
-		c.Put(fmt.Sprintf("k%d", i), &core.EvalResult{})
-	}
-	if c.Len() == 0 {
-		t.Fatal("nothing resident before Invalidate")
-	}
-	c.Invalidate()
-	if c.Len() != 0 {
-		t.Fatalf("%d entries resident after Invalidate", c.Len())
-	}
-}
-
-// The cache must tolerate concurrent readers and writers (it is
-// shared across multi-run waves); run with -race.
+// The cache must tolerate concurrent readers and writers (perfbench
+// shares one across multi-run waves); run with -race.
 func TestSharedCacheConcurrent(t *testing.T) {
 	c := NewSharedCache(64)
 	var wg sync.WaitGroup

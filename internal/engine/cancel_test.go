@@ -75,13 +75,12 @@ func TestMatchBatchCancelledMidwayLeavesNoGoroutines(t *testing.T) {
 
 // TestEvaluateBatchCancelledDiscardsEverything: an EvaluateAll batch cut short by
 // its context must neither cache nor apply partial results — the
-// rules keep their prior evaluations and the shared cache stays
-// byte-for-byte as it was.
+// rules keep their prior evaluations and the next batch finds nothing
+// in the evaluator's cache.
 func TestEvaluateBatchCancelledDiscardsEverything(t *testing.T) {
 	ds := testDataset(t, 2048, 3, false)
 	eng := New(ds, Options{Shards: 4, Workers: 2})
-	ev := core.NewEvaluator(ds, 0.5, 0, 1e-8, 2,
-		core.EvalOptions{Backend: eng, Cache: eng.Cache()})
+	ev := core.NewEvaluator(ds, 0.5, 0, 1e-8, 2, core.EvalOptions{Backend: eng})
 
 	rules := randomRules(ds, 32, 3)
 	sentinel := -12345.0
@@ -94,9 +93,6 @@ func TestEvaluateBatchCancelledDiscardsEverything(t *testing.T) {
 	if err := ev.EvaluateAll(ctx, rules); err != context.Canceled {
 		t.Fatalf("EvaluateAll returned %v, want context.Canceled", err)
 	}
-	if n := eng.Cache().Len(); n != 0 {
-		t.Fatalf("%d cache entries survived a cancelled batch", n)
-	}
 	for i, r := range rules {
 		if r.Fitness != sentinel {
 			t.Fatalf("rule %d was mutated by a cancelled batch (fitness %v)", i, r.Fitness)
@@ -107,6 +103,9 @@ func TestEvaluateBatchCancelledDiscardsEverything(t *testing.T) {
 	// bit-identical to per-rule evaluation.
 	if err := ev.EvaluateAll(context.Background(), rules); err != nil {
 		t.Fatal(err)
+	}
+	if hits, _ := ev.CacheStats(); hits != 0 {
+		t.Fatalf("%d cache entries survived a cancelled batch", hits)
 	}
 	for i, r := range rules {
 		if r.Fitness == sentinel {

@@ -83,7 +83,7 @@ func intsEqual(a, b []int) bool {
 }
 
 // shardSizes returns every shard's resident row count.
-func shardSizes(s *Shards) []int {
+func shardSizes(s *Engine) []int {
 	var sizes []int
 	for _, st := range s.ShardStats() {
 		sizes = append(sizes, st.Resident)
@@ -94,7 +94,7 @@ func shardSizes(s *Shards) []int {
 func TestShardsPartitionCoversDataset(t *testing.T) {
 	ds := testDataset(t, 200, 4, false)
 	for _, p := range []int{1, 2, 3, 7, 1000} {
-		s := NewShards(ds, p, 1)
+		s := New(ds, Options{Shards: p, Workers: 1})
 		total := 0
 		for _, size := range shardSizes(s) {
 			if size == 0 {
@@ -117,7 +117,7 @@ func TestMatchIndicesEqualsSequential(t *testing.T) {
 		ref := core.NewEvaluator(ds, 0.2, 0, 1e-8, 1, core.EvalOptions{})
 		rules := randomRules(ds, 60, 11)
 		for _, p := range []int{1, 2, 5} {
-			s := NewShards(ds, p, 0)
+			s := New(ds, Options{Shards: p})
 			for ri, r := range rules {
 				want := ref.MatchIndicesScan(r)
 				if got := s.MatchIndices(r); !intsEqual(got, want) {
@@ -133,7 +133,7 @@ func TestMatchBatchEqualsMatchIndices(t *testing.T) {
 		ds := testDataset(t, 300, 4, nan)
 		rules := randomRules(ds, 50, 23)
 		for _, p := range []int{1, 3, 8} {
-			s := NewShards(ds, p, 0)
+			s := New(ds, Options{Shards: p})
 			batch := s.MatchBatch(context.Background(), rules)
 			if len(batch) != len(rules) {
 				t.Fatalf("MatchBatch returned %d results for %d rules", len(batch), len(rules))
@@ -153,8 +153,8 @@ func TestConfigureWiresBackendAndCache(t *testing.T) {
 	cfg := core.Default(3)
 	cfg.Runtime.Backend = core.NewMatchIndex(ds) // must be replaced
 	eng.Configure(&cfg)
-	if cfg.Runtime.Backend != core.Backend(eng) || cfg.Runtime.Cache != core.EvalCache(eng.Cache()) {
-		t.Fatal("Configure did not wire backend/cache as documented")
+	if cfg.Runtime.Backend != core.Backend(eng) || cfg.Runtime.Cache != nil {
+		t.Fatal("Configure did not wire the backend alone, as documented")
 	}
 	cfg.Generations = 30
 	cfg.PopSize = 10
@@ -166,8 +166,11 @@ func TestConfigureWiresBackendAndCache(t *testing.T) {
 		t.Fatal("execution did not adopt the engine backend")
 	}
 	ex.Run(context.Background(), 0, nil)
-	if hits, misses := eng.Cache().Stats(); hits+misses == 0 {
-		t.Fatal("execution never touched the shared cache")
+	if hits, misses := ex.Eval.CacheStats(); hits+misses == 0 {
+		t.Fatal("execution never touched its own cache")
+	}
+	if hits, misses := eng.Cache().Stats(); hits+misses != 0 {
+		t.Fatal("execution touched the engine's held cache")
 	}
 }
 
@@ -179,13 +182,14 @@ func TestEvaluatorRejectsForeignEngine(t *testing.T) {
 	dsA := testDataset(t, 200, 3, false)
 	dsB := testDataset(t, 260, 3, false)
 	eng := New(dsB, Options{Shards: 2})
+	cache := core.NewResultCache()
 	ev := core.NewEvaluator(dsA, 1.0, 0, 1e-8, 1,
-		core.EvalOptions{Backend: eng, Cache: eng.Cache()})
+		core.EvalOptions{Backend: eng, Cache: cache})
 	if _, ok := ev.Backend().(*core.MatchIndex); !ok || ev.Backend().Data() != dsA {
 		t.Fatal("evaluator did not fall back to its own index over its dataset")
 	}
 	ev.EvaluateAll(context.Background(), randomRules(dsA, 10, 5))
-	if hits, misses := eng.Cache().Stats(); hits+misses != 0 || eng.Cache().Len() != 0 {
+	if hits, misses := cache.Stats(); hits+misses != 0 {
 		t.Fatal("evaluator used the foreign engine's cache despite rejecting its backend")
 	}
 }
@@ -195,10 +199,10 @@ func TestEvaluatorRejectsForeignEngine(t *testing.T) {
 // Append (the dataset pointer is unchanged, only the epoch moves).
 func TestEvaluatorRejectsCacheWithoutBackend(t *testing.T) {
 	ds := testDataset(t, 200, 3, false)
-	eng := New(ds, Options{Shards: 2})
-	ev := core.NewEvaluator(ds, 1.0, 0, 1e-8, 1, core.EvalOptions{Cache: eng.Cache()})
+	cache := core.NewResultCache()
+	ev := core.NewEvaluator(ds, 1.0, 0, 1e-8, 1, core.EvalOptions{Cache: cache})
 	ev.EvaluateAll(context.Background(), randomRules(ds, 10, 5))
-	if hits, misses := eng.Cache().Stats(); hits+misses != 0 || eng.Cache().Len() != 0 {
+	if hits, misses := cache.Stats(); hits+misses != 0 {
 		t.Fatal("evaluator adopted a shared cache without its backend")
 	}
 }

@@ -177,7 +177,7 @@ func driveLifecycle(t *testing.T, seed int64, n0, d, nanEvery, shards, workers, 
 	m := newNaiveStore(ds)
 	const emax, fmin, ridge = 0.7, 0.0, 1e-8
 	ev := core.NewEvaluator(eng.Data(), emax, fmin, ridge, workers,
-		core.EvalOptions{Backend: eng, Cache: eng.Cache()})
+		core.EvalOptions{Backend: eng})
 	if ev.Backend() != core.Backend(eng) {
 		t.Fatal("evaluator did not adopt the engine")
 	}
@@ -189,6 +189,7 @@ func driveLifecycle(t *testing.T, seed int64, n0, d, nanEvery, shards, workers, 
 	for round := 0; round < rounds; round++ {
 		mutated := false
 		step := ""
+		epoch := eng.Epoch()
 		switch op := src.Intn(5); op {
 		case 0, 1: // append a chunk
 			k := 1 + src.Intn(20)
@@ -244,8 +245,8 @@ func driveLifecycle(t *testing.T, seed int64, n0, d, nanEvery, shards, workers, 
 			mutated = eng.Compact() > 0
 			step = "compact"
 		}
-		if mutated && eng.Cache().Len() != 0 {
-			t.Fatalf("round %d (%s): %d cache entries survived a mutation epoch", round, step, eng.Cache().Len())
+		if mutated && eng.Epoch() <= epoch {
+			t.Fatalf("round %d (%s): the mutation left the epoch at %d, so cached evaluations would survive it", round, step, eng.Epoch())
 		}
 		checkLiveState(t, step, eng, m)
 		// Post-compaction the dataset view must be exactly the live

@@ -65,7 +65,7 @@ func TestCompactRebuildsOnlyDirtyShards(t *testing.T) {
 
 	// The initial partition is contiguous, so the global prefix lives
 	// entirely in shard 0.
-	sizes := shardSizes(eng.Shards)
+	sizes := shardSizes(eng)
 	victims := idsOf(eng, 0, sizes[0]/2)
 	if got := eng.Delete(victims); got != len(victims) {
 		t.Fatalf("Delete removed %d, want %d", got, len(victims))
@@ -114,7 +114,7 @@ func TestCompactRebuildsOnlyDirtyShards(t *testing.T) {
 func TestAutoCompactionThreshold(t *testing.T) {
 	ds := testDataset(t, 200, 3, false)
 	eng := New(ds, Options{Shards: 4, CompactThreshold: 0.5})
-	sizes := shardSizes(eng.Shards)
+	sizes := shardSizes(eng)
 
 	// Kill just under half of shard 0: tombstones only, no compaction.
 	under := idsOf(eng, 0, sizes[0]/2-1)

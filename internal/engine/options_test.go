@@ -21,13 +21,13 @@ func TestOptionsClamped(t *testing.T) {
 		},
 		{
 			name: "negative counts become defaults",
-			in:   Options{Shards: -3, Workers: -1, CacheCapacity: -7},
+			in:   Options{Shards: -3, Workers: -1},
 			want: Options{CompactThreshold: DefaultCompactThreshold},
 		},
 		{
 			name: "positive fields pass through",
-			in:   Options{Shards: 4, Workers: 2, CacheCapacity: 99, CompactThreshold: 0.5},
-			want: Options{Shards: 4, Workers: 2, CacheCapacity: 99, CompactThreshold: 0.5},
+			in:   Options{Shards: 4, Workers: 2, CompactThreshold: 0.5},
+			want: Options{Shards: 4, Workers: 2, CompactThreshold: 0.5},
 		},
 		{
 			name: "negative threshold disables auto-compaction",
@@ -64,7 +64,7 @@ func TestOptionsClamped(t *testing.T) {
 	// The constructors go through the same clamp: a hostile option set
 	// still yields a working engine.
 	ds := testDataset(t, 50, 3, false)
-	eng := New(ds, Options{Shards: -5, Workers: -2, CacheCapacity: -1, CompactThreshold: math.NaN()})
+	eng := New(ds, Options{Shards: -5, Workers: -2, CompactThreshold: math.NaN()})
 	if eng.P() < 1 || eng.LiveLen() != ds.Len() {
 		t.Fatalf("engine built from hostile options: P=%d live=%d", eng.P(), eng.LiveLen())
 	}

@@ -176,7 +176,7 @@ func TestEngineEquivalenceRandomized(t *testing.T) {
 }
 
 // FuzzEngineMatch fuzzes the raw match layer: for arbitrary
-// dataset/rule draws and shard counts, Shards.MatchIndices and
+// dataset/rule draws and shard counts, Engine.MatchIndices and
 // MatchBatch must equal the reference linear scan.
 func FuzzEngineMatch(f *testing.F) {
 	f.Add(int64(1), uint8(100), uint8(3), uint8(2), false)
@@ -193,7 +193,7 @@ func FuzzEngineMatch(f *testing.F) {
 		ds := randomDataset(t, src, nn, dd, nanEvery)
 		rules := randomRules(ds, 12, seed+1)
 		ref := core.NewEvaluator(ds, 1, 0, 1e-8, 1, core.EvalOptions{})
-		s := NewShards(ds, 1+int(shards)%10, 0)
+		s := New(ds, Options{Shards: 1 + int(shards)%10})
 		batch := s.MatchBatch(context.Background(), rules)
 		for ri, r := range rules {
 			want := ref.MatchIndicesScan(r)

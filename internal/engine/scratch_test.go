@@ -15,7 +15,7 @@ import (
 // perturb any later call.
 func TestMatchBatchResultsCallerOwned(t *testing.T) {
 	ds := testDataset(t, 300, 4, false)
-	s := NewShards(ds, 4, 0)
+	s := New(ds, Options{Shards: 4})
 	rules := randomRules(ds, 24, 3)
 	ctx := context.Background()
 
@@ -49,17 +49,18 @@ func TestMatchBatchResultsCallerOwned(t *testing.T) {
 
 // TestSharedCacheEntriesUnaliased is the regression test the scratch
 // redesign requires: no pooled buffer (match sets, regression gather
-// arrays, normal-equation scratch) may be reachable from a SharedCache
-// entry. Callers scribble over every result they were handed, worker
-// pools are churned with unrelated evaluations, and a mutation epoch
-// rolls the cache — cached replays and fresh computations must stay
-// bit-identical to an independent sequential evaluator throughout.
+// arrays, normal-equation scratch) may be reachable from a result
+// cache entry. Callers scribble over every result they were handed,
+// worker pools are churned with unrelated evaluations, and a mutation
+// epoch expires the cache — cached replays and fresh computations must
+// stay bit-identical to an independent sequential evaluator
+// throughout.
 func TestSharedCacheEntriesUnaliased(t *testing.T) {
 	const emax, fmin, ridge = 0.7, 0.0, 1e-8
 	ds := testDataset(t, 300, 4, false)
 	eng := New(ds, Options{Shards: 4})
 	ev := core.NewEvaluator(ds, emax, fmin, ridge, 1,
-		core.EvalOptions{Backend: eng, Cache: eng.Cache()})
+		core.EvalOptions{Backend: eng})
 	rules := randomRules(ds, 16, 5)
 	ctx := context.Background()
 
@@ -97,13 +98,10 @@ func TestSharedCacheEntriesUnaliased(t *testing.T) {
 	}
 	scribble(replay)
 
-	// Mutation epoch: the cache rolls over and every evaluation
+	// Mutation epoch: every cached entry expires and every evaluation
 	// recomputes through the same pooled scratch.
 	if err := eng.Append([][]float64{ds.Inputs[0]}, []float64{ds.Targets[0]}); err != nil {
 		t.Fatal(err)
-	}
-	if eng.Cache().Len() != 0 {
-		t.Fatalf("%d cache entries survived the mutation epoch", eng.Cache().Len())
 	}
 	grown := core.NewEvaluator(eng.Data(), emax, fmin, ridge, 1, core.EvalOptions{})
 	want2 := cloneAll(rules)

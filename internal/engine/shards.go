@@ -2,19 +2,17 @@
 // rule system. It partitions the training dataset across P shards,
 // each with its own core.MatchIndex, whose per-shard results merge in
 // ascending order; serves whole generations of offspring through one
-// pass that walks the shards on goroutines (MatchBatch); shares a
-// generation-aware result cache across evaluators, multi-run waves,
-// islands and the Pittsburgh baseline; and manages the dataset's full
-// lifecycle under streaming data — incremental appends, tombstoned
-// deletes and sliding windows, and threshold-triggered compaction —
-// instead of rebuilding from scratch.
+// pass that walks the shards on goroutines (MatchBatch); and manages
+// the dataset's full lifecycle under streaming data — incremental
+// appends, tombstoned deletes and sliding windows, and
+// threshold-triggered compaction — instead of rebuilding from scratch.
 //
 // The engine implements core.Store (and therefore core.Backend). It
 // accelerates only the match side — all regression and fitness math
-// stays in core — so every configuration (any shard count, any
-// parallelism, cache on or off, any append/delete/window/compact
-// history) is bit-identical to the sequential single-index path over
-// the same live rows.
+// stays in core, with each evaluator's own result cache — so every
+// configuration (any shard count, any parallelism, any
+// append/delete/window/compact history) is bit-identical to the
+// sequential single-index path over the same live rows.
 package engine
 
 import (
@@ -28,7 +26,7 @@ import (
 	"repro/internal/series"
 )
 
-// Shards is the training dataset partitioned across P shards, each
+// Engine is the training dataset partitioned across P shards, each
 // carrying its own slice of patterns and its own MatchIndex. The
 // initial build partitions contiguously; streaming appends route new
 // patterns to the shard with the fewest live rows (rebuilding only
@@ -54,7 +52,12 @@ import (
 // callers must not mutate concurrently with code reading the dataset
 // outside the engine (streaming loops alternate evolve and mutate
 // phases).
-type Shards struct {
+//
+// Engine implements core.Store (the lifecycle-managed superset of
+// core.Backend); Configure wires it into a core.Config. One Engine
+// serves every consumer over its dataset — evaluators, multi-run
+// waves, islands, the Pittsburgh baseline — concurrently.
+type Engine struct {
 	mu      sync.RWMutex
 	data    *series.Dataset // guarded by mu: the full dataset view; Append grows it, Compact shrinks it
 	parts   []*shard        // guarded by mu
@@ -67,6 +70,8 @@ type Shards struct {
 
 	// Lifecycle policy (fixed at construction; see Options).
 	compactThreshold float64 // per-shard dead ratio that triggers auto-compaction; <0 disables
+
+	cache *SharedCache // returned by Cache; never read or written by the engine
 }
 
 // shard is one partition: a shard-local dataset whose rows alias the
@@ -108,19 +113,13 @@ func (sh *shard) markDead(li int) bool {
 	return true
 }
 
-// NewShards partitions the dataset into p shards (p<=0 → GOMAXPROCS,
-// clamped to the dataset size so no shard is empty) and builds one
-// MatchIndex per shard. workers bounds the fan-out goroutines for
-// queries (0 = GOMAXPROCS). The engine takes ownership of the
-// dataset's lifecycle: all mutations must go through the engine.
-func NewShards(data *series.Dataset, p, workers int) *Shards {
-	return NewShardsOpt(data, Options{Shards: p, Workers: workers})
-}
-
-// NewShardsOpt is NewShards with the full option set (compaction
-// threshold included). Options are clamped in one place; see
-// Options.Clamped.
-func NewShardsOpt(data *series.Dataset, opt Options) *Shards {
+// New builds an engine over the training dataset: the dataset is
+// partitioned into opt.Shards shards (0 → GOMAXPROCS, clamped to the
+// dataset size so no shard is empty) with one MatchIndex each. The
+// engine owns the dataset's lifecycle from here on: streaming
+// appends, deletes, windows and compaction must go through the Engine
+// methods. Options are clamped in one place; see Options.Clamped.
+func New(data *series.Dataset, opt Options) *Engine {
 	opt = opt.Clamped()
 	n := data.Len()
 	p := opt.Shards
@@ -133,10 +132,11 @@ func NewShardsOpt(data *series.Dataset, opt Options) *Shards {
 	if p < 1 {
 		p = 1
 	}
-	s := &Shards{
+	s := &Engine{
 		data:             data,
 		workers:          opt.Workers,
 		compactThreshold: opt.CompactThreshold,
+		cache:            NewSharedCache(0),
 	}
 	// Stable row identity: adopt the dataset's ids when it already has
 	// ascending ones (a store handing data across engines), otherwise
@@ -180,7 +180,7 @@ func NewShardsOpt(data *series.Dataset, opt Options) *Shards {
 // P returns the number of shards: the configured count, clamped to the
 // initial dataset size. It never changes afterwards; a shard a window
 // empties stays in place until an append refills it.
-func (s *Shards) P() int {
+func (s *Engine) P() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.parts)
@@ -188,7 +188,7 @@ func (s *Shards) P() int {
 
 // Len returns the number of resident training patterns — live rows
 // plus tombstoned rows awaiting compaction. Data().Len() equals it.
-func (s *Shards) Len() int {
+func (s *Engine) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.data.Len()
@@ -196,7 +196,7 @@ func (s *Shards) Len() int {
 
 // LiveLen returns the number of live training patterns: the rows
 // match queries range over.
-func (s *Shards) LiveLen() int {
+func (s *Engine) LiveLen() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.data.Len() - s.deadTotal
@@ -208,7 +208,7 @@ func (s *Shards) LiveLen() int {
 // whole lifecycle. Between a Delete/Window and the compaction that
 // follows it, the view still holds the tombstoned rows — no match
 // result ever references them.
-func (s *Shards) Data() *series.Dataset {
+func (s *Engine) Data() *series.Dataset {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.data
@@ -217,7 +217,7 @@ func (s *Shards) Data() *series.Dataset {
 // Epoch returns the data epoch: the number of mutations (appends,
 // deletes, windows, compactions) performed. Evaluation-cache keys
 // embed it, expiring every result computed against an older snapshot.
-func (s *Shards) Epoch() uint64 { return s.epoch.Load() }
+func (s *Engine) Epoch() uint64 { return s.epoch.Load() }
 
 // ShardStat is one shard's lifecycle diagnostics.
 type ShardStat struct {
@@ -227,7 +227,7 @@ type ShardStat struct {
 }
 
 // ShardStats returns per-shard resident, live and dead sizes.
-func (s *Shards) ShardStats() []ShardStat {
+func (s *Engine) ShardStats() []ShardStat {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	stats := make([]ShardStat, len(s.parts))
@@ -243,7 +243,7 @@ func (s *Shards) ShardStats() []ShardStat {
 
 // LiveSpread returns the smallest and largest live shard sizes — how
 // evenly append routing and windowing have left the layout.
-func (s *Shards) LiveSpread() (lo, hi int) {
+func (s *Engine) LiveSpread() (lo, hi int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	lo = -1
@@ -271,13 +271,13 @@ func (s *Shards) LiveSpread() (lo, hi int) {
 // the next ascending RowID. Routing by live size also refills a shard
 // a window emptied. Returns an error when a pattern's width does not
 // match the dataset's D or inputs and targets disagree in length.
-func (s *Shards) Append(inputs [][]float64, targets []float64) error {
+func (s *Engine) Append(inputs [][]float64, targets []float64) error {
 	return s.AppendRows(inputs, targets, nil)
 }
 
 // appendRows is the AppendRows implementation; the exported wrapper
 // (telemetry.go) adds the optional timing instrumentation.
-func (s *Shards) appendRows(inputs [][]float64, targets []float64, ids []series.RowID) error {
+func (s *Engine) appendRows(inputs [][]float64, targets []float64, ids []series.RowID) error {
 	if len(inputs) != len(targets) {
 		return fmt.Errorf("engine: Append with %d inputs but %d targets", len(inputs), len(targets))
 	}
@@ -346,7 +346,7 @@ func (s *Shards) appendRows(inputs [][]float64, targets []float64, ids []series.
 // in a plain loop on the calling goroutine (one rule's lookup costs
 // less than a goroutine hand-off), each appending into a pooled arena,
 // and the per-shard hits are merged into a fresh result.
-func (s *Shards) MatchIndices(r *core.Rule) []int {
+func (s *Engine) MatchIndices(r *core.Rule) []int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	p := shardPassPool.Get().(*shardPass)

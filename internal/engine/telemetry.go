@@ -55,26 +55,18 @@ func newTelemetry(reg *obs.Registry) *telemetry {
 	}
 }
 
-// Instrument attaches a metrics registry to the shard layer: MatchBatch
+// Instrument attaches a metrics registry to the engine: MatchBatch
 // latency and batch sizes, per-verb mutation timings, and the
-// epoch/live-rows/skew gauges. Call it before the shards are shared
+// epoch/live-rows/skew gauges. Call it before the engine is shared
 // across goroutines (the field is written without the mutex, exactly
 // like the construction-time policy fields); nil detaches. Purely
 // observational — results are bit-identical instrumented or not.
-func (s *Shards) Instrument(reg *obs.Registry) { s.tel = newTelemetry(reg) }
-
-// Instrument attaches a metrics registry to the engine: the shard
-// layer's timings and gauges plus the shared cache's hit/miss/bypass
-// counters. Same before-sharing contract as Shards.Instrument.
-func (e *Engine) Instrument(reg *obs.Registry) {
-	e.Shards.Instrument(reg)
-	e.cache.Instrument(reg)
-}
+func (s *Engine) Instrument(reg *obs.Registry) { s.tel = newTelemetry(reg) }
 
 // afterMutation refreshes the mutation-facing metrics. It runs after
 // the instrumented verb released the write lock, so the gauge reads
 // take the ordinary read-locked accessors.
-func (t *telemetry) afterMutation(s *Shards) {
+func (t *telemetry) afterMutation(s *Engine) {
 	t.mutations.Inc()
 	t.epoch.Set(float64(s.Epoch()))
 	t.liveRows.Set(float64(s.LiveLen()))
@@ -97,7 +89,7 @@ func (t *telemetry) afterMutation(s *Shards) {
 // remaining scheduling work is skipped, all fan-out goroutines drain
 // before MatchBatch returns, and the result is incomplete — callers
 // must check ctx.Err() and discard it (core.Evaluator does).
-func (s *Shards) MatchBatch(ctx context.Context, rules []*core.Rule) [][]int {
+func (s *Engine) MatchBatch(ctx context.Context, rules []*core.Rule) [][]int {
 	t := s.tel
 	if t == nil {
 		return s.matchBatch(ctx, rules)
@@ -124,9 +116,11 @@ func (s *Shards) MatchBatch(ctx context.Context, rules []*core.Rule) [][]int {
 // ascending and greater than every id already in the store (the
 // invariant all mutations preserve); nil means number the rows
 // automatically, which is exactly Append.
-func (s *Shards) AppendRows(inputs [][]float64, targets []float64, ids []series.RowID) error {
+func (s *Engine) AppendRows(inputs [][]float64, targets []float64, ids []series.RowID) error {
 	t := s.tel
-	if t == nil {
+	if t == nil || len(inputs) == 0 {
+		// An empty append changes nothing: no epoch bump, so no
+		// mutation to count (it still validates its arguments).
 		return s.appendRows(inputs, targets, ids)
 	}
 	start := t.reg.Now()
@@ -143,7 +137,7 @@ func (s *Shards) AppendRows(inputs [][]float64, targets []float64, ids []series.
 // ignored. Matched sets exclude the rows immediately; the epoch bump
 // expires every cached evaluation. Shards whose dead ratio crosses
 // the compaction threshold are compacted before Delete returns.
-func (s *Shards) Delete(ids []series.RowID) int {
+func (s *Engine) Delete(ids []series.RowID) int {
 	t := s.tel
 	if t == nil {
 		return s.deleteRows(ids)
@@ -163,7 +157,7 @@ func (s *Shards) Delete(ids []series.RowID) int {
 // appends chunks and calls Window(w) after each one trains on exactly
 // the trailing w patterns. Eviction triggers the same threshold
 // compaction as Delete.
-func (s *Shards) Window(n int) int {
+func (s *Engine) Window(n int) int {
 	t := s.tel
 	if t == nil {
 		return s.window(n)
@@ -183,7 +177,7 @@ func (s *Shards) Window(n int) int {
 // Untouched shards keep their indexes — only their global numbering
 // is remapped, an O(n) sweep that costs a fraction of one index
 // rebuild. Returns the number of rows reclaimed.
-func (s *Shards) Compact() int {
+func (s *Engine) Compact() int {
 	t := s.tel
 	if t == nil {
 		return s.compact()

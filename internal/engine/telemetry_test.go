@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"testing"
 
@@ -30,6 +31,10 @@ func TestEngineTelemetryMetrics(t *testing.T) {
 
 	rules := randomRules(ds, 20, 3)
 	eng.MatchBatch(ctx, rules)
+	// An empty append changes nothing, so it is not a mutation.
+	if err := eng.Append(nil, nil); err != nil {
+		t.Fatal(err)
+	}
 	if err := eng.Append([][]float64{ds.Inputs[0]}, []float64{ds.Targets[0]}); err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +53,8 @@ func TestEngineTelemetryMetrics(t *testing.T) {
 	if !ok || sizes.Sum != int64(len(rules)) {
 		t.Fatalf("engine_matchbatch_rules = %#v, want sum %d", s["engine_matchbatch_rules"], len(rules))
 	}
-	if n, _ := s["engine_mutations"].(uint64); n < 3 {
-		t.Fatalf("engine_mutations = %v, want at least append+window+compact", s["engine_mutations"])
+	if n, _ := s["engine_mutations"].(uint64); n != 3 || eng.Epoch() != 3 {
+		t.Fatalf("engine_mutations = %v at epoch %d, want exactly append+window+compact", s["engine_mutations"], eng.Epoch())
 	}
 	if got := s["engine_epoch"].(float64); got != float64(eng.Epoch()) {
 		t.Fatalf("engine_epoch gauge = %v, engine epoch %d", got, eng.Epoch())
@@ -67,24 +72,30 @@ func TestEngineTelemetryMetrics(t *testing.T) {
 	}
 }
 
+// TestCacheTelemetryCounters: cache efficacy over an engine shows in
+// the evaluator's core_evals_cached/core_evals_computed counters; the
+// engine itself keeps no cache metrics.
 func TestCacheTelemetryCounters(t *testing.T) {
-	c := NewSharedCache(8)
+	ds := testDataset(t, 200, 3, false)
+	eng := New(ds, Options{Shards: 2})
 	reg := obs.New()
-	c.Instrument(reg)
-	c.Get("missing")
-	c.Put("k", &core.EvalResult{})
-	c.Get("k")
-	c.Invalidate()
+	eng.Instrument(reg)
+	ev := core.NewEvaluator(ds, 0.5, 0, 1e-8, 1, core.EvalOptions{Backend: eng, Telemetry: reg})
+	rule := randomRules(ds, 1, 4)[0]
+	ev.Evaluate(context.Background(), rule.Clone())
+	ev.Evaluate(context.Background(), rule.Clone())
 
 	s := reg.Snapshot()
-	if n := s["engine_cache_hits"].(uint64); n != 1 {
-		t.Fatalf("engine_cache_hits = %d, want 1", n)
+	if n := s["core_evals_computed"].(uint64); n != 1 {
+		t.Fatalf("core_evals_computed = %d, want 1", n)
 	}
-	if n := s["engine_cache_misses"].(uint64); n != 1 {
-		t.Fatalf("engine_cache_misses = %d, want 1", n)
+	if n := s["core_evals_cached"].(uint64); n != 1 {
+		t.Fatalf("core_evals_cached = %d, want 1", n)
 	}
-	if n := s["engine_cache_bypass"].(uint64); n != 1 {
-		t.Fatalf("engine_cache_bypass = %d, want 1 dropped entry", n)
+	for name := range s {
+		if strings.HasPrefix(name, "engine_cache") {
+			t.Fatalf("engine registered cache metric %s", name)
+		}
 	}
 }
 
@@ -105,7 +116,8 @@ func TestMatchBatchDisabledZeroAllocs(t *testing.T) {
 	// collector so the pooled steady state is deterministic.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
-	s := NewShards(ds, 1, 1) // serial: deterministic allocation counts
+	// Serial: deterministic allocation counts.
+	s := New(ds, Options{Shards: 1, Workers: 1})
 	s.matchBatch(ctx, rules) // warm the scratch pools
 	direct := testing.AllocsPerRun(50, func() { s.matchBatch(ctx, rules) })
 	disabled := testing.AllocsPerRun(50, func() { s.MatchBatch(ctx, rules) })

@@ -66,10 +66,7 @@ func Ablations(ctx context.Context, sc Scale, seed int64) (*AblationResult, erro
 
 	res := &AblationResult{Scale: sc}
 	// Every variant evolves against the same windowed series; one
-	// match backend serves all eight MultiRun sweeps. With the engine
-	// even the result cache is shared across variants — replacement,
-	// distance and mutation knobs never enter an evaluation, so a
-	// conditional part scored under one variant is valid for all.
+	// match backend serves all eight MultiRun sweeps.
 	var eng *engine.Engine
 	var idx *core.MatchIndex
 	if sc.EngineShards > 0 {

@@ -318,9 +318,7 @@ func MichiganVsPittsburgh(ctx context.Context, sc Scale, seed int64) (*ApproachR
 	}
 
 	// One engine can serve both remaining approaches: islands and
-	// Pittsburgh evaluate against the same training window, and cache
-	// keys embed the evaluator parameters, so even their result
-	// stores can be shared safely.
+	// Pittsburgh evaluate against the same training window.
 	var eng *engine.Engine
 	if sc.EngineShards > 0 {
 		eng = engine.New(train, sc.engineOptions())
@@ -361,7 +359,6 @@ func MichiganVsPittsburgh(ctx context.Context, sc Scale, seed int64) (*ApproachR
 	pcfg.Generations = maxInt(sc.Generations*sc.PopSize/(pcfg.PopSize*pcfg.RulesPerSet*10), 5)
 	if eng != nil {
 		pcfg.Backend = eng
-		pcfg.Cache = eng.Cache()
 	}
 	pres, err := pittsburgh.Run(ctx, pcfg, train)
 	if err != nil {

@@ -60,13 +60,11 @@ func ruleSystemRun(ctx context.Context, train, val *series.Dataset, sc Scale, se
 	} // outside (0,1]: no early-stop target, every execution runs
 	switch {
 	case len(sc.EngineRemote) > 0:
-		// Scatter evaluation across live shard servers; one
-		// client-side result cache shared across the executions.
-		opts = append(opts, forecast.WithRemoteCluster(sc.EngineRemote...), forecast.WithSharedCache())
+		// Scatter evaluation across live shard servers.
+		opts = append(opts, forecast.WithRemoteCluster(sc.EngineRemote...))
 	case sc.EngineShards > 0:
-		// Sharded, batched evaluation with one result cache shared
-		// across the accumulated executions.
-		opts = append(opts, forecast.WithEngine(sc.EngineShards), forecast.WithSharedCache())
+		// Sharded, batched evaluation.
+		opts = append(opts, forecast.WithEngine(sc.EngineShards))
 	}
 	if emaxFrac > 0 {
 		lo, hi := train.TargetRange()

@@ -38,8 +38,7 @@ type Scale struct {
 
 	// EngineShards > 0 routes every rule evaluation through the
 	// sharded, batched engine (internal/engine) with that many
-	// dataset shards and one shared result cache per experiment;
-	// 0 keeps the sequential single-index path. Results are
+	// dataset shards; 0 keeps the sequential single-index path. Results are
 	// bit-identical either way (cmd/experiments exposes it as
 	// -shards).
 	EngineShards int

@@ -17,7 +17,7 @@ import (
 // Mackey-Glass stream while its training set is a true sliding window
 // — every round appends the incoming chunk, evicts what fell out of
 // the window, compacts the tombstones away and retrains through the
-// same engine and shared cache. It exercises the full data-plane
+// same engine. It exercises the full data-plane
 // lifecycle (append → window → compact) at experiment
 // scale, reporting forecast quality next to the store's balance so
 // regressions in either are visible in one table.
@@ -36,10 +36,8 @@ type StreamRow struct {
 
 // StreamResult is the windowed-stream experiment outcome.
 type StreamResult struct {
-	Window      int // sliding-window cap (live patterns)
-	Rows        []StreamRow
-	CacheHits   int
-	CacheMisses int
+	Window int // sliding-window cap (live patterns)
+	Rows   []StreamRow
 }
 
 // Format renders the per-round table.
@@ -63,8 +61,7 @@ func (r *StreamResult) Format() string {
 		}
 	}
 	return formatRows(
-		fmt.Sprintf("Windowed stream — prequential Mackey-Glass, sliding window of %d patterns (shared cache: %d hits / %d misses)",
-			r.Window, r.CacheHits, r.CacheMisses),
+		fmt.Sprintf("Windowed stream — prequential Mackey-Glass, sliding window of %d patterns", r.Window),
 		header, rows)
 }
 
@@ -177,6 +174,5 @@ func WindowedStream(ctx context.Context, sc Scale, seed int64) (*StreamResult, e
 		}
 		grown = next
 	}
-	out.CacheHits, out.CacheMisses = eng.Cache().Stats()
 	return out, nil
 }

@@ -1,9 +1,6 @@
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // LeastSquares fits coefficients beta minimizing ||X*beta - y||² where
 // X is n x p (n observations, p predictors). It solves the normal
@@ -104,18 +101,6 @@ func (f *LinearFit) Predict(x []float64) float64 {
 		panic(fmt.Sprintf("linalg: LinearFit over %d inputs evaluated at %d inputs", len(f.Coef), len(x)))
 	}
 	return Dot(f.Coef, x) + f.Intercept
-}
-
-// MaxAbsResidual returns max_i |y_i - f(x_i)|, the paper's expected
-// error e_R for a rule.
-func (f *LinearFit) MaxAbsResidual(xs [][]float64, y []float64) float64 {
-	max := 0.0
-	for i, row := range xs {
-		if r := math.Abs(y[i] - f.Predict(row)); r > max {
-			max = r
-		}
-	}
-	return max
 }
 
 // MeanSquaredResidual returns the mean squared residual of the fit.

@@ -65,7 +65,7 @@ func TestFitAffineRecoversPlane(t *testing.T) {
 	if !vecAlmostEq(fit.Coef, coef, 1e-8) || !almostEq(fit.Intercept, intercept, 1e-8) {
 		t.Fatalf("fit = %+v", fit)
 	}
-	if res := fit.MaxAbsResidual(xs, y); res > 1e-8 {
+	if res := maxAbsResidual(fit, xs, y); res > 1e-8 {
 		t.Fatalf("noise-free fit residual %v", res)
 	}
 }
@@ -90,15 +90,6 @@ func TestFitAffinePredictPanicsOnWrongWidth(t *testing.T) {
 		}
 	}()
 	fit.Predict([]float64{1})
-}
-
-func TestMaxAbsResidualKnown(t *testing.T) {
-	fit := &LinearFit{Coef: []float64{1}, Intercept: 0}
-	xs := [][]float64{{1}, {2}, {3}}
-	y := []float64{1.5, 2, 2}
-	if got := fit.MaxAbsResidual(xs, y); !almostEq(got, 1, 1e-12) {
-		t.Fatalf("MaxAbsResidual = %v, want 1", got)
-	}
 }
 
 func TestMeanSquaredResidual(t *testing.T) {
@@ -167,9 +158,23 @@ func TestPropertyRidgeShrinks(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			return true
 		}
-		return Norm2(big) <= Norm2(small)+1e-9
+		return norm2(big) <= norm2(small)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
+
+// maxAbsResidual returns max_i |y_i - f(x_i)|.
+func maxAbsResidual(f *LinearFit, xs [][]float64, y []float64) float64 {
+	max := 0.0
+	for i, row := range xs {
+		if r := math.Abs(y[i] - f.Predict(row)); r > max {
+			max = r
+		}
+	}
+	return max
+}
+
+// norm2 returns the Euclidean norm of v.
+func norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }

@@ -179,22 +179,3 @@ func Dot(a, b []float64) float64 {
 	}
 	return s
 }
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// AXPY computes y += a*x in place.
-func AXPY(a float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("linalg: AXPY over different lengths")
-	}
-	for i := range y {
-		y[i] += a * x[i]
-	}
-}

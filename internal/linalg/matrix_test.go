@@ -145,9 +145,6 @@ func TestDotNorm(t *testing.T) {
 	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
 		t.Fatalf("Dot = %v", got)
 	}
-	if got := Norm2([]float64{3, 4}); got != 5 {
-		t.Fatalf("Norm2 = %v", got)
-	}
 }
 
 func TestDotPanicsOnMismatch(t *testing.T) {
@@ -157,12 +154,4 @@ func TestDotPanicsOnMismatch(t *testing.T) {
 		}
 	}()
 	Dot([]float64{1}, []float64{1, 2})
-}
-
-func TestAXPY(t *testing.T) {
-	y := []float64{1, 1}
-	AXPY(2, []float64{3, 4}, y)
-	if !vecAlmostEq(y, []float64{7, 9}, 0) {
-		t.Fatalf("AXPY = %v", y)
-	}
 }

@@ -128,64 +128,3 @@ func SolveCholesky(l *Matrix, b []float64) ([]float64, error) {
 	}
 	return x, nil
 }
-
-// QR computes the thin QR factorization of an m x n matrix (m >= n)
-// using modified Gram-Schmidt. It returns Q (m x n, orthonormal
-// columns) and R (n x n, upper triangular). Rank deficiency surfaces
-// as ErrSingular.
-func QR(a *Matrix) (q, r *Matrix, err error) {
-	m, n := a.Rows, a.Cols
-	if m < n {
-		return nil, nil, fmt.Errorf("%w: QR needs rows >= cols", ErrShape)
-	}
-	q = a.Clone()
-	r = NewMatrix(n, n)
-	for j := 0; j < n; j++ {
-		// Orthogonalize column j against previous columns.
-		for k := 0; k < j; k++ {
-			s := 0.0
-			for i := 0; i < m; i++ {
-				s += q.At(i, k) * q.At(i, j)
-			}
-			r.Set(k, j, s)
-			for i := 0; i < m; i++ {
-				q.Set(i, j, q.At(i, j)-s*q.At(i, k))
-			}
-		}
-		norm := 0.0
-		for i := 0; i < m; i++ {
-			norm += q.At(i, j) * q.At(i, j)
-		}
-		norm = math.Sqrt(norm)
-		if norm < 1e-12 {
-			return nil, nil, ErrSingular
-		}
-		r.Set(j, j, norm)
-		inv := 1 / norm
-		for i := 0; i < m; i++ {
-			q.Set(i, j, q.At(i, j)*inv)
-		}
-	}
-	return q, r, nil
-}
-
-// SolveUpper solves the upper-triangular system R x = b.
-func SolveUpper(r *Matrix, b []float64) ([]float64, error) {
-	n := r.Rows
-	if r.Cols != n || len(b) != n {
-		return nil, ErrShape
-	}
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		for j := i + 1; j < n; j++ {
-			s -= r.At(i, j) * x[j]
-		}
-		d := r.At(i, i)
-		if d == 0 {
-			return nil, ErrSingular
-		}
-		x[i] = s / d
-	}
-	return x, nil
-}

@@ -140,73 +140,6 @@ func TestSolveCholeskyMatchesSolve(t *testing.T) {
 	}
 }
 
-func TestQRReconstructsAndOrthogonal(t *testing.T) {
-	src := rng.New(7)
-	a := NewMatrix(6, 3)
-	for i := range a.Data {
-		a.Data[i] = src.Uniform(-2, 2)
-	}
-	q, r, err := QR(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// QᵀQ = I.
-	qtq, err := q.T().Mul(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff, err := qtq.Add(Identity(3).Scale(-1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff.MaxAbs() > 1e-10 {
-		t.Fatalf("Q not orthonormal, max dev %v", diff.MaxAbs())
-	}
-	// Q*R = A.
-	qr, err := q.Mul(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Data {
-		if !almostEq(qr.Data[i], a.Data[i], 1e-10) {
-			t.Fatalf("QR reconstruction off at %d: %v vs %v", i, qr.Data[i], a.Data[i])
-		}
-	}
-	// R upper triangular.
-	for i := 1; i < 3; i++ {
-		for j := 0; j < i; j++ {
-			if r.At(i, j) != 0 {
-				t.Fatalf("R not upper triangular at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestQRRankDeficient(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 4}, {3, 6}})
-	if _, _, err := QR(a); !errors.Is(err, ErrSingular) {
-		t.Fatalf("expected ErrSingular, got %v", err)
-	}
-}
-
-func TestSolveUpper(t *testing.T) {
-	r := FromRows([][]float64{{2, 1}, {0, 4}})
-	x, err := SolveUpper(r, []float64{5, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vecAlmostEq(x, []float64{1.5, 2}, 1e-12) {
-		t.Fatalf("SolveUpper = %v", x)
-	}
-}
-
-func TestSolveUpperSingular(t *testing.T) {
-	r := FromRows([][]float64{{1, 1}, {0, 0}})
-	if _, err := SolveUpper(r, []float64{1, 1}); !errors.Is(err, ErrSingular) {
-		t.Fatal("singular upper solve accepted")
-	}
-}
-
 // Property: for random SPD systems, Solve and Cholesky agree.
 func TestPropertySolversAgree(t *testing.T) {
 	f := func(seed int64) bool {

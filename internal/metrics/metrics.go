@@ -68,23 +68,6 @@ func MAE(pred, want []float64) (float64, error) {
 	return s / float64(len(pred)), nil
 }
 
-// MaxAbsError returns the largest absolute deviation.
-func MaxAbsError(pred, want []float64) (float64, error) {
-	if len(pred) != len(want) {
-		return 0, ErrLength
-	}
-	if len(pred) == 0 {
-		return 0, ErrEmpty
-	}
-	max := 0.0
-	for i := range pred {
-		if d := math.Abs(pred[i] - want[i]); d > max {
-			max = d
-		}
-	}
-	return max, nil
-}
-
 // NMSE returns MSE normalized by the variance of the targets, the
 // Mackey-Glass measure of Table 2. A perfect predictor scores 0; the
 // mean predictor scores 1. Zero-variance targets are an error.

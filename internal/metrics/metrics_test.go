@@ -39,9 +39,6 @@ func TestErrorsOnBadInput(t *testing.T) {
 	if _, err := MAE(nil, nil); !errors.Is(err, ErrEmpty) {
 		t.Fatal("empty MAE accepted")
 	}
-	if _, err := MaxAbsError(nil, nil); !errors.Is(err, ErrEmpty) {
-		t.Fatal("empty MaxAbsError accepted")
-	}
 	if _, err := GalvanError([]float64{1}, []float64{1, 2}, 1); !errors.Is(err, ErrLength) {
 		t.Fatal("Galvan length mismatch accepted")
 	}
@@ -57,16 +54,6 @@ func TestMAE(t *testing.T) {
 	}
 	if got != 1 {
 		t.Fatalf("MAE = %v", got)
-	}
-}
-
-func TestMaxAbsError(t *testing.T) {
-	got, err := MaxAbsError([]float64{1, 5, 2}, []float64{1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 4 {
-		t.Fatalf("MaxAbsError = %v", got)
 	}
 }
 

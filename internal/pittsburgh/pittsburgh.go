@@ -33,13 +33,9 @@ type Config struct {
 
 	// Backend optionally routes the per-rule match queries through a
 	// shared evaluation backend (a core.MatchIndex, or the sharded
-	// engine in internal/engine) instead of a private single index;
-	// Cache optionally shares the evaluation-result store with other
-	// consumers of the same backend, and requires one (see
-	// core.Runtime.Validate). Both are speed knobs only: results are
-	// bit-identical either way.
+	// engine in internal/engine) instead of a private single index.
+	// A speed knob only: results are bit-identical either way.
 	Backend core.Backend
-	Cache   core.EvalCache
 }
 
 // Default returns a small but workable configuration.
@@ -79,8 +75,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("pittsburgh: Elitism=%d outside [0,PopSize)", c.Elitism)
 	case c.CoverWeight < 0 || c.CoverWeight > 1:
 		return fmt.Errorf("pittsburgh: CoverWeight=%v outside [0,1]", c.CoverWeight)
-	case c.Cache != nil && c.Backend == nil:
-		return errors.New("pittsburgh: Cache requires a Backend (shared cache keys are scoped by the backend's dataset identity and epoch)")
 	}
 	return nil
 }
@@ -116,7 +110,7 @@ func Run(ctx context.Context, cfg Config, data *series.Dataset) (*Result, error)
 	// generation against the same dataset — exactly the workload a
 	// match backend (its own core.MatchIndex unless cfg.Backend is set)
 	// accelerates.
-	eval := newSetEvaluator(data, cfg.CoverWeight, core.EvalOptions{Backend: cfg.Backend, Cache: cfg.Cache})
+	eval := newSetEvaluator(data, cfg.CoverWeight, core.EvalOptions{Backend: cfg.Backend})
 
 	// Initial population: each individual draws its rules from the
 	// paper's stratified initializer (so sets start with full output

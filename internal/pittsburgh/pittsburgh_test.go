@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/series"
 )
 
@@ -39,9 +38,8 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("default rejected: %v", err)
 	}
 	good.Backend = core.NewMatchIndex(sineDataset(t, 200, 3))
-	good.Cache = engine.NewSharedCache(0)
 	if err := good.Validate(); err != nil {
-		t.Fatalf("Cache with Backend rejected: %v", err)
+		t.Fatalf("Backend rejected: %v", err)
 	}
 	mut := []func(*Config){
 		func(c *Config) { c.RulesPerSet = 0 },
@@ -54,9 +52,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Elitism = -1 },
 		func(c *Config) { c.Elitism = 99 },
 		func(c *Config) { c.CoverWeight = 2 },
-		// A shared cache is scoped by its backend's dataset identity
-		// and epoch: without one it is rejected, not silently dropped.
-		func(c *Config) { c.Cache = engine.NewSharedCache(0) },
 	}
 	for i, m := range mut {
 		c := Default()

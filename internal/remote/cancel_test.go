@@ -98,8 +98,7 @@ func TestCancelledRemoteBatchCachesNothing(t *testing.T) {
 	if err := c.Load(context.Background(), cloneDataset(ds)); err != nil {
 		t.Fatal(err)
 	}
-	ev := core.NewEvaluator(c.Data(), 0.5, 0, 1e-8, 2,
-		core.EvalOptions{Backend: c, Cache: c.Cache()})
+	ev := core.NewEvaluator(c.Data(), 0.5, 0, 1e-8, 2, core.EvalOptions{Backend: c})
 
 	rules := randomRules(ds, 32, 3)
 	sentinel := -12345.0
@@ -111,9 +110,6 @@ func TestCancelledRemoteBatchCachesNothing(t *testing.T) {
 	if err := ev.EvaluateAll(ctx, rules); !errors.Is(err, context.Canceled) {
 		t.Fatalf("EvaluateAll returned %v, want context.Canceled", err)
 	}
-	if n := c.Cache().Len(); n != 0 {
-		t.Fatalf("%d cache entries survived a cancelled batch", n)
-	}
 	for i, r := range rules {
 		if r.Fitness != sentinel {
 			t.Fatalf("rule %d was mutated by a cancelled batch (fitness %v)", i, r.Fitness)
@@ -121,6 +117,9 @@ func TestCancelledRemoteBatchCachesNothing(t *testing.T) {
 	}
 	if err := ev.EvaluateAll(context.Background(), rules); err != nil {
 		t.Fatal(err)
+	}
+	if hits, _ := ev.CacheStats(); hits != 0 {
+		t.Fatalf("%d cache entries survived a cancelled batch", hits)
 	}
 }
 
@@ -150,18 +149,37 @@ func TestDroppedServerSurfacesStickyError(t *testing.T) {
 	}
 	_ = out // incomplete by contract; the evaluator refuses it:
 
+	cache := core.NewResultCache()
 	ev := core.NewEvaluator(c.Data(), 0.5, 0, 1e-8, 1,
-		core.EvalOptions{Backend: c, Cache: c.Cache()})
+		core.EvalOptions{Backend: c, Cache: cache})
 	if evErr := ev.EvaluateAll(context.Background(), cloneAll(rules)); !errors.Is(evErr, ErrTransport) {
 		t.Fatalf("EvaluateAll returned %v, want the wrapped transport failure", evErr)
 	}
-	if n := c.Cache().Len(); n != 0 {
-		t.Fatalf("%d cache entries written against a faulted backend", n)
+	// A healthy backend at the same data and epoch reads the same
+	// keys: it must find nothing the faulted batch computed.
+	healthy := core.NewEvaluator(c.Data(), 0.5, 0, 1e-8, 1,
+		core.EvalOptions{Backend: frozenEpoch{core.NewMatchIndex(c.Data()), c.Epoch()}, Cache: cache})
+	hits0, _ := cache.Stats()
+	if err := healthy.EvaluateAll(context.Background(), cloneAll(rules)); err != nil {
+		t.Fatal(err)
+	}
+	if hits, _ := cache.Stats(); hits != hits0 {
+		t.Fatalf("%d cache entries written against a faulted backend", hits-hits0)
 	}
 	if appErr := c.Append([][]float64{{1, 2, 3}}, []float64{4}); !errors.Is(appErr, ErrTransport) {
 		t.Fatalf("Append returned %v, want the sticky transport failure", appErr)
 	}
 }
+
+// frozenEpoch is an in-process backend reporting a fixed epoch, so its
+// evaluator builds the same cache keys as one over a cluster at that
+// epoch.
+type frozenEpoch struct {
+	*core.MatchIndex
+	epoch uint64
+}
+
+func (f frozenEpoch) Epoch() uint64 { return f.epoch }
 
 // swallowDialer wraps a transport so the test can blackhole it:
 // writes succeed but never reach the server, which therefore never
@@ -243,7 +261,6 @@ func TestDroppedServerAbortsMultiRun(t *testing.T) {
 	cfg := core.Default(ds.D)
 	cfg.Generations = 1000
 	cfg.Runtime.Backend = c
-	cfg.Runtime.Cache = c.Cache()
 
 	done := make(chan error, 1)
 	go func() {
@@ -275,7 +292,6 @@ func TestDroppedServerMidRunAbortsExecution(t *testing.T) {
 	cfg := core.Default(ds.D)
 	cfg.Generations = 1 << 30 // would run ~forever if the fault were ignored
 	cfg.Runtime.Backend = c
-	cfg.Runtime.Cache = c.Cache()
 	ex, err := core.NewExecution(context.Background(), cfg, c.Data())
 	if err != nil {
 		t.Fatal(err)

@@ -22,9 +22,6 @@ type Options struct {
 	// Workers bounds the goroutines used for the per-server fan-out
 	// and the per-rule merge (0 = GOMAXPROCS).
 	Workers int
-	// CacheCapacity bounds each generation of the client-side shared
-	// result cache (0 = engine.DefaultCacheCapacity).
-	CacheCapacity int
 	// Timeout caps every RPC issued without a caller deadline: the
 	// mutation verbs (the core.Store lifecycle methods carry no
 	// context) and match passes whose caller context has no deadline
@@ -57,8 +54,8 @@ const DefaultTimeout = 30 * time.Second
 //     into per-owner RPCs, and an append goes whole to the server
 //     with the fewest live rows; the client keeps the global
 //     bookkeeping (merged view, ownership, tombstones) and a
-//     composite epoch so the shared evaluation cache stays
-//     bypass-proof across remote mutations.
+//     composite epoch, which every evaluation-cache key embeds, so
+//     no cached result survives a remote mutation.
 //
 // A Cluster is the single writer of its servers: mutations must not
 // run concurrently with evaluation (the same exclusion the engine
@@ -70,7 +67,7 @@ type Cluster struct {
 	conns   []*conn
 	workers int
 	timeout time.Duration
-	cache   *engine.SharedCache
+	cache   *engine.SharedCache // returned by Cache; never read or written by the cluster
 	tel     *rpcClientTelemetry // set by Instrument before the cluster is shared; nil = disabled
 
 	mu     sync.RWMutex
@@ -107,7 +104,7 @@ func NewCluster(dialers []Dialer, opt Options) (*Cluster, error) {
 		conns:   make([]*conn, len(dialers)),
 		workers: opt.Workers,
 		timeout: opt.Timeout,
-		cache:   engine.NewSharedCache(opt.CacheCapacity),
+		cache:   engine.NewSharedCache(0),
 		liveBy:  make([]int, len(dialers)),
 		epochs:  make([]uint64, len(dialers)),
 	}
@@ -191,9 +188,10 @@ func (c *Cluster) Retire() {
 	c.Close()
 }
 
-// Cache returns the cluster's client-side shared result cache — the
-// evaluation cache lives with the evaluator, not the servers, since
-// all regression math is client-side.
+// Cache returns a cache the cluster holds but never reads or writes,
+// kept for the end-to-end benchmark (perfbench), which shares it
+// across its executions through core.Runtime.Cache. Fits through the
+// facade do not use it.
 func (c *Cluster) Cache() *engine.SharedCache { return c.cache }
 
 // P returns the number of shard servers.
@@ -279,14 +277,13 @@ func (c *Cluster) storeEpochLocked() {
 	c.epoch.Store(sum)
 }
 
-// finishMutationLocked is the common tail of every mutating verb: bump the
-// cluster's own epoch component and drop the shared cache's expired
-// entries (their epoch-prefixed keys can never hit again). Callers
-// hold the write lock.
+// finishMutationLocked is the common tail of every mutating verb: bump
+// the cluster's own epoch component, which expires every cached
+// evaluation keyed on the old composite epoch. Callers hold the write
+// lock.
 func (c *Cluster) finishMutationLocked() {
 	c.local++
 	c.storeEpochLocked()
-	c.cache.Invalidate()
 }
 
 // Load scatters the dataset across the servers: contiguous slices,

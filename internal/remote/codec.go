@@ -3,9 +3,9 @@
 // and answers match and lifecycle RPCs over a length-prefixed binary
 // protocol, and a Cluster is the scatter/gather client that
 // implements the full core.Store contract across any number of
-// servers — so the paper's evolutionary math, the evaluator and the
-// shared result cache all run unchanged against a training set that
-// no single machine holds.
+// servers — so the paper's evolutionary math, the evaluator and its
+// result cache all run unchanged against a training set that no
+// single machine holds.
 //
 // The Cluster keeps the global bookkeeping: the merged dataset view
 // (all rows in insertion order, i.e. ascending RowID), which server

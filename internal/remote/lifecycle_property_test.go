@@ -165,7 +165,7 @@ func randomDataset(t testing.TB, src *rng.Source, n, d, nanEvery int) *series.Da
 // checkTriEquivalence asserts cluster ≡ engine ≡ naive: live sets
 // (size, ids, order, via the all-wildcard rule), matched id sets rule
 // by rule, and evaluations — batched and per-rule through the
-// cluster-backed evaluator with its shared cache — bit-identical to a
+// cluster-backed evaluator and its cache — bit-identical to a
 // fresh sequential evaluator over the naive rows.
 func checkTriEquivalence(t *testing.T, step string, c *Cluster, eng *engine.Engine, cev *core.Evaluator, m *naiveStore, rules []*core.Rule) {
 	t.Helper()
@@ -231,7 +231,7 @@ func driveRemoteLifecycle(t *testing.T, seed int64, n0, d, nanEvery, servers, sh
 
 	const emax, fmin, ridge = 0.7, 0.0, 1e-8
 	cev := core.NewEvaluator(c.Data(), emax, fmin, ridge, workers,
-		core.EvalOptions{Backend: c, Cache: c.Cache()})
+		core.EvalOptions{Backend: c})
 	if cev.Backend() != core.Backend(c) {
 		t.Fatal("evaluator did not adopt the cluster")
 	}
@@ -242,6 +242,7 @@ func driveRemoteLifecycle(t *testing.T, seed int64, n0, d, nanEvery, servers, sh
 	for round := 0; round < rounds; round++ {
 		mutated := false
 		step := ""
+		epoch := c.Epoch()
 		switch op := src.Intn(5); op {
 		case 0, 1: // append a chunk
 			k := 1 + src.Intn(16)
@@ -303,8 +304,8 @@ func driveRemoteLifecycle(t *testing.T, seed int64, n0, d, nanEvery, servers, sh
 			eng.Compact()
 			step = "compact"
 		}
-		if mutated && c.Cache().Len() != 0 {
-			t.Fatalf("round %d (%s): %d cache entries survived a mutation epoch", round, step, c.Cache().Len())
+		if mutated && c.Epoch() <= epoch {
+			t.Fatalf("round %d (%s): the mutation left the composite epoch at %d, so cached evaluations would survive it", round, step, c.Epoch())
 		}
 		if step == "compact" && c.Data().Len() != c.LiveLen() {
 			t.Fatalf("round %d: Compact left %d resident vs %d live", round, c.Data().Len(), c.LiveLen())

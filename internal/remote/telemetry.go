@@ -111,9 +111,8 @@ func newRPCServerTelemetry(reg *obs.Registry) *rpcServerTelemetry {
 }
 
 // Instrument attaches a metrics registry to the cluster: every conn
-// reports per-verb round trips, the health counters track redials and
-// the sticky fault, and the client-side shared cache reports
-// hits/misses. Call it before the cluster is shared across goroutines
+// reports per-verb round trips and the health counters track redials
+// and the sticky fault. Call it before the cluster is shared across goroutines
 // (typically right after NewCluster/Dial); nil detaches.
 func (c *Cluster) Instrument(reg *obs.Registry) {
 	tel := newRPCClientTelemetry(reg)
@@ -121,7 +120,6 @@ func (c *Cluster) Instrument(reg *obs.Registry) {
 	for _, cn := range c.conns {
 		cn.tel = tel
 	}
-	c.cache.Instrument(reg)
 }
 
 // Instrument attaches a metrics registry to the server: per-verb

@@ -48,12 +48,6 @@ func (s *Series) Normalize() (*Series, *stats.MinMaxScaler) {
 	return &Series{Name: s.Name + "/norm", Values: sc.TransformSlice(s.Values)}, sc
 }
 
-// NormalizeWith returns a copy scaled by an existing scaler (used to
-// apply the training-set transform to validation data).
-func (s *Series) NormalizeWith(sc *stats.MinMaxScaler) *Series {
-	return &Series{Name: s.Name + "/norm", Values: sc.TransformSlice(s.Values)}
-}
-
 // RowID is the stable identity of one dataset row (pattern). Row
 // positions shift when a lifecycle-managed store compacts deleted
 // rows away, so anything that must name a row across mutations —

@@ -111,10 +111,6 @@ func TestNormalizeRoundTrip(t *testing.T) {
 	if sc.Inverse(norm.Values[1]) != 20 {
 		t.Fatal("scaler does not invert")
 	}
-	other := New("y", []float64{15, 25}).NormalizeWith(sc)
-	if other.Values[0] != 0.25 || other.Values[1] != 0.75 {
-		t.Fatalf("NormalizeWith = %v", other.Values)
-	}
 }
 
 func TestTargetRange(t *testing.T) {

@@ -39,45 +39,7 @@ func (s *MinMaxScaler) TransformSlice(xs []float64) []float64 {
 	return out
 }
 
-// InverseSlice returns a new slice with every value mapped back.
-func (s *MinMaxScaler) InverseSlice(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, v := range xs {
-		out[i] = s.Inverse(v)
-	}
-	return out
-}
-
 // String describes the scaler.
 func (s *MinMaxScaler) String() string {
 	return fmt.Sprintf("minmax[%.4g,%.4g]", s.Lo, s.Hi)
-}
-
-// ZScaler standardizes values to zero mean and unit variance.
-type ZScaler struct {
-	Mean, Std float64
-}
-
-// FitZ computes a ZScaler from xs; a zero-variance sample gets Std=1.
-func FitZ(xs []float64) *ZScaler {
-	std := StdDev(xs)
-	if std == 0 {
-		std = 1
-	}
-	return &ZScaler{Mean: Mean(xs), Std: std}
-}
-
-// Transform standardizes v.
-func (s *ZScaler) Transform(v float64) float64 { return (v - s.Mean) / s.Std }
-
-// Inverse undoes Transform.
-func (s *ZScaler) Inverse(v float64) float64 { return v*s.Std + s.Mean }
-
-// TransformSlice standardizes every value into a new slice.
-func (s *ZScaler) TransformSlice(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, v := range xs {
-		out[i] = s.Transform(v)
-	}
-	return out
 }

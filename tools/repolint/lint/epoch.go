@@ -6,13 +6,13 @@ import (
 )
 
 // storeImpls names the core.Store implementations whose mutations
-// must be epoch-accounted, per module-relative package directory. The
-// shared evaluation cache prefixes every key with the store epoch;
-// one mutation that forgets to bump it lets a stale cached result
-// survive the mutation — the exact bug class the composite-epoch
+// must be epoch-accounted, per module-relative package directory.
+// Every evaluation-cache key is prefixed with the store epoch; one
+// mutation that forgets to bump it lets a stale cached result survive
+// the mutation — the exact bug class the composite-epoch
 // design exists to make impossible.
 var storeImpls = map[string][]string{
-	"internal/engine": {"Shards", "Engine"},
+	"internal/engine": {"Engine"},
 	"internal/remote": {"Cluster"},
 }
 
