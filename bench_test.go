@@ -494,51 +494,26 @@ func BenchmarkShardsFullRebuild(b *testing.B) {
 
 // --- Dataset lifecycle (internal/engine) ---------------------------------
 
-// benchLifecycleEngine builds a fresh n-pattern, 8-shard engine for
-// one lifecycle-benchmark iteration (auto-compaction off so each
-// primitive is timed in isolation).
-func benchLifecycleEngine(b *testing.B, v []float64, n, d int, opt engine.Options) *engine.Engine {
-	b.Helper()
-	ds, err := series.Window(series.New("bench", v[:n]), d, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return engine.New(ds, opt)
-}
-
-// BenchmarkShardsDelete measures tombstoning one 512-row window slide
-// (the oldest rows) out of a 20k-pattern engine: id lookups plus
-// bitmap marks, no index rebuilds at all — the cost a sliding window
-// pays per slide when compaction has not triggered.
+// BenchmarkShardsDelete measures a real 512-row window slide out of a
+// 20k-pattern, 8-shard engine: deleting the oldest rows removes them
+// physically, so the cost is one shard rewrite, the global remap and
+// one shard-index rebuild (the contiguous initial partition puts all
+// 512 rows in shard 0). Compare against BenchmarkShardsFullRebuild —
+// the re-shard it avoids.
 func BenchmarkShardsDelete(b *testing.B) {
 	const n, d, del = 20000, 24, 512
 	v := benchGrownSeries(b, n+d)
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		eng := benchLifecycleEngine(b, v, n, d, engine.Options{Shards: 8, CompactThreshold: -1})
+		ds, err := series.Window(series.New("bench", v[:n]), d, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng := engine.New(ds, engine.Options{Shards: 8})
 		ids := append([]series.RowID(nil), eng.Data().IDs[:del]...)
 		b.StartTimer()
 		if got := eng.Delete(ids); got != del {
 			b.Fatalf("deleted %d, want %d", got, del)
-		}
-	}
-}
-
-// BenchmarkShardsCompact measures reclaiming a half-dead shard: 1250
-// tombstoned rows confined to shard 0 of 8 (the global prefix), so
-// compaction rewrites that one shard and remaps the rest. Compare
-// against BenchmarkShardsFullRebuild — the re-shard it avoids.
-func BenchmarkShardsCompact(b *testing.B) {
-	const n, d = 20000, 24
-	v := benchGrownSeries(b, n+d)
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		eng := benchLifecycleEngine(b, v, n, d, engine.Options{Shards: 8, CompactThreshold: -1})
-		del := eng.ShardStats()[0].Resident / 2
-		eng.Delete(append([]series.RowID(nil), eng.Data().IDs[:del]...))
-		b.StartTimer()
-		if got := eng.Compact(); got != del {
-			b.Fatalf("compacted %d, want %d", got, del)
 		}
 	}
 }

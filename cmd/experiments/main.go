@@ -39,7 +39,7 @@ func main() {
 		noise      = flag.Bool("noise", false, "run the noise-robustness sweep")
 		approaches = flag.Bool("approaches", false, "compare Michigan vs Pittsburgh vs islands")
 		general    = flag.Bool("generalization", false, "run the Lorenz generalization check")
-		stream     = flag.Bool("stream", false, "run the windowed-stream lifecycle scenario (sliding window + compaction)")
+		stream     = flag.Bool("stream", false, "run the windowed-stream lifecycle scenario (append + sliding window)")
 		all        = flag.Bool("all", false, "regenerate every table and figure")
 		extras     = flag.Bool("extras", false, "also run every extension experiment with -all")
 		full       = flag.Bool("full", false, "use the paper's full-scale protocol")

@@ -5,8 +5,8 @@
 // prequential test), then calls Append: the chunk's patterns join the
 // engine-backed store (routed to the emptiest shard, one index
 // rebuild), the oldest patterns beyond the sliding window are evicted
-// and compacted away, and the system retrains on the window through
-// the same engine — learning the new regime as fast as it forgets the
+// (only the shards that held them are rewritten), and the system
+// retrains on the window through the same engine — learning the new regime as fast as it forgets the
 // old one.
 //
 // With -remote host:port,host:port the same loop runs against live
@@ -107,10 +107,10 @@ func main() {
 			round, len(inputs), rmse, 100*cov)
 
 		// Slide the window and retrain in one verb: Append adds the
-		// chunk, evicts what the window no longer holds, compacts the
-		// tombstones away and refits through the same engine. Every
-		// cached evaluation from the old window has expired with the
-		// epoch.
+		// chunk, evicts what the window no longer holds and refits
+		// through the same engine. Every cached evaluation from the old
+		// window has expired with the epoch (one bump for the append,
+		// one for the eviction).
 		before, _ := f.StoreStats()
 		if err := f.Append(ctx, inputs, targets); err != nil {
 			log.Fatal(err)

@@ -22,7 +22,7 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 		shards: fs.Int("shards", 0,
 			"training-set shards for the batched evaluation engine (0 = single index, -1 = one per core; ignored with -remote, shard each server instead)"),
 		window: fs.Int("window", 0,
-			"sliding-window cap on live training patterns: older rows are evicted and compacted away (0 = keep everything; enables the engine)"),
+			"sliding-window cap on live training patterns: older rows are evicted (0 = keep everything; enables the engine)"),
 		remote: fs.String("remote", "",
 			"comma-separated shardserver addresses (host:port,host:port); evaluation is scattered across them instead of the in-process engine"),
 	}

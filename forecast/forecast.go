@@ -157,8 +157,9 @@ func New(opts ...Option) (*Forecaster, error) {
 // fitted one. With WithEngine the dataset's lifecycle is taken over
 // by the engine from here on: Append and Evict mutate it,
 // WithSlidingWindow trims it to the newest n patterns immediately,
-// and compaction rewrites it IN PLACE — callers must treat the passed
-// dataset as moved and read the live view through Data() instead.
+// and every eviction rewrites it IN PLACE — callers must treat the
+// passed dataset as moved and read the live view through Data()
+// instead.
 //
 // Fit honours ctx: cancellation stops every execution at its next
 // generation, installs the best-so-far system (every completed
@@ -218,9 +219,6 @@ func (f *Forecaster) Fit(ctx context.Context, ds *Dataset) error {
 		if f.s.slidingWin > 0 {
 			st.Window(f.s.slidingWin)
 		}
-		// Compact so Data() is exactly the live rows before training
-		// (also done by the config wiring; explicit keeps it obvious).
-		st.Compact()
 		data = st.Data()
 		if data.Len() == 0 {
 			closeStore(st)
@@ -389,9 +387,9 @@ func (f *Forecaster) Refit(ctx context.Context) error {
 // Append streams new patterns into the training store and retrains on
 // the updated window: the chunk is routed to the emptiest shard (one
 // index rebuild), anything a configured sliding window no longer
-// holds is evicted and compacted away, and the system refits from
-// scratch: the mutation bumps the data epoch, so no cached evaluation
-// of the old window is reused. Requires WithEngine. Same cancellation contract as Fit; the
+// holds is evicted, and the system refits from scratch: the mutation
+// bumps the data epoch, so no cached evaluation of the old window is
+// reused. Requires WithEngine. Same cancellation contract as Fit; the
 // data mutation itself is not rolled back on cancellation.
 func (f *Forecaster) Append(ctx context.Context, inputs [][]float64, targets []float64) error {
 	if f.eng == nil {
@@ -406,17 +404,16 @@ func (f *Forecaster) Append(ctx context.Context, inputs [][]float64, targets []f
 	if f.s.slidingWin > 0 {
 		f.eng.Window(f.s.slidingWin)
 	}
-	f.eng.Compact()
 	f.data = f.eng.Data()
 	f.trace("append", map[string]any{"rows": len(inputs), "live": f.eng.LiveLen()})
 	return f.Refit(ctx)
 }
 
-// Evict expires the oldest n live training patterns (tombstoned, then
-// compacted away) and returns how many were actually evicted. The
-// fitted rule system is NOT retrained — it keeps forecasting from the
-// rules it has — so call Refit (or Append) when the model should
-// forget the evicted regime too. Requires WithEngine.
+// Evict removes the oldest n training patterns and returns how many
+// were actually evicted. The fitted rule system is NOT retrained — it
+// keeps forecasting from the rules it has — so call Refit (or Append)
+// when the model should forget the evicted regime too. Requires
+// WithEngine.
 func (f *Forecaster) Evict(n int) int {
 	if f.eng == nil || n <= 0 {
 		return 0
@@ -426,7 +423,6 @@ func (f *Forecaster) Evict(n int) int {
 		keep = 0
 	}
 	evicted := f.eng.Window(keep)
-	f.eng.Compact()
 	f.data = f.eng.Data()
 	f.trace("evict", map[string]any{"requested": n, "evicted": evicted, "live": f.eng.LiveLen()})
 	return evicted

@@ -238,9 +238,9 @@ func WithRemoteCluster(addrs ...string) Option {
 	}
 }
 
-// WithSlidingWindow caps the live training set at the newest n
-// patterns: Fit trims its dataset to the window, and every Append
-// evicts (and compacts away) whatever the new data pushes out.
+// WithSlidingWindow caps the training set at the newest n patterns:
+// Fit trims its dataset to the window, and every Append evicts
+// whatever the new data pushes out.
 // Implies WithEngine (or composes with WithRemoteCluster) — the
 // window is a lifecycle-store feature.
 func WithSlidingWindow(n int) Option {

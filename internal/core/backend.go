@@ -60,9 +60,8 @@ type Backend interface {
 // (the same exclusion Append already requires); match queries remain
 // safe with each other.
 //
-// Match results always range over live rows only: a deleted row never
-// appears in a matched set, whether it has been compacted away or
-// still sits behind a tombstone.
+// Rows leave physically: when Delete or Window returns, Data() no
+// longer holds the evicted rows and no matched set can name them.
 type Store interface {
 	Backend
 
@@ -70,24 +69,23 @@ type Store interface {
 	// assigning each a fresh ascending RowID.
 	Append(inputs [][]float64, targets []float64) error
 
-	// Delete tombstones the rows with the given stable ids and returns
-	// how many were live before the call. Unknown or already-dead ids
-	// are ignored.
+	// Delete removes the rows with the given stable ids and returns
+	// how many it removed. Unknown or repeated ids are ignored.
 	Delete(ids []series.RowID) int
 
-	// Window keeps only the newest n live rows, tombstoning every
-	// older one, and returns the number evicted — the sliding-window
-	// primitive. Window(0) clears the store.
+	// Window keeps only the newest n rows, removing every older one,
+	// and returns the number evicted — the sliding-window primitive.
+	// Window(0) clears the store.
 	Window(n int) int
 
-	// Compact rewrites every shard holding tombstoned rows so they are
-	// physically removed (and Data() shrinks to live rows), returning
-	// the number of rows reclaimed. Results are unchanged — compaction
-	// only renumbers positions, never the live row set or its order.
+	// Compact does nothing and returns 0 on every store.
+	//
+	// Deprecated: Delete and Window already remove rows physically.
+	// The verb stays only because the end-to-end benchmark
+	// (perfbench) still calls it.
 	Compact() int
 
-	// LiveLen returns the number of live rows — Data().Len() minus
-	// rows tombstoned but not yet compacted away.
+	// LiveLen returns the number of rows in the store: Data().Len().
 	LiveLen() int
 }
 

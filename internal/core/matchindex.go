@@ -235,17 +235,15 @@ var matchScratchPool = sync.Pool{New: func() any { return new(MatchScratch) }}
 // caller must scan; both paths return identical results.
 func (ix *MatchIndex) Lookup(r *Rule) (out []int, ok bool) {
 	sc := matchScratchPool.Get().(*MatchScratch)
-	out, ok = ix.LookupInto(nil, r, nil, sc)
+	out, ok = ix.LookupInto(nil, r, sc)
 	matchScratchPool.Put(sc)
 	return out, ok
 }
 
-// LookupInto is Lookup appending to dst with caller-owned scratch,
-// leaving out every pattern whose bit is set in exclude (a bitmap over
-// pattern indices; patterns past its end are kept, nil excludes
-// nothing). dst grows at most once, to the exact result size. On the
-// fallback answer (ok=false) dst is returned unchanged.
-func (ix *MatchIndex) LookupInto(dst []int, r *Rule, exclude []uint64, sc *MatchScratch) (out []int, ok bool) {
+// LookupInto is Lookup appending to dst with caller-owned scratch.
+// dst grows at most once, to the exact result size. On the fallback
+// answer (ok=false) dst is returned unchanged.
+func (ix *MatchIndex) LookupInto(dst []int, r *Rule, sc *MatchScratch) (out []int, ok bool) {
 	if ix.degenerate {
 		return dst, false
 	}
@@ -285,11 +283,8 @@ func (ix *MatchIndex) LookupInto(dst []int, r *Rule, exclude []uint64, sc *Match
 		}
 	}
 	count := 0
-	for w := range acc {
-		if w < len(exclude) {
-			acc[w] &^= exclude[w]
-		}
-		count += bits.OnesCount64(acc[w])
+	for _, word := range acc {
+		count += bits.OnesCount64(word)
 	}
 	if count == 0 {
 		return dst, true

@@ -237,7 +237,7 @@ func FuzzMatchIndex(f *testing.F) {
 					want = append(want, i)
 				}
 			}
-			got, ok := ix.LookupInto(nil, r, nil, &sc)
+			got, ok := ix.LookupInto(nil, r, &sc)
 			if !ok {
 				if !nan && !nanBound {
 					t.Fatalf("lookup declined a rule on clean data: %v", cond)

@@ -180,7 +180,7 @@ func TestPropertyIndexedMatchEquivalence(t *testing.T) {
 				return false
 			}
 			rules, wants = append(rules, r), append(wants, naive)
-			if got, ok := ix.LookupInto(reuse[:0], r, nil, &sc); ok {
+			if got, ok := ix.LookupInto(reuse[:0], r, &sc); ok {
 				if !intSlicesEqual(got, naive) {
 					return false
 				}
@@ -364,7 +364,7 @@ func TestPropertyIndexNaNEquivalence(t *testing.T) {
 			// buffers across rules (sc and reuse carry state between
 			// trials on purpose). Into appends to caller storage, so
 			// only values are compared, not nil-ness.
-			if got, ok := ix.LookupInto(reuse[:0], r, nil, sc); ok {
+			if got, ok := ix.LookupInto(reuse[:0], r, sc); ok {
 				if !intSlicesEqual(got, naive) {
 					return false
 				}
@@ -381,8 +381,7 @@ func TestPropertyIndexNaNEquivalence(t *testing.T) {
 // Property: LookupInto over a dirty pooled scratch and a reused
 // destination reproduces Lookup exactly on clean data, for every rule
 // and for every one-gene restriction of it (each gene's rank range
-// taken alone), and an exclusion bitmap removes exactly its rows — the
-// tombstone filter the sharded engine passes in.
+// taken alone).
 func TestPropertyLookupScratchEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		src := rng.New(seed)
@@ -399,33 +398,15 @@ func TestPropertyLookupScratchEquivalence(t *testing.T) {
 		ix := NewMatchIndex(ds)
 		sc := matchScratchPool.Get().(*MatchScratch)
 		defer matchScratchPool.Put(sc)
-		exclude := make([]uint64, (ds.Len()+63)>>6)
-		for i := 0; i < ds.Len(); i++ {
-			if src.Bool(0.2) {
-				exclude[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
-		exclude = exclude[:src.Intn(len(exclude)+1)] // rows past the end are kept
-		excluded := func(i int) bool { return i>>6 < len(exclude) && exclude[i>>6]&(1<<(uint(i)&63)) != 0 }
 		var reuse []int
 		check := func(r *Rule) bool {
 			want, ok := ix.Lookup(r)
 			if !ok {
 				return false // clean data, finite bounds: always answerable
 			}
-			got, _ := ix.LookupInto(reuse[:0], r, nil, sc)
-			if !intSlicesEqual(got, want) {
-				return false
-			}
-			var live []int
-			for _, i := range want {
-				if !excluded(i) {
-					live = append(live, i)
-				}
-			}
-			got, _ = ix.LookupInto(got[:0], r, exclude, sc)
+			got, _ := ix.LookupInto(reuse[:0], r, sc)
 			reuse = got
-			return intSlicesEqual(got, live)
+			return intSlicesEqual(got, want)
 		}
 		for trial := 0; trial < 10; trial++ {
 			cond := make([]Interval, d)

@@ -27,7 +27,7 @@ type Runtime struct {
 	// returns exact matched sets, so results are bit-identical.
 	//
 	// A backend may additionally be a lifecycle-managed Store
-	// (deletes, sliding windows, compaction). Every mutation bumps the
+	// (appends, deletes, sliding windows). Every mutation bumps the
 	// backend's epoch, which every evaluation-cache key embeds, so a
 	// result computed against an older snapshot can never be served.
 	Backend Backend

@@ -92,7 +92,7 @@ func TestAppendMatchesRebuild(t *testing.T) {
 		}
 	}
 
-	if s.Len() != ds.Len() || s.Data() != ds {
+	if s.LiveLen() != ds.Len() || s.Data() != ds {
 		t.Fatal("append did not grow the original dataset in place")
 	}
 	want, err := series.Window(series.New("stream", values), d, horizon)

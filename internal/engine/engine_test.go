@@ -82,11 +82,11 @@ func intsEqual(a, b []int) bool {
 	return true
 }
 
-// shardSizes returns every shard's resident row count.
+// shardSizes returns every shard's row count.
 func shardSizes(s *Engine) []int {
 	var sizes []int
-	for _, st := range s.ShardStats() {
-		sizes = append(sizes, st.Resident)
+	for _, sh := range s.parts {
+		sizes = append(sizes, sh.data.Len())
 	}
 	return sizes
 }
@@ -147,15 +147,14 @@ func TestMatchBatchEqualsMatchIndices(t *testing.T) {
 	}
 }
 
-func TestConfigureWiresBackendAndCache(t *testing.T) {
+// TestEngineBackendKeepsOwnCache: an execution whose Runtime.Backend
+// is the engine matches through it but keeps its own result cache,
+// never the one the engine holds for perfbench.
+func TestEngineBackendKeepsOwnCache(t *testing.T) {
 	ds := testDataset(t, 200, 3, false)
 	eng := New(ds, Options{Shards: 3})
 	cfg := core.Default(3)
-	cfg.Runtime.Backend = core.NewMatchIndex(ds) // must be replaced
-	eng.Configure(&cfg)
-	if cfg.Runtime.Backend != core.Backend(eng) || cfg.Runtime.Cache != nil {
-		t.Fatal("Configure did not wire the backend alone, as documented")
-	}
+	cfg.Runtime.Backend = eng
 	cfg.Generations = 30
 	cfg.PopSize = 10
 	ex, err := core.NewExecution(context.Background(), cfg, ds)
@@ -232,7 +231,7 @@ func TestAppendValidation(t *testing.T) {
 	if epoch := eng.Epoch(); epoch != 1 {
 		t.Fatalf("epoch after one append = %d, want 1", epoch)
 	}
-	if eng.Len() != n0+1 {
-		t.Fatalf("Len after append = %d, want %d", eng.Len(), n0+1)
+	if eng.LiveLen() != n0+1 {
+		t.Fatalf("LiveLen after append = %d, want %d", eng.LiveLen(), n0+1)
 	}
 }

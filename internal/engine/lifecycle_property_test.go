@@ -14,7 +14,7 @@ import (
 // naiveStore is the reference model of the lifecycle-managed store: a
 // flat list of live rows in insertion order, rebuilt from scratch on
 // every mutation. The engine — any shard count, any worker count, any
-// append/delete/window/compact interleaving — must be
+// append/delete/window interleaving — must be
 // bit-identical to a sequential evaluator over exactly these rows.
 type naiveStore struct {
 	inputs  [][]float64
@@ -107,16 +107,13 @@ func checkLiveState(t *testing.T, step string, eng *Engine, m *naiveStore) {
 			t.Fatalf("%s: live row %d has id %d, model says %d", step, k, eng.Data().IDs[g], m.ids[k])
 		}
 	}
-	// Shard bookkeeping must cover exactly the resident rows.
-	resident := 0
-	liveN := 0
-	for _, st := range eng.ShardStats() {
-		resident += st.Resident
-		liveN += st.Live
+	// Shard bookkeeping must cover exactly the rows.
+	rows := 0
+	for _, n := range shardSizes(eng) {
+		rows += n
 	}
-	if resident != eng.Data().Len() || liveN != eng.LiveLen() {
-		t.Fatalf("%s: shard stats cover %d resident / %d live, want %d / %d",
-			step, resident, liveN, eng.Data().Len(), eng.LiveLen())
+	if rows != eng.Data().Len() {
+		t.Fatalf("%s: shards cover %d rows, Data() holds %d", step, rows, eng.Data().Len())
 	}
 }
 
@@ -160,20 +157,15 @@ func checkEvalEquivalence(t *testing.T, step string, eng *Engine, ev *core.Evalu
 	}
 }
 
-// driveLifecycle runs one random interleaving of
-// append/delete/window/compact against an engine and the
-// naive model, asserting equivalence (and cache emptiness after every
+// driveLifecycle runs one random interleaving of append/delete/window
+// against an engine and the naive model, asserting equivalence (and cache emptiness after every
 // mutation) throughout.
 func driveLifecycle(t *testing.T, seed int64, n0, d, nanEvery, shards, workers, rounds int) {
 	src := rng.New(seed)
 	ds := randomDataset(t, src, n0, d, nanEvery)
 	rules := append(randomRules(ds, 24, seed+1), wildRule(d))
 
-	eng := New(ds, Options{
-		Shards:           shards,
-		Workers:          workers,
-		CompactThreshold: []float64{0, -1, 0.1, 0.6}[src.Intn(4)],
-	})
+	eng := New(ds, Options{Shards: shards, Workers: workers})
 	m := newNaiveStore(ds)
 	const emax, fmin, ridge = 0.7, 0.0, 1e-8
 	ev := core.NewEvaluator(eng.Data(), emax, fmin, ridge, workers,
@@ -190,7 +182,7 @@ func driveLifecycle(t *testing.T, seed int64, n0, d, nanEvery, shards, workers, 
 		mutated := false
 		step := ""
 		epoch := eng.Epoch()
-		switch op := src.Intn(5); op {
+		switch op := src.Intn(4); op {
 		case 0, 1: // append a chunk
 			k := 1 + src.Intn(20)
 			inputs := make([][]float64, k)
@@ -241,34 +233,20 @@ func driveLifecycle(t *testing.T, seed int64, n0, d, nanEvery, shards, workers, 
 			}
 			mutated = got > 0
 			step = "window"
-		case 4:
-			mutated = eng.Compact() > 0
-			step = "compact"
 		}
 		if mutated && eng.Epoch() <= epoch {
 			t.Fatalf("round %d (%s): the mutation left the epoch at %d, so cached evaluations would survive it", round, step, eng.Epoch())
 		}
 		checkLiveState(t, step, eng, m)
-		// Post-compaction the dataset view must be exactly the live
-		// rows — the "true sliding window" guarantee.
-		if step == "compact" && eng.Data().Len() != eng.LiveLen() {
-			t.Fatalf("round %d: Compact left %d resident vs %d live", round, eng.Data().Len(), eng.LiveLen())
-		}
 		if round%3 == 0 || round == rounds-1 {
 			checkEvalEquivalence(t, step, eng, ev, m, rules)
 		}
-	}
-	// Final full compaction: the engine collapses to exactly the live
-	// rows and still agrees with the model.
-	eng.Compact()
-	if eng.Data().Len() != eng.LiveLen() || eng.LiveLen() != len(m.ids) {
-		t.Fatalf("final Compact: resident %d, live %d, model %d", eng.Data().Len(), eng.LiveLen(), len(m.ids))
 	}
 	checkEvalEquivalence(t, "final", eng, ev, m, rules)
 }
 
 // TestLifecycleEquivalentToNaiveRebuild is the tentpole property:
-// after arbitrary append/delete/window/compact sequences, match
+// after arbitrary append/delete/window sequences, match
 // and evaluation results are bit-identical to a from-scratch
 // sequential engine over only the live rows — at any shard and worker
 // count, on clean and NaN-degenerate data — and no cache entry ever

@@ -1,13 +1,10 @@
 package engine
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // TestOptionsClamped is the satellite table test: out-of-range
 // options are normalized in one place, so constructors never see
-// negative shard/worker/capacity counts or a malformed threshold.
+// negative shard or worker counts.
 func TestOptionsClamped(t *testing.T) {
 	cases := []struct {
 		name string
@@ -15,34 +12,14 @@ func TestOptionsClamped(t *testing.T) {
 		want Options
 	}{
 		{
-			name: "zero value resolves the default threshold",
-			in:   Options{},
-			want: Options{CompactThreshold: DefaultCompactThreshold},
-		},
-		{
 			name: "negative counts become defaults",
 			in:   Options{Shards: -3, Workers: -1},
-			want: Options{CompactThreshold: DefaultCompactThreshold},
+			want: Options{},
 		},
 		{
 			name: "positive fields pass through",
-			in:   Options{Shards: 4, Workers: 2, CompactThreshold: 0.5},
-			want: Options{Shards: 4, Workers: 2, CompactThreshold: 0.5},
-		},
-		{
-			name: "negative threshold disables auto-compaction",
-			in:   Options{CompactThreshold: -0.4},
-			want: Options{CompactThreshold: -1},
-		},
-		{
-			name: "NaN threshold disables auto-compaction",
-			in:   Options{CompactThreshold: math.NaN()},
-			want: Options{CompactThreshold: -1},
-		},
-		{
-			name: "threshold above one clamps to one",
-			in:   Options{CompactThreshold: 3},
-			want: Options{CompactThreshold: 1},
+			in:   Options{Shards: 4, Workers: 2},
+			want: Options{Shards: 4, Workers: 2},
 		},
 	}
 	for _, tc := range cases {
@@ -64,7 +41,7 @@ func TestOptionsClamped(t *testing.T) {
 	// The constructors go through the same clamp: a hostile option set
 	// still yields a working engine.
 	ds := testDataset(t, 50, 3, false)
-	eng := New(ds, Options{Shards: -5, Workers: -2, CompactThreshold: math.NaN()})
+	eng := New(ds, Options{Shards: -5, Workers: -2})
 	if eng.P() < 1 || eng.LiveLen() != ds.Len() {
 		t.Fatalf("engine built from hostile options: P=%d live=%d", eng.P(), eng.LiveLen())
 	}

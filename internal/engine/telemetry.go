@@ -25,15 +25,14 @@ type telemetry struct {
 	batchNs    *obs.Histogram // MatchBatch wall time, ns
 	batchRules *obs.Histogram // rules served per MatchBatch call
 
-	appendNs  *obs.Histogram
-	deleteNs  *obs.Histogram
-	windowNs  *obs.Histogram
-	compactNs *obs.Histogram
+	appendNs *obs.Histogram
+	deleteNs *obs.Histogram
+	windowNs *obs.Histogram
 
 	mutations *obs.Counter // mutations that changed the store
 	epoch     *obs.Gauge   // current data epoch
-	liveRows  *obs.Gauge   // live (non-tombstoned) rows
-	liveSkew  *obs.Gauge   // largest / smallest live shard size
+	liveRows  *obs.Gauge   // rows in the store
+	liveSkew  *obs.Gauge   // largest / smallest shard size
 }
 
 func newTelemetry(reg *obs.Registry) *telemetry {
@@ -47,7 +46,6 @@ func newTelemetry(reg *obs.Registry) *telemetry {
 		appendNs:   reg.Histogram("engine_append_ns"),
 		deleteNs:   reg.Histogram("engine_delete_ns"),
 		windowNs:   reg.Histogram("engine_window_ns"),
-		compactNs:  reg.Histogram("engine_compact_ns"),
 		mutations:  reg.Counter("engine_mutations"),
 		epoch:      reg.Gauge("engine_epoch"),
 		liveRows:   reg.Gauge("engine_live_rows"),
@@ -132,11 +130,10 @@ func (s *Engine) AppendRows(inputs [][]float64, targets []float64, ids []series.
 	return nil
 }
 
-// Delete tombstones the rows with the given stable ids and returns
-// how many were live before the call. Unknown or already-dead ids are
-// ignored. Matched sets exclude the rows immediately; the epoch bump
-// expires every cached evaluation. Shards whose dead ratio crosses
-// the compaction threshold are compacted before Delete returns.
+// Delete removes the rows with the given stable ids and returns how
+// many it removed. Unknown and repeated ids are ignored. Each shard
+// that held one of the rows is rewritten and its index rebuilt before
+// Delete returns; the epoch bump expires every cached evaluation.
 func (s *Engine) Delete(ids []series.RowID) int {
 	t := s.tel
 	if t == nil {
@@ -151,12 +148,12 @@ func (s *Engine) Delete(ids []series.RowID) int {
 	return n
 }
 
-// Window keeps only the newest n live rows and tombstones every older
-// one — the sliding-window primitive — returning the number evicted.
+// Window keeps only the newest n rows and removes every older one —
+// the sliding-window primitive — returning the number evicted.
 // "Newest" is insertion order (ascending RowID), so a stream that
 // appends chunks and calls Window(w) after each one trains on exactly
-// the trailing w patterns. Eviction triggers the same threshold
-// compaction as Delete.
+// the trailing w patterns. Each shard loses a prefix of its rows, and
+// only the shards that lose any are rewritten.
 func (s *Engine) Window(n int) int {
 	t := s.tel
 	if t == nil {
@@ -169,24 +166,4 @@ func (s *Engine) Window(n int) int {
 		t.afterMutation(s)
 	}
 	return evicted
-}
-
-// Compact physically removes every tombstoned row: each shard holding
-// dead rows is rewritten live-only and its index rebuilt, and the
-// global dataset view shrinks in place (Data() keeps its pointer).
-// Untouched shards keep their indexes — only their global numbering
-// is remapped, an O(n) sweep that costs a fraction of one index
-// rebuild. Returns the number of rows reclaimed.
-func (s *Engine) Compact() int {
-	t := s.tel
-	if t == nil {
-		return s.compact()
-	}
-	start := t.reg.Now()
-	removed := s.compact()
-	t.compactNs.Observe(t.reg.Now() - start)
-	if removed > 0 {
-		t.afterMutation(s)
-	}
-	return removed
 }

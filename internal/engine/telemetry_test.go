@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/series"
 )
 
 // tickClock returns a deterministic Clock advancing 5ns per reading.
@@ -22,9 +23,7 @@ func tickClock() obs.Clock {
 
 func TestEngineTelemetryMetrics(t *testing.T) {
 	ds := testDataset(t, 300, 4, false)
-	// No auto-compaction: the explicit Compact below is what reclaims
-	// the window's tombstones, so each of the three verbs mutates.
-	eng := New(ds, Options{Shards: 2, CompactThreshold: -1})
+	eng := New(ds, Options{Shards: 2})
 	reg := obs.NewWithClock(tickClock())
 	eng.Instrument(reg)
 	ctx := context.Background()
@@ -39,7 +38,7 @@ func TestEngineTelemetryMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Window(100)
-	eng.Compact()
+	eng.Delete([]series.RowID{eng.Data().IDs[0]})
 
 	s := reg.Snapshot()
 	batch, ok := s["engine_matchbatch_ns"].(obs.HistogramValue)
@@ -54,7 +53,7 @@ func TestEngineTelemetryMetrics(t *testing.T) {
 		t.Fatalf("engine_matchbatch_rules = %#v, want sum %d", s["engine_matchbatch_rules"], len(rules))
 	}
 	if n, _ := s["engine_mutations"].(uint64); n != 3 || eng.Epoch() != 3 {
-		t.Fatalf("engine_mutations = %v at epoch %d, want exactly append+window+compact", s["engine_mutations"], eng.Epoch())
+		t.Fatalf("engine_mutations = %v at epoch %d, want exactly append+window+delete", s["engine_mutations"], eng.Epoch())
 	}
 	if got := s["engine_epoch"].(float64); got != float64(eng.Epoch()) {
 		t.Fatalf("engine_epoch gauge = %v, engine epoch %d", got, eng.Epoch())
@@ -65,7 +64,7 @@ func TestEngineTelemetryMetrics(t *testing.T) {
 	if skew := s["engine_live_skew"].(float64); skew < 1 {
 		t.Fatalf("engine_live_skew = %v, want >= 1 on a non-empty store", skew)
 	}
-	for _, name := range []string{"engine_append_ns", "engine_window_ns", "engine_compact_ns"} {
+	for _, name := range []string{"engine_append_ns", "engine_window_ns", "engine_delete_ns"} {
 		if hv, ok := s[name].(obs.HistogramValue); !ok || hv.Count != 1 {
 			t.Fatalf("%s = %#v, want one observation", name, s[name])
 		}

@@ -81,7 +81,7 @@ func Ablations(ctx context.Context, sc Scale, seed int64) (*AblationResult, erro
 		base.Generations = sc.Generations
 		base.Seed = seed
 		if eng != nil {
-			eng.Configure(&base)
+			base.Runtime.Backend = eng
 		} else {
 			base.Runtime.Backend = idx
 		}

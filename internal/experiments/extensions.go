@@ -332,7 +332,7 @@ func MichiganVsPittsburgh(ctx context.Context, sc Scale, seed int64) (*ApproachR
 	base.Seed = seed
 	base.EMax = defaultEMax(train)
 	if eng != nil {
-		eng.Configure(&base)
+		base.Runtime.Backend = eng
 	}
 	isl, err := core.RunIslands(ctx, core.IslandConfig{
 		Base:              base,

@@ -45,7 +45,7 @@ type Scale struct {
 
 	// EngineWindow > 0 caps the live training set of streaming
 	// scenarios at that many patterns: the windowed-stream experiment
-	// evicts and compacts older rows each round (cmd/experiments:
+	// evicts older rows each round (cmd/experiments:
 	// -window). 0 lets each scenario pick its own window.
 	EngineWindow int
 

@@ -16,10 +16,9 @@ import (
 // serves a prequential (test-then-train) forecast over an endless
 // Mackey-Glass stream while its training set is a true sliding window
 // — every round appends the incoming chunk, evicts what fell out of
-// the window, compacts the tombstones away and retrains through the
-// same engine. It exercises the full data-plane
-// lifecycle (append → window → compact) at experiment
-// scale, reporting forecast quality next to the store's balance so
+// the window and retrains through the same engine. It exercises the
+// full data-plane lifecycle (append → window) at experiment scale,
+// reporting forecast quality next to the store's balance so
 // regressions in either are visible in one table.
 
 // StreamRow is one prequential round of the windowed stream.
@@ -105,7 +104,7 @@ func WindowedStream(ctx context.Context, sc Scale, seed int64) (*StreamResult, e
 		base.PopSize = sc.PopSize
 		base.Generations = sc.Generations / 2
 		base.Seed = seed + int64(round)
-		eng.Configure(&base)
+		base.Runtime.Backend = eng
 		res, err := core.MultiRun(ctx, core.MultiRunConfig{
 			Base:           base,
 			CoverageTarget: sc.Coverage,
@@ -143,13 +142,12 @@ func WindowedStream(ctx context.Context, sc Scale, seed int64) (*StreamResult, e
 			return nil, err
 		}
 
-		// Slide the window: append, evict, compact to exactly the live
-		// rows (the engine epoch expires every cached evaluation).
+		// Slide the window: append, then evict down to the window (the
+		// engine epoch expires every cached evaluation).
 		if err := eng.Append(inputs, targets); err != nil {
 			return nil, err
 		}
 		evicted := eng.Window(window)
-		eng.Compact()
 
 		minLive, maxLive := eng.LiveSpread()
 		ratio := 1.0

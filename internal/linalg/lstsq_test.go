@@ -10,7 +10,7 @@ import (
 
 func TestLeastSquaresExactLine(t *testing.T) {
 	// y = 3x + 2 sampled without noise: design has [x, 1] columns.
-	x := FromRows([][]float64{{0, 1}, {1, 1}, {2, 1}, {3, 1}})
+	x := fromRows([][]float64{{0, 1}, {1, 1}, {2, 1}, {3, 1}})
 	y := []float64{2, 5, 8, 11}
 	beta, err := LeastSquares(x, y, 0)
 	if err != nil {
@@ -29,7 +29,7 @@ func TestLeastSquaresShapeError(t *testing.T) {
 
 func TestLeastSquaresRidgeHandlesUnderdetermined(t *testing.T) {
 	// Two observations, three coefficients: singular without ridge.
-	x := FromRows([][]float64{{1, 2, 1}, {2, 4, 1}})
+	x := fromRows([][]float64{{1, 2, 1}, {2, 4, 1}})
 	y := []float64{1, 2}
 	if _, err := LeastSquares(x, y, 0); err == nil {
 		t.Fatal("singular normal equations unexpectedly solvable without ridge")

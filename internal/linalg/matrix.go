@@ -9,8 +9,6 @@ package linalg
 import (
 	"errors"
 	"fmt"
-	"math"
-	"strings"
 )
 
 // ErrSingular is returned when a solver encounters a (numerically)
@@ -34,31 +32,6 @@ func NewMatrix(r, c int) *Matrix {
 	return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
 }
 
-// FromRows builds a matrix from row slices; all rows must have equal
-// length. The data is copied.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("linalg: FromRows with empty input")
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, row := range rows {
-		if len(row) != m.Cols {
-			panic("linalg: FromRows with ragged rows")
-		}
-		copy(m.Data[i*m.Cols:(i+1)*m.Cols], row)
-	}
-	return m
-}
-
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns element (i,j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -73,99 +46,6 @@ func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
 	return out
-}
-
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// Mul returns m * b.
-func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
-	if m.Cols != b.Rows {
-		return nil, fmt.Errorf("%w: (%dx%d)*(%dx%d)", ErrShape, m.Rows, m.Cols, b.Rows, b.Cols)
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mi := m.Row(i)
-		oi := out.Row(i)
-		for k := 0; k < m.Cols; k++ {
-			a := mi[k]
-			if a == 0 {
-				continue
-			}
-			bk := b.Row(k)
-			for j := range oi {
-				oi[j] += a * bk[j]
-			}
-		}
-	}
-	return out, nil
-}
-
-// MulVec returns m * x as a new vector.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if m.Cols != len(x) {
-		return nil, fmt.Errorf("%w: (%dx%d)*vec(%d)", ErrShape, m.Rows, m.Cols, len(x))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = Dot(m.Row(i), x)
-	}
-	return out, nil
-}
-
-// Add returns m + b.
-func (m *Matrix) Add(b *Matrix) (*Matrix, error) {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		return nil, ErrShape
-	}
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] += b.Data[i]
-	}
-	return out, nil
-}
-
-// Scale returns s * m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] *= s
-	}
-	return out
-}
-
-// MaxAbs returns the largest absolute entry (the max norm).
-func (m *Matrix) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	var b strings.Builder
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if j > 0 {
-				b.WriteByte(' ')
-			}
-			fmt.Fprintf(&b, "%10.4g", m.At(i, j))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 // Dot returns the inner product of two equal-length vectors.

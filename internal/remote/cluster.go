@@ -49,13 +49,13 @@ const DefaultTimeout = 30 * time.Second
 //     concurrently, and merges the per-server ascending RowID answers
 //     through a global RowID→position remap into ascending positions
 //     over the merged view — bit-identical to the in-process engine
-//     over the same live rows.
-//   - The lifecycle verbs (Append/Delete/Window/Compact) decompose
-//     into per-owner RPCs, and an append goes whole to the server
-//     with the fewest live rows; the client keeps the global
-//     bookkeeping (merged view, ownership, tombstones) and a
-//     composite epoch, which every evaluation-cache key embeds, so
-//     no cached result survives a remote mutation.
+//     over the same rows.
+//   - The lifecycle verbs (Append/Delete/Window) decompose into
+//     per-owner RPCs, and an append goes whole to the server with the
+//     fewest rows; the client keeps the global bookkeeping (merged
+//     view, ownership) and a composite epoch, which every
+//     evaluation-cache key embeds, so no cached result survives a
+//     remote mutation.
 //
 // A Cluster is the single writer of its servers: mutations must not
 // run concurrently with evaluation (the same exclusion the engine
@@ -71,11 +71,9 @@ type Cluster struct {
 	tel     *rpcClientTelemetry // set by Instrument before the cluster is shared; nil = disabled
 
 	mu     sync.RWMutex
-	data   *series.Dataset // guarded by mu: merged view — all resident rows, insertion (ascending-RowID) order
+	data   *series.Dataset // guarded by mu: merged view — every row, insertion (ascending-RowID) order
 	owner  []int32         // guarded by mu: owner[pos]: server index holding that row
-	dead   []uint64        // guarded by mu: client-side tombstone bitmap over positions
-	deadN  int             // guarded by mu
-	liveBy []int           // guarded by mu: live rows per server (append routing, LiveSpread)
+	liveBy []int           // guarded by mu: rows per server (append routing, LiveSpread)
 	epochs []uint64        // guarded by mu: last known per-server epochs
 	local  uint64          // guarded by mu: cluster-level mutations (composite epoch component)
 	nextID series.RowID    // guarded by mu
@@ -265,8 +263,7 @@ func (c *Cluster) fan(targets []int, fn func(si int) error) error {
 }
 
 // storeEpochLocked refreshes the composite epoch: the cluster's own
-// mutation count plus the sum of every server's epoch (servers bump
-// theirs on auto-compactions the client never initiated; both
+// mutation count plus the sum of every server's epoch (both
 // components only grow, so the composite is monotonic). Callers hold
 // the write lock.
 func (c *Cluster) storeEpochLocked() {
@@ -343,14 +340,13 @@ func (c *Cluster) Load(ctx context.Context, ds *series.Dataset) error {
 		}
 		c.liveBy[si] = starts[si+1] - starts[si]
 	}
-	c.dead, c.deadN = nil, 0
 	c.epochs = epochs
 	c.finishMutationLocked()
 	return nil
 }
 
 // Sync adopts the rows the servers already hold (snapshot RPCs): the
-// merged view is every server's live rows sorted by RowID, which must
+// merged view is every server's rows sorted by RowID, which must
 // be globally unique — the invariant a prior Load/Append history
 // guarantees. This is how a fresh client attaches to a running
 // cluster, e.g. shard servers preloaded from CSV slices.
@@ -433,7 +429,6 @@ func (c *Cluster) Sync(ctx context.Context) error {
 		liveBy[rf.si]++
 	}
 	c.data, c.owner, c.liveBy = data, owner, liveBy
-	c.dead, c.deadN = nil, 0
 	for si, sn := range snaps {
 		c.epochs[si] = sn.epoch
 	}
@@ -447,8 +442,8 @@ func (c *Cluster) Sync(ctx context.Context) error {
 
 // ---- core.Store: query side ----
 
-// Data returns the merged training view: every resident row in
-// insertion order, the pointer evaluators key on. Mutations grow and
+// Data returns the merged training view: every row in insertion
+// order, the pointer evaluators key on. Mutations grow and
 // shrink it in place, exactly like the in-process engine's view.
 func (c *Cluster) Data() *series.Dataset {
 	c.mu.RLock()
@@ -462,14 +457,15 @@ func (c *Cluster) Data() *series.Dataset {
 // served afterwards.
 func (c *Cluster) Epoch() uint64 { return c.epoch.Load() }
 
-// LiveLen returns the number of live rows across the cluster.
+// LiveLen returns the number of rows across the cluster:
+// Data().Len().
 func (c *Cluster) LiveLen() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.data.Len() - c.deadN
+	return c.data.Len()
 }
 
-// LiveSpread returns the smallest and largest per-server live row
+// LiveSpread returns the smallest and largest per-server row
 // counts — the balance observable, one level above shard spread.
 func (c *Cluster) LiveSpread() (lo, hi int) {
 	c.mu.RLock()
@@ -489,27 +485,6 @@ func (c *Cluster) LiveSpread() (lo, hi int) {
 	return lo, hi
 }
 
-// isDeadLocked reports whether the row at pos is tombstoned. Callers hold a
-// lock (read or write).
-func (c *Cluster) isDeadLocked(pos int) bool {
-	return c.deadN > 0 && pos>>6 < len(c.dead) && c.dead[pos>>6]&(1<<(uint(pos)&63)) != 0
-}
-
-// markDeadLocked tombstones pos; reports whether it was live. Callers hold
-// the write lock.
-func (c *Cluster) markDeadLocked(pos int) bool {
-	words := (c.data.Len() + 63) >> 6
-	for len(c.dead) < words {
-		c.dead = append(c.dead, 0)
-	}
-	if c.dead[pos>>6]&(1<<(uint(pos)&63)) != 0 {
-		return false
-	}
-	c.dead[pos>>6] |= 1 << (uint(pos) & 63)
-	c.deadN++
-	return true
-}
-
 // locateLocked finds the position of the row with the given id, or -1. The
 // id column is ascending, so this is a binary search. Callers hold a
 // lock.
@@ -522,8 +497,8 @@ func (c *Cluster) locateLocked(id series.RowID) int {
 	return pos
 }
 
-// MatchIndices returns the rule's matched live positions over the
-// merged view, ascending — one single-rule batch, bounded by opCtx
+// MatchIndices returns the rule's matched positions over the merged
+// view, ascending — one single-rule batch, bounded by opCtx
 // like every other ctx-free verb. MatchBatch's internal stall timeout
 // applies on top, so a hung server trips the sticky BackendErr here
 // too and the evaluator refuses the empty result.
@@ -549,7 +524,7 @@ func (c *Cluster) MatchIndicesCtx(ctx context.Context, r *core.Rule) []int {
 // the per-server ascending RowID answers are remapped to global
 // positions and merged through a bitmap sweep — the same
 // deterministic merge the in-process shards use, so out[i] is
-// bit-identical to the engine's answer over the same live rows.
+// bit-identical to the engine's answer over the same rows.
 //
 // The caller's context bounds everything: on cancellation in-flight
 // IO is interrupted, the poisoned connections are dropped (redialed
@@ -671,7 +646,7 @@ func gallop(ids []series.RowID, from int, target series.RowID) int {
 // ---- core.Store: lifecycle side ----
 
 // Append adds streaming patterns: the whole chunk routes to the
-// server with the fewest live rows (lowest index on ties — the same
+// server with the fewest rows (lowest index on ties — the same
 // deterministic policy the engine uses for shards), which adopts the
 // cluster-assigned ascending RowIDs. The merged view grows in place.
 func (c *Cluster) Append(inputs [][]float64, targets []float64) error {
@@ -725,11 +700,10 @@ func (c *Cluster) Append(inputs [][]float64, targets []float64) error {
 	return nil
 }
 
-// Delete tombstones the rows with the given stable ids and returns
-// how many were live. Unknown or already-dead ids are ignored. Each
-// owner server tombstones its share; the rows vanish from every
-// subsequent matched set, and the epoch bump expires every cached
-// evaluation.
+// Delete removes the rows with the given stable ids and returns how
+// many it removed. Unknown or repeated ids are ignored. Each owner
+// server deletes its share, and the merged view shrinks before Delete
+// returns; the epoch bump expires every cached evaluation.
 func (c *Cluster) Delete(ids []series.RowID) int {
 	if len(ids) == 0 || c.BackendErr() != nil {
 		return 0
@@ -739,18 +713,25 @@ func (c *Cluster) Delete(ids []series.RowID) int {
 	return c.deleteLocked(ids)
 }
 
+// deleteLocked sends each owner server its ascending share of the
+// ids as one delete, then shrinks the merged view in place: the rows
+// go, the rest keep their relative order. A transport failure or a
+// server deleting fewer rows than asked trips the sticky BackendErr;
+// the view still shrinks, so it describes what the client asked for.
+// ids is not read once the view starts shrinking, so it may alias the
+// view's id column. Callers hold the write lock.
 func (c *Cluster) deleteLocked(ids []series.RowID) int {
+	drop := make([]uint64, (c.data.Len()+63)>>6)
 	perServer := make([][]series.RowID, len(c.conns))
 	removed := 0
 	for _, id := range ids {
 		pos := c.locateLocked(id)
-		if pos < 0 || c.isDeadLocked(pos) {
+		if pos < 0 || drop[pos>>6]&(1<<(uint(pos)&63)) != 0 {
 			continue
 		}
-		c.markDeadLocked(pos)
+		drop[pos>>6] |= 1 << (uint(pos) & 63)
 		si := c.owner[pos]
 		perServer[si] = append(perServer[si], id)
-		c.liveBy[si]--
 		removed++
 	}
 	if removed == 0 {
@@ -767,8 +748,7 @@ func (c *Cluster) deleteLocked(ids []series.RowID) int {
 	err := c.fan(targets, func(si int) error {
 		list := perServer[si]
 		sort.Slice(list, func(a, b int) bool { return list[a] < list[b] })
-		req := appendIDs([]byte{opDelete}, list)
-		resp, err := c.conns[si].roundTrip(ctx, req)
+		resp, err := c.conns[si].roundTrip(ctx, appendIDs([]byte{opDelete}, list))
 		if err != nil {
 			return err
 		}
@@ -786,15 +766,35 @@ func (c *Cluster) deleteLocked(ids []series.RowID) int {
 	if err != nil {
 		c.setFail(err)
 	}
+	n := c.data.Len()
+	next := 0
+	for pos := 0; pos < n; pos++ {
+		if drop[pos>>6]&(1<<(uint(pos)&63)) != 0 {
+			continue
+		}
+		c.data.Inputs[next] = c.data.Inputs[pos]
+		c.data.Targets[next] = c.data.Targets[pos]
+		c.data.IDs[next] = c.data.IDs[pos]
+		c.owner[next] = c.owner[pos]
+		next++
+	}
+	clear(c.data.Inputs[next:])
+	c.data.Inputs = c.data.Inputs[:next]
+	c.data.Targets = c.data.Targets[:next]
+	c.data.IDs = c.data.IDs[:next]
+	c.owner = c.owner[:next]
+	for si, list := range perServer {
+		c.liveBy[si] -= len(list)
+	}
 	c.finishMutationLocked()
 	return removed
 }
 
-// Window keeps only the newest n live rows, tombstoning every older
-// one, and returns the number evicted. "Newest" is global insertion
-// order (ascending RowID), so the verb decomposes into per-owner
-// deletes of the oldest live rows — a per-server Window would keep
-// the wrong rows, since no server sees the global order.
+// Window keeps only the newest n rows, removing every older one, and
+// returns the number evicted. "Newest" is global insertion order
+// (ascending RowID), so the verb is a delete of the merged view's
+// prefix, decomposed into per-owner deletes — a per-server window
+// would keep the wrong rows, since no server sees the global order.
 func (c *Cluster) Window(n int) int {
 	if n < 0 {
 		n = 0
@@ -804,72 +804,19 @@ func (c *Cluster) Window(n int) int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	evict := c.data.Len() - c.deadN - n
+	evict := c.data.Len() - n
 	if evict <= 0 {
 		return 0
 	}
-	ids := make([]series.RowID, 0, evict)
-	for pos := 0; len(ids) < evict; pos++ {
-		if !c.isDeadLocked(pos) {
-			ids = append(ids, c.data.IDs[pos])
-		}
-	}
-	return c.deleteLocked(ids)
+	return c.deleteLocked(c.data.IDs[:evict])
 }
 
-// Compact physically reclaims every tombstoned row: each server
-// compacts its slice, and the merged view shrinks in place (live rows
-// keep their relative order, so matched sets — and the floating-point
-// accumulation order of every regression — are unchanged). Returns
-// the rows reclaimed from the merged view.
-func (c *Cluster) Compact() int {
-	if c.BackendErr() != nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.deadN == 0 {
-		return 0
-	}
-	ctx, cancel := c.opCtx()
-	defer cancel()
-	err := c.fan(nil, func(si int) error {
-		resp, err := c.conns[si].roundTrip(ctx, []byte{opCompact})
-		if err != nil {
-			return err
-		}
-		d := &dec{b: resp}
-		d.uvarint() // rows the server reclaimed now (may be fewer: threshold compactions ran earlier)
-		c.epochs[si] = d.u64()
-		return d.err
-	})
-	if err != nil {
-		c.setFail(err)
-	}
-	n := c.data.Len()
-	next := 0
-	for pos := 0; pos < n; pos++ {
-		if c.isDeadLocked(pos) {
-			continue
-		}
-		c.data.Inputs[next] = c.data.Inputs[pos]
-		c.data.Targets[next] = c.data.Targets[pos]
-		c.data.IDs[next] = c.data.IDs[pos]
-		c.owner[next] = c.owner[pos]
-		next++
-	}
-	for pos := next; pos < n; pos++ {
-		c.data.Inputs[pos] = nil
-	}
-	c.data.Inputs = c.data.Inputs[:next]
-	c.data.Targets = c.data.Targets[:next]
-	c.data.IDs = c.data.IDs[:next]
-	c.owner = c.owner[:next]
-	reclaimed := c.deadN
-	c.dead, c.deadN = nil, 0
-	c.finishMutationLocked()
-	return reclaimed
-}
+// Compact does nothing and returns 0: Delete and Window already
+// remove rows physically.
+//
+// Deprecated: kept only because core.Store still declares it for the
+// end-to-end benchmark (perfbench). Do not call it.
+func (c *Cluster) Compact() int { return 0 }
 
 // Cluster must satisfy the full lifecycle-store contract plus the
 // health seam the evaluator polls.

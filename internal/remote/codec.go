@@ -9,17 +9,16 @@
 //
 // The Cluster keeps the global bookkeeping: the merged dataset view
 // (all rows in insertion order, i.e. ascending RowID), which server
-// owns each row, the client-side tombstone bitmap, and a composite
-// epoch (its own mutation count plus the sum of every server's
-// epoch) that stamps evaluation-cache keys, so no cached result can
-// survive a remote mutation. Servers are deliberately dumb: they
+// owns each row, and a composite epoch (its own mutation count plus
+// the sum of every server's epoch) that stamps evaluation-cache keys,
+// so no cached result can survive a remote mutation. Servers are deliberately dumb: they
 // speak global RowIDs end to end (the snapshot and reset RPCs ship
 // rows with their ids, appends adopt client-assigned ids via
 // engine.AppendRows, match responses name rows by id), so no
 // translation table exists to drift.
 //
 // Results are bit-identical to the in-process engine over the same
-// live rows: floats cross the wire as IEEE-754 bits (NaN payloads
+// rows: floats cross the wire as IEEE-754 bits (NaN payloads
 // included), matched sets come back ascending per server and merge
 // through the same bitmap sweep the in-process shards use, and all
 // regression/fitness math stays client-side in core.
@@ -56,7 +55,12 @@ var ErrTransport = errors.New("remote: transport failure")
 //
 // Version 3 retired opcode 9 (a shard-layout verb the engine no longer
 // has): a version-3 server answers it as an unknown opcode.
-const protoVersion = 3
+//
+// Version 4 retired opcodes 7 (a server-side window no client sent:
+// only the client sees the global row order, so it windows through
+// deletes) and 8 (compaction, now part of every delete). A version-4
+// server answers both as unknown opcodes.
+const protoVersion = 4
 
 // maxFrame bounds one protocol frame (256 MiB). Snapshots of larger
 // datasets must be sharded across more servers; the bound keeps a
@@ -73,9 +77,7 @@ const (
 	opMatchBatch byte = 4
 	opAppend     byte = 5
 	opDelete     byte = 6
-	opWindow     byte = 7
-	opCompact    byte = 8
-	// 9 is retired (see protoVersion); never reuse it.
+	// 7, 8 and 9 are retired (see protoVersion); never reuse them.
 	opEpoch   byte = 10
 	opLiveLen byte = 11
 )

@@ -15,9 +15,8 @@ import (
 // up: a Cluster over the loopback transport (real codec, framing and
 // server loop — just no sockets) must be bit-identical to BOTH the
 // in-process engine and a from-scratch sequential evaluator over the
-// live rows, across arbitrary interleavings of
-// append/delete/window/compact, on clean and NaN-degenerate
-// data — and no client-side cache entry may survive a mutation epoch.
+// live rows, across arbitrary interleavings of append/delete/window,
+// on clean and NaN-degenerate data — and no client-side cache entry may survive a mutation epoch.
 
 // naiveStore is the flat reference model: live rows in insertion
 // order, rebuilt on every mutation.
@@ -217,11 +216,7 @@ func driveRemoteLifecycle(t *testing.T, seed int64, n0, d, nanEvery, servers, sh
 	ds.AssignIDs(0) // one id space shared by cluster, engine and model
 	rules := append(randomRules(ds, 18, seed+1), wildRule(d))
 
-	srvOpt := engine.Options{
-		Shards:           shards,
-		Workers:          workers,
-		CompactThreshold: []float64{0, -1, 0.1, 0.6}[src.Intn(4)],
-	}
+	srvOpt := engine.Options{Shards: shards, Workers: workers}
 	c, _ := newLoopbackCluster(t, servers, srvOpt, Options{Workers: workers})
 	if err := c.Load(context.Background(), cloneDataset(ds)); err != nil {
 		t.Fatal(err)
@@ -243,7 +238,7 @@ func driveRemoteLifecycle(t *testing.T, seed int64, n0, d, nanEvery, servers, sh
 		mutated := false
 		step := ""
 		epoch := c.Epoch()
-		switch op := src.Intn(5); op {
+		switch op := src.Intn(4); op {
 		case 0, 1: // append a chunk
 			k := 1 + src.Intn(16)
 			inputs := make([][]float64, k)
@@ -299,25 +294,13 @@ func driveRemoteLifecycle(t *testing.T, seed int64, n0, d, nanEvery, servers, sh
 			}
 			mutated = got > 0
 			step = "window"
-		case 4:
-			mutated = c.Compact() > 0
-			eng.Compact()
-			step = "compact"
 		}
 		if mutated && c.Epoch() <= epoch {
 			t.Fatalf("round %d (%s): the mutation left the composite epoch at %d, so cached evaluations would survive it", round, step, c.Epoch())
 		}
-		if step == "compact" && c.Data().Len() != c.LiveLen() {
-			t.Fatalf("round %d: Compact left %d resident vs %d live", round, c.Data().Len(), c.LiveLen())
-		}
 		if round%3 == 0 || round == rounds-1 {
 			checkTriEquivalence(t, step, c, eng, cev, m, rules)
 		}
-	}
-	c.Compact()
-	eng.Compact()
-	if c.Data().Len() != c.LiveLen() || c.LiveLen() != len(m.ids) {
-		t.Fatalf("final Compact: resident %d, live %d, model %d", c.Data().Len(), c.LiveLen(), len(m.ids))
 	}
 	checkTriEquivalence(t, "final", c, eng, cev, m, rules)
 	if err := c.BackendErr(); err != nil {

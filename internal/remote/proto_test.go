@@ -1,9 +1,9 @@
 package remote
 
 // Version-skew regression tests. Protocol version 2 moved the trace
-// header into every non-hello request frame and version 3 retired
-// opcode 9; these tests pin the failure mode when one side speaks an
-// older version: the hello exchange fails fast with a transport error
+// header into every non-hello request frame, version 3 retired opcode
+// 9 and version 4 retired opcodes 7 and 8; these tests pin the failure
+// mode when one side speaks an older version: the hello exchange fails fast with a transport error
 // in BOTH directions — never a desynchronized stream or a hang — and
 // a retired opcode gets the same typed answer as an unknown one.
 
@@ -19,11 +19,13 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/series"
 )
 
-// TestHelloRejectsOldClient drives a hand-crafted version-1 hello
-// against a current server: the server answers an error frame naming
-// both versions and keeps the stream in lockstep.
+// TestHelloRejectsOldClient drives hand-crafted hellos from a
+// version-1 client and from a client one version behind against a
+// current server on one stream: the server answers each with an error
+// frame naming both versions and keeps the stream in lockstep.
 func TestHelloRejectsOldClient(t *testing.T) {
 	srv := NewServer(engine.Options{Shards: 2})
 	client, server := net.Pipe()
@@ -33,31 +35,34 @@ func TestHelloRejectsOldClient(t *testing.T) {
 
 	client.SetDeadline(time.Now().Add(5 * time.Second))
 	bw := bufio.NewWriter(client)
-	hello := binary.AppendUvarint([]byte{opHello}, 1) // a v1 client's hello
-	if err := writeFrame(bw, hello); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := readFrame(bufio.NewReader(client))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp) == 0 || resp[0] != opError {
-		t.Fatalf("response op = %v, want opError", resp)
-	}
-	msg := string(resp[1:])
-	if !strings.Contains(msg, "protocol version 1") || !strings.Contains(msg, fmt.Sprintf("speaks %d", protoVersion)) {
-		t.Fatalf("error %q does not name both versions", msg)
+	br := bufio.NewReader(client)
+	for _, v := range []uint64{1, protoVersion - 1} {
+		hello := binary.AppendUvarint([]byte{opHello}, v) // an old client's hello
+		if err := writeFrame(bw, hello); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := readFrame(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp) == 0 || resp[0] != opError {
+			t.Fatalf("v%d hello: response op = %v, want opError", v, resp)
+		}
+		msg := string(resp[1:])
+		if !strings.Contains(msg, fmt.Sprintf("protocol version %d,", v)) || !strings.Contains(msg, fmt.Sprintf("speaks %d", protoVersion)) {
+			t.Fatalf("v%d hello: error %q does not name both versions", v, msg)
+		}
 	}
 }
 
-// v1ServerDialer fakes an old (version-1) shard server: it rejects
-// the client's current hello with the error frame a v1 server
-// produces, then hangs up.
-type v1ServerDialer struct{}
+// oldServerDialer fakes an old shard server speaking the given
+// protocol version: it rejects the client's current hello with the
+// error frame such a server produces, then hangs up.
+type oldServerDialer struct{ version uint64 }
 
-func (v1ServerDialer) Addr() string { return "v1server" }
+func (o oldServerDialer) Addr() string { return fmt.Sprintf("v%dserver", o.version) }
 
-func (v1ServerDialer) DialContext(ctx context.Context) (net.Conn, error) {
+func (o oldServerDialer) DialContext(ctx context.Context) (net.Conn, error) {
 	client, server := net.Pipe()
 	go func() {
 		defer server.Close()
@@ -66,40 +71,44 @@ func (v1ServerDialer) DialContext(ctx context.Context) (net.Conn, error) {
 			return
 		}
 		v, _ := binary.Uvarint(p[1:])
-		writeFrame(bufio.NewWriter(server), errFrame("protocol version %d, server speaks %d", v, 1))
+		writeFrame(bufio.NewWriter(server), errFrame("protocol version %d, server speaks %d", v, o.version))
 	}()
 	return client, nil
 }
 
-// TestHelloRejectsOldServer dials a version-1 server through the real
-// client stack: the first RPC fails fast with an ErrTransport-wrapped
-// hello rejection instead of desyncing on the widened request frames.
+// TestHelloRejectsOldServer dials a version-1 server and a server one
+// version behind through the real client stack: the first RPC fails
+// fast with an ErrTransport-wrapped hello rejection instead of
+// desyncing on the widened request frames or sending a retired
+// opcode.
 func TestHelloRejectsOldServer(t *testing.T) {
-	c, err := NewCluster([]Dialer{v1ServerDialer{}}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	err = c.Load(ctx, testDataset(t, 50, 3, false))
-	if err == nil {
-		t.Fatal("Load against a v1 server succeeded, want hello rejection")
-	}
-	if !errors.Is(err, ErrTransport) {
-		t.Fatalf("err = %v, want errors.Is(_, ErrTransport)", err)
-	}
-	if !strings.Contains(err.Error(), "server speaks 1") {
-		t.Fatalf("err %q does not surface the server's version", err)
-	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("hello mismatch hit the deadline instead of failing fast: %v", err)
+	for _, v := range []uint64{1, protoVersion - 1} {
+		c, err := NewCluster([]Dialer{oldServerDialer{v}}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		err = c.Load(ctx, testDataset(t, 50, 3, false))
+		cancel()
+		c.Close()
+		if err == nil {
+			t.Fatalf("Load against a v%d server succeeded, want hello rejection", v)
+		}
+		if !errors.Is(err, ErrTransport) {
+			t.Fatalf("v%d: err = %v, want errors.Is(_, ErrTransport)", v, err)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("server speaks %d", v)) {
+			t.Fatalf("v%d: err %q does not surface the server's version", v, err)
+		}
+		if errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("v%d: hello mismatch hit the deadline instead of failing fast: %v", v, err)
+		}
 	}
 }
 
 // TestUnknownOpcodeRejected sends opcodes a current server does not
-// serve — the retired opcode 9 and one past the table — through the
+// serve — the retired opcodes 7, 8 and 9 and one past the table —
+// through the
 // real client stack: each comes back as the typed serverError naming
 // the opcode, the connection stays in lockstep, and the cluster's
 // sticky transport failure is not tripped.
@@ -110,7 +119,7 @@ func TestUnknownOpcodeRejected(t *testing.T) {
 	if err := c.Load(ctx, testDataset(t, 50, 3, false)); err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range []byte{9, byte(nOps)} {
+	for _, op := range []byte{7, 8, 9, byte(nOps)} {
 		_, err := c.conns[0].roundTrip(ctx, []byte{op})
 		var se serverError
 		if !errors.As(err, &se) {
@@ -129,4 +138,44 @@ func TestUnknownOpcodeRejected(t *testing.T) {
 	if err := c.BackendErr(); err != nil {
 		t.Fatalf("unknown opcode tripped the sticky failure: %v", err)
 	}
+}
+
+// FuzzServerDispatch feeds arbitrary request payloads to the server's
+// request handler, on a server with no dataset and on one with a
+// dataset loaded. The handler must never panic, and every reply must
+// echo the request's opcode or be an opError frame. The seed corpus
+// holds one well-formed request per live opcode plus the retired
+// opcodes 7, 8 and 9.
+func FuzzServerDispatch(f *testing.F) {
+	ds := testDataset(f, 40, 3, false)
+	ds.AssignIDs(0)
+	untraced := func(op byte) []byte { return []byte{op, 0, 0} } // zero trace id and parent span
+	rows := appendRows(nil, ds.Inputs[:4], ds.Targets[:4], []series.RowID{100, 101, 102, 103})
+
+	f.Add(binary.AppendUvarint([]byte{opHello}, protoVersion))
+	f.Add(untraced(opSnapshot))
+	reset := binary.AppendUvarint(untraced(opReset), uint64(ds.D))
+	reset = binary.AppendUvarint(reset, uint64(ds.Horizon))
+	f.Add(append(reset, rows...))
+	f.Add(appendRules(untraced(opMatchBatch), ds.D, randomRules(ds, 3, 1)))
+	f.Add(append(binary.AppendUvarint(untraced(opAppend), uint64(ds.D)), rows...))
+	f.Add(appendIDs(untraced(opDelete), ds.IDs[5:9]))
+	f.Add(untraced(opEpoch))
+	f.Add(untraced(opLiveLen))
+	f.Add(binary.AppendUvarint(untraced(7), 10)) // the retired window verb's request
+	f.Add(untraced(8))
+	f.Add(untraced(9))
+
+	opt := engine.Options{Shards: 2, Workers: 1}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		for _, srv := range []*Server{NewServer(opt), NewServerData(cloneDataset(ds), opt)} {
+			resp := srv.handle(context.Background(), payload)
+			if len(resp) == 0 {
+				t.Fatalf("request %x: empty reply", payload)
+			}
+			if resp[0] != opError && (len(payload) == 0 || resp[0] != payload[0]) {
+				t.Fatalf("request %x: reply opcode %d, want the request's or opError", payload, resp[0])
+			}
+		}
+	})
 }

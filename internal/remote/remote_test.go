@@ -167,8 +167,8 @@ func TestClusterMoreServersThanRows(t *testing.T) {
 
 // TestClusterSyncAdoptsServerState: a second client attaching to the
 // same servers via Sync reconstructs the identical live view —
-// including rows appended and deleted after the original Load, with
-// tombstones still pending — and answers queries identically. Sync
+// including rows appended and deleted after the original Load — and
+// answers queries identically. Sync
 // is read-only: the writing cluster keeps working afterwards, even
 // across a reconnect (a snapshot must not move server epochs).
 func TestClusterSyncAdoptsServerState(t *testing.T) {
@@ -180,8 +180,7 @@ func TestClusterSyncAdoptsServerState(t *testing.T) {
 	if err := c.Append([][]float64{{1, 2, 3}, {2, 3, 4}}, []float64{9, 10}); err != nil {
 		t.Fatal(err)
 	}
-	// Tombstones stay pending: the snapshot must filter them out
-	// without compacting server-side.
+	// The deleted rows must not reach the snapshot.
 	c.Delete([]series.RowID{3, 50, 100})
 
 	dialers := make([]Dialer, len(loops))
@@ -271,5 +270,4 @@ func TestCompositeEpochMonotonic(t *testing.T) {
 	})
 	step("delete", func() bool { return c.Delete([]series.RowID{0, 1}) > 0 })
 	step("window", func() bool { return c.Window(c.LiveLen()-5) > 0 })
-	step("compact", func() bool { return c.Compact() > 0 })
 }

@@ -10,7 +10,6 @@ import (
 	"net"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/series"
@@ -40,8 +39,8 @@ type Server struct {
 
 // NewServer returns a server with no dataset yet: the first Reset RPC
 // (a Cluster.Load) ships its slice. opt shapes every engine the
-// server builds — shard count, workers, compaction threshold —
-// exactly as for an in-process engine.
+// server builds — shard count and workers — exactly as for an
+// in-process engine.
 func NewServer(opt engine.Options) *Server {
 	return &Server{opt: opt.Clamped()}
 }
@@ -210,30 +209,15 @@ func (s *Server) dispatch(ctx context.Context, payload []byte) []byte {
 
 	switch op {
 	case opSnapshot:
-		// Ship exactly the live rows — but WITHOUT compacting: a
-		// snapshot is a query, and a query must never mutate (no
-		// epoch bump), or a read-only Sync client would poison the
-		// writing cluster's reconnect check. The all-wildcard match
-		// enumerates the live positions tombstones excluded.
+		// A snapshot is a query: it ships the engine's rows as they
+		// are and never mutates (no epoch bump), or a read-only Sync
+		// client would poison the writing cluster's reconnect check.
 		ds := s.eng.Data()
-		wild := make([]core.Interval, ds.D)
-		for j := range wild {
-			wild[j] = core.Wild()
-		}
-		live := s.eng.MatchIndices(core.NewRule(wild))
-		inputs := make([][]float64, len(live))
-		targets := make([]float64, len(live))
-		ids := make([]series.RowID, len(live))
-		for k, pos := range live {
-			inputs[k] = ds.Inputs[pos]
-			targets[k] = ds.Targets[pos]
-			ids[k] = ds.IDs[pos]
-		}
 		b := []byte{opSnapshot}
 		b = binary.AppendUvarint(b, uint64(ds.D))
 		b = binary.AppendUvarint(b, uint64(ds.Horizon))
 		b = appendU64(b, s.eng.Epoch())
-		return appendRows(b, inputs, targets, ids)
+		return appendRows(b, ds.Inputs, ds.Targets, ds.IDs)
 
 	case opMatchBatch:
 		rules := d.rules()
@@ -280,20 +264,6 @@ func (s *Server) dispatch(ctx context.Context, payload []byte) []byte {
 		}
 		n := s.eng.Delete(ids)
 		b := binary.AppendUvarint([]byte{opDelete}, uint64(n))
-		return appendU64(b, s.eng.Epoch())
-
-	case opWindow:
-		n := int(d.uvarint())
-		if d.err != nil {
-			return errFrame("%v", d.err)
-		}
-		evicted := s.eng.Window(n)
-		b := binary.AppendUvarint([]byte{opWindow}, uint64(evicted))
-		return appendU64(b, s.eng.Epoch())
-
-	case opCompact:
-		n := s.eng.Compact()
-		b := binary.AppendUvarint([]byte{opCompact}, uint64(n))
 		return appendU64(b, s.eng.Epoch())
 	}
 	return errFrame("unknown opcode %d", op)

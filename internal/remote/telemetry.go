@@ -32,8 +32,6 @@ var verbNames = [nOps]string{
 	opMatchBatch: "matchbatch",
 	opAppend:     "append",
 	opDelete:     "delete",
-	opWindow:     "window",
-	opCompact:    "compact",
 	opEpoch:      "epoch",
 	opLiveLen:    "livelen",
 }

@@ -49,10 +49,10 @@ func (s *Series) Normalize() (*Series, *stats.MinMaxScaler) {
 }
 
 // RowID is the stable identity of one dataset row (pattern). Row
-// positions shift when a lifecycle-managed store compacts deleted
-// rows away, so anything that must name a row across mutations —
-// tombstones, sliding-window eviction, delete requests — refers to it
-// by RowID instead. IDs are assigned in insertion order and never
+// positions shift when a lifecycle-managed store removes rows, so
+// anything that must name a row across mutations — sliding-window
+// eviction, delete requests, a remote server's match answers — refers
+// to it by RowID instead. IDs are assigned in insertion order and never
 // reused, so a dataset that preserves insertion order (every mutation
 // in this repository does) keeps its IDs slice in ascending order.
 type RowID int64
@@ -68,7 +68,7 @@ type Dataset struct {
 	// order as Inputs/Targets. Nil means rows have only positional
 	// identity — enough for the frozen-dataset learners; the
 	// lifecycle-managed store (internal/engine) calls AssignIDs so
-	// deletes and sliding windows survive compaction.
+	// deletes and sliding windows can name rows whose positions shift.
 	IDs     []RowID
 	D       int // window width (number of consecutive inputs)
 	Horizon int // prediction horizon τ

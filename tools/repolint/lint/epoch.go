@@ -19,13 +19,13 @@ var storeImpls = map[string][]string{
 // mutationVerbs are the lifecycle mutations of the core.Store
 // contract (plus the cluster's Load/Sync, which replace the whole
 // view). Any exported method with one of these names on a store
-// implementation must reach an epoch bump.
+// implementation must reach an epoch bump. Compact is not one: it is
+// a deprecated no-op that changes nothing.
 var mutationVerbs = map[string]bool{
 	"Append":     true,
 	"AppendRows": true,
 	"Delete":     true,
 	"Window":     true,
-	"Compact":    true,
 	"Load":       true,
 	"Sync":       true,
 	"Reset":      true,
