@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/forecast"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/remote"
 	"repro/internal/series"
@@ -45,6 +46,15 @@ const (
 	// then three Append rounds of 100 — population 60, 300 generations
 	// per round. One digest chains every round's rule set.
 	goldenVeniceStream = "c171abe42d8bcb78e6e236e2ab04a7ebb2fd5fec8ca436bd1b578e2b6a20450d"
+	// goldenVeniceWorst, goldenVeniceOverlap and goldenVeniceFMin: the
+	// goldenVenice24 data and seed under core configurations the facade
+	// does not expose — ReplaceWorst; crowding by DistanceOverlap; and
+	// a fitness floor FMin = 20·EMAX, above the fitness of every valid
+	// rule matching fewer than 20 rows — each
+	// one execution, population 100, 2,000 generations.
+	goldenVeniceWorst   = "a0a867e9b28ee9726944e1462650964b11304f43ad9c1a1761c9df3853b698dd"
+	goldenVeniceOverlap = "74acb2e5fb2b99012f63e968a814a5403355300f7a8fd826ccb6dc1e454227f0"
+	goldenVeniceFMin    = "8277a3d3c4379ce579c1a164a435fb9ea7b1407d5155b53eed84d0d4f1fe4d42"
 )
 
 type goldenPath struct {
@@ -244,4 +254,75 @@ func TestGoldenVeniceStream(t *testing.T) {
 		return hex.EncodeToString(h.Sum(nil))
 	}, forecast.WithSeed(5), forecast.WithPopulation(60), forecast.WithGenerations(300),
 		forecast.WithSlidingWindow(1200))
+}
+
+// checkGoldenCore pins a core configuration the facade has no option
+// for: one execution of cfg over Venice D=24 (goldenVenice24's data),
+// through the same three evaluation paths as checkGolden.
+func checkGoldenCore(t *testing.T, want string, tweak func(*core.Config, *series.Dataset)) {
+	train, _, err := series.VenicePaper(1500, 300, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := []struct {
+		name    string
+		backend func(t *testing.T, ds *series.Dataset) core.Backend
+	}{
+		{"index", func(*testing.T, *series.Dataset) core.Backend { return nil }},
+		{"engine2", func(_ *testing.T, ds *series.Dataset) core.Backend {
+			return engine.New(ds, engine.Options{Shards: 2})
+		}},
+		{"cluster", func(t *testing.T, ds *series.Dataset) core.Backend {
+			c, err := remote.Dial(context.Background(), []string{goldenServer(t), goldenServer(t)}, remote.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			if err := c.Load(context.Background(), ds); err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+	}
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			ds, err := series.Window(train, 24, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := core.Default(ds.D)
+			cfg.PopSize, cfg.Generations, cfg.Seed = 100, 2000, 3
+			tweak(&cfg, ds)
+			if b := p.backend(t, ds); b != nil {
+				cfg.Runtime.Backend, ds = b, b.Data()
+			}
+			res, err := core.MultiRun(context.Background(), core.MultiRunConfig{Base: cfg, CoverageTarget: 2, MaxExecutions: 1}, ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			if err := res.RuleSet.WriteJSON(h); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != want {
+				t.Errorf("rule-set digest changed:\n got  %s\n want %s", got, want)
+			}
+		})
+	}
+}
+
+func TestGoldenVeniceWorst(t *testing.T) {
+	checkGoldenCore(t, goldenVeniceWorst, func(c *core.Config, _ *series.Dataset) { c.Replacement = core.ReplaceWorst })
+}
+
+func TestGoldenVeniceOverlap(t *testing.T) {
+	checkGoldenCore(t, goldenVeniceOverlap, func(c *core.Config, _ *series.Dataset) { c.Distance = core.DistanceOverlap })
+}
+
+func TestGoldenVeniceFMin(t *testing.T) {
+	checkGoldenCore(t, goldenVeniceFMin, func(c *core.Config, ds *series.Dataset) {
+		lo, hi := ds.TargetRange()
+		c.EMax = 0.1 * (hi - lo) // the auto-resolved value, made explicit
+		c.FMin = 20 * c.EMax
+	})
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/rng"
 	"repro/internal/series"
@@ -35,8 +36,8 @@ type Execution struct {
 	tel      *runTelemetry // nil = telemetry disabled (see Runtime.Telemetry)
 	bestSeen float64       // best fitness the telemetry gauges have reported
 
-	// Speculative offspring prefetch (see prefetch). spec is decided
-	// once, from the evaluated initial population (batchPays); specLeft
+	// Speculative offspring prefetch (see prefetch). spec is set when
+	// the backend is context-aware (networked: BackendCtx); specLeft
 	// counts the generations the open window still covers (0: none
 	// open); kids is the window's pooled slice of simulated offspring.
 	spec     bool
@@ -45,7 +46,7 @@ type Execution struct {
 }
 
 // specWindow is the number of generations one speculative window
-// simulates and scores ahead of the real loop.
+// simulates and matches ahead of the real loop.
 const specWindow = 8
 
 // NewExecution prepares (but does not run) an execution: it validates
@@ -107,7 +108,10 @@ func NewExecution(ctx context.Context, cfg Config, data *series.Dataset) (*Execu
 	if err := ex.Eval.EvaluateAll(ctx, ex.Pop); err != nil {
 		return nil, fmt.Errorf("core: initial population evaluation: %w", err)
 	}
-	ex.spec = ex.batchPays()
+	// A window costs one round trip instead of one per child, which
+	// pays only where a match query is a round trip (README,
+	// "Speculative offspring prefetch").
+	ex.spec = ex.Eval.backendCtx != nil
 	ex.noteInitialBest()
 	return ex, nil
 }
@@ -123,7 +127,16 @@ func (ex *Execution) step(ctx context.Context) bool {
 		ex.prefetch(ctx)
 	}
 	child, target := ex.offspring(ex.src)
-	ex.Eval.Evaluate(ctx, child)
+	pruned := ex.Eval.evaluate(ctx, child, func(idx []int) bool {
+		return ex.cannotEnter(child, target, idx) &&
+			(checkPruned == nil || checkPruned(ex, child, target, idx))
+	})
+	if pruned {
+		// The child provably loses to its target: the generation
+		// happened, but nothing was regressed.
+		ex.countGeneration()
+		return false
+	}
 	if ctx.Err() != nil || ex.Eval.BackendErr() != nil {
 		// The evaluation may have been abandoned, leaving the child
 		// with no evaluation or — a mutated clone — its parent's. The
@@ -144,11 +157,7 @@ func (ex *Execution) step(ctx context.Context) bool {
 	default: // ReplaceNearest — the paper's crowding
 		target = nearestIndex(ex.Pop, child, cfg.Distance, ex.predSpan)
 	}
-	ex.Stats.Generations++
-	if ex.specLeft > 0 {
-		ex.specLeft--
-		ex.tel.specHit()
-	}
+	ex.countGeneration()
 	if child.Fitness > ex.Pop[target].Fitness {
 		ex.Pop[target] = child
 		ex.Stats.Replacements++
@@ -159,6 +168,113 @@ func (ex *Execution) step(ctx context.Context) bool {
 		return true
 	}
 	return false
+}
+
+// countGeneration counts a generation that ran, and one more of the
+// open speculative window's generations as foreseen.
+func (ex *Execution) countGeneration() {
+	ex.Stats.Generations++
+	if ex.specLeft > 0 {
+		ex.specLeft--
+		ex.tel.specHit()
+	}
+}
+
+// maxPruneRidge is the largest ridge under which the pruning gate
+// trusts the Prediction of a child matching two rows or more to lie
+// within δ of ȳ (cannotEnter). The property tests pin that bound up to
+// this ridge, 100× the default; on Venice a ridge of 10 already moves
+// the Prediction 2×10⁻⁵ of the span, 20δ, so under a larger ridge
+// such children are always regressed.
+const maxPruneRidge = 1e-6
+
+// checkPruned is a test seam (export_test.go) and nil in every real
+// run. When set, each child the pruning gate would drop is handed to
+// it with its target and matched set, and the drop happens only if it
+// returns true.
+var checkPruned func(ex *Execution, child *Rule, target int, idx []int) bool
+
+// cannotEnter reports whether child, whose matched set is idx, cannot
+// enter the population whatever its regression yields, so step may
+// skip that regression. target is the slot offspring drew (-1 unless
+// ReplaceRandom). The child enters only if its fitness is strictly
+// above its target's, and no regression can lift its fitness above
+//
+//	U = f_min                  when M ≤ 1
+//	U = max(fl(M·EMAX), f_min) otherwise,
+//
+// since rounded subtraction of e_R ≥ 0 never rises. So the child is
+// dropped when every rule that can be its target has fitness ≥ U.
+// A NaN or infinite quantity on the way never drops (README, "Pruning
+// offspring that cannot enter").
+func (ex *Execution) cannotEnter(child *Rule, target int, idx []int) bool {
+	e, cfg, m := ex.Eval, &ex.Config, len(idx)
+	u := e.fmin
+	if m > 1 {
+		u = max(float64(m)*e.emax, e.fmin)
+	}
+	if math.IsNaN(u) || math.IsInf(u, 0) {
+		return false
+	}
+	beats := func(i int) bool { return ex.Pop[i].Fitness >= u }
+	switch {
+	case cfg.Replacement == ReplaceRandom:
+		return beats(target)
+	case cfg.Replacement == ReplaceWorst:
+		for i := range ex.Pop {
+			if !beats(i) {
+				return false
+			}
+		}
+		return true
+	case cfg.Distance == DistanceOverlap:
+		return beats(nearestIndex(ex.Pop, child, cfg.Distance, ex.predSpan))
+	case cfg.Distance == DistanceHybrid:
+		// Its clipped, span-normalized prediction term would need a
+		// tolerance argument of its own; only an ablation uses it.
+		return false
+	}
+	// Crowding by Prediction. With no match the child keeps its
+	// inherited Prediction, and one match predicts that row's target:
+	// both are known exactly.
+	switch m {
+	case 0:
+		return beats(nearestIndex(ex.Pop, child, cfg.Distance, ex.predSpan))
+	case 1:
+		return beats(nearestIndex(ex.Pop, &Rule{Prediction: e.data.Targets[idx[0]]}, cfg.Distance, ex.predSpan))
+	}
+	// Otherwise the Prediction is the mean fitted output, which is
+	// ȳ − λ·b/M in exact arithmetic (ridge λ sits on the intercept's
+	// diagonal entry too; b is the intercept) and within δ of ȳ in
+	// practice: the property tests find it within δ/100 for tame
+	// inputs (finite, no overflow) and a small ridge, the conditions
+	// checked here. Every rule within best + 2δ of ȳ may then be the
+	// nearest; all of them must hold the child off.
+	if !e.inputsTame() || !(e.ridge <= maxPruneRidge) {
+		return false
+	}
+	sum := 0.0
+	for _, i := range idx {
+		sum += e.data.Targets[i]
+	}
+	ybar := sum / float64(m)
+	delta := 1e-6 * ex.predSpan
+	best := math.Inf(1) // as in nearestIndex, a NaN distance is never nearest
+	for _, r := range ex.Pop {
+		if d := math.Abs(r.Prediction - ybar); d < best {
+			best = d
+		}
+	}
+	reach := best + 2*delta
+	if !(delta > 0) || math.IsNaN(reach) || math.IsInf(reach, 0) {
+		return false
+	}
+	for i, r := range ex.Pop {
+		if math.Abs(r.Prediction-ybar) <= reach && !beats(i) {
+			return false
+		}
+	}
+	return true
 }
 
 // offspring draws one generation's randomness from src, in exactly the
@@ -194,14 +310,13 @@ func (ex *Execution) offspring(src *rng.Source) (*Rule, int) {
 // prefetch opens a speculative window: on a fork of the random stream
 // it draws the offspring of the next specWindow generations exactly as
 // step will — against the current population (ex.sel must hold its
-// prefix sums), assuming none of them replaces anyone — and scores
-// them in one batch (one MatchBatch, one cluster round trip,
-// regressions in parallel across workers). The batch only warms the
-// evaluation cache: the real generations then find their children
-// there. Cache entries are pure functions of their
-// key, so results are bit-identical whether or not a child is found.
-// A batch cut short by cancellation or a backend fault caches nothing
-// incomplete; the real generation then meets the failure as before.
+// prefix sums), assuming none of them replaces anyone — and fetches
+// their matched sets in one batch (one MatchBatch, one cluster round
+// trip). The real generations then take their child's set from the
+// evaluator instead of querying the backend one round trip each; the
+// pruning gate and the regression run in the real generation as
+// always. A set is a pure function of its signature, so results are
+// bit-identical whether or not a child's set was fetched ahead.
 func (ex *Execution) prefetch(ctx context.Context) {
 	k := min(specWindow, ex.Config.Generations-ex.Stats.Generations)
 	if k < 2 {
@@ -217,37 +332,6 @@ func (ex *Execution) prefetch(ctx context.Context) {
 	ex.tel.specWindow(k)
 	ex.Eval.prefetch(ctx, ex.kids)
 	clear(ex.kids) // drop the simulated rules; keep the slice
-}
-
-// specMinWork is the estimated regression work per offspring from
-// which an in-process execution scores its windows ahead. The estimate
-// is the mean matched-set size of the initial population times (D+1)²,
-// the order of the multiply-adds one offspring's normal equations
-// take. Below it the regressions are too cheap for a batch to save
-// what the simulation and the batch machinery cost. Measured on a
-// 2-vCPU host, speculation on against off at one and at two workers:
-// Mackey-Glass at D=4 (≈4.4k) lost 40%, at D=8 and D=12 (≈7–8k) it
-// was a wash on one worker, and Venice from D=4 (≈50k) to D=24 (≈1.1M)
-// gained 13–40% on either. The threshold sits between those (README,
-// "Speculative offspring prefetch"). A var only so tests can turn
-// speculation on for small fits.
-var specMinWork = 2e4
-
-// batchPays reports whether windows are worth scoring ahead: always
-// over a context-aware (networked) backend, where a window costs one
-// round trip instead of one per child, and in process when the
-// population's regressions are dear enough (specMinWork), whatever the
-// worker count.
-func (ex *Execution) batchPays() bool {
-	if ex.Eval.backendCtx != nil {
-		return true
-	}
-	rows := 0
-	for _, r := range ex.Pop {
-		rows += r.Matches
-	}
-	d := float64(ex.Config.D + 1)
-	return float64(rows)/float64(len(ex.Pop))*d*d >= specMinWork
 }
 
 // endWindow closes the open speculative window, if any, counting the

@@ -240,46 +240,11 @@ func TestEvolvedSystemPredictsSine(t *testing.T) {
 	}
 }
 
-// ctxBackend stands in for a context-aware (networked) backend.
-type ctxBackend struct{}
-
-func (ctxBackend) MatchIndicesCtx(context.Context, *Rule) []int { return nil }
-
-// TestSpeculationGate: in process, an execution speculates exactly when
-// its initial population's estimated regression work — mean matched
-// rows times (D+1)² — reaches specMinWork, at any worker count; over a
-// context-aware backend it always does.
+// TestSpeculationGate: an execution speculates exactly when its
+// backend is context-aware (BackendCtx, as a networked backend is),
+// at any worker count, and never in process — its own index or an
+// adopted MatchIndex — however dear its regressions.
 func TestSpeculationGate(t *testing.T) {
-	pop := func(matches ...int) []*Rule {
-		out := make([]*Rule, len(matches))
-		for i, m := range matches {
-			out[i] = &Rule{Matches: m}
-		}
-		return out
-	}
-	at := int(math.Ceil(specMinWork / 25)) // fewest mean rows that reach it at D=4
-	ex := &Execution{Config: Config{D: 4}, Eval: &Evaluator{}}
-	for _, c := range []struct {
-		pop  []*Rule
-		want bool
-	}{
-		{pop(at, at), true},
-		{pop(2*at, 0), true},
-		{pop(at-1, at-1), false},
-		{pop(0, 0), false},
-	} {
-		ex.Pop = c.pop
-		if got := ex.batchPays(); got != c.want {
-			t.Fatalf("in process, matches %d and %d at D=4: batchPays %v, want %v", c.pop[0].Matches, c.pop[1].Matches, got, c.want)
-		}
-	}
-	ex.Pop, ex.Eval.backendCtx = pop(0, 0), ctxBackend{}
-	if !ex.batchPays() {
-		t.Fatal("a context-aware backend must always speculate")
-	}
-
-	// End to end: Venice at D=24 has dear regressions, a small sine
-	// fit at D=4 cheap ones.
 	train, _, err := series.VenicePaper(1500, 300, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -288,21 +253,77 @@ func TestSpeculationGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2} {
+	for _, data := range []*series.Dataset{venice, sineDataset(t, 300, 4)} {
+		for _, workers := range []int{1, 2} {
+			for _, c := range []struct {
+				name    string
+				backend Backend
+				want    bool
+			}{
+				{"own index", nil, false},
+				{"adopted index", NewMatchIndex(data), false},
+				{"context-aware index", NewCtxIndex(data), true},
+			} {
+				cfg := quickConfig(data.D, 3)
+				cfg.PopSize = 100
+				cfg.Runtime.Workers = workers
+				cfg.Runtime.Backend = c.backend
+				ex, err := NewExecution(context.Background(), cfg, data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ex.spec != c.want {
+					t.Fatalf("%s at D=%d on %d workers: speculates %v, want %v", c.name, data.D, workers, ex.spec, c.want)
+				}
+			}
+		}
+	}
+}
+
+// TestCannotEnterBound pins the pruning gate's fitness bound U on a
+// population whose every rule has fitness 5 (EMAX 1): a child matching
+// M rows is dropped only when U = f_min (M ≤ 1) or max(M·EMAX, f_min)
+// (M ≥ 2) is at most 5, under every replacement and distance kind but
+// crowding by the hybrid distance, and never when U is NaN.
+func TestCannotEnterBound(t *testing.T) {
+	ds := sineDataset(t, 200, 4)
+	kinds := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"nearest-prediction", func(*Config) {}},
+		{"nearest-overlap", func(c *Config) { c.Distance = DistanceOverlap }},
+		{"nearest-hybrid", func(c *Config) { c.Distance = DistanceHybrid }},
+		{"random", func(c *Config) { c.Replacement = ReplaceRandom }},
+		{"worst", func(c *Config) { c.Replacement = ReplaceWorst }},
+	}
+	for _, k := range kinds {
 		for _, c := range []struct {
-			name string
-			data *series.Dataset
-			want bool
-		}{{"venice D=24", venice, true}, {"sine D=4", sineDataset(t, 300, 4), false}} {
-			cfg := quickConfig(c.data.D, 3)
-			cfg.PopSize = 100
-			cfg.Runtime.Workers = workers
-			ex, err := NewExecution(context.Background(), cfg, c.data)
+			emax, fmin float64
+			m          int
+			want       bool
+		}{
+			{1, 0, 0, true}, {1, 0, 1, true}, {1, 0, 2, true}, {1, 0, 5, true}, {1, 0, 6, false},
+			{1, 5, 1, true}, {1, 5, 2, true}, {1, 10, 0, false}, {1, 10, 1, false}, {1, 10, 2, false},
+			{math.NaN(), 0, 2, false},
+		} {
+			cfg := quickConfig(4, 1)
+			cfg.EMax, cfg.FMin = c.emax, c.fmin
+			k.set(&cfg)
+			ex, err := NewExecution(context.Background(), cfg, ds)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ex.spec != c.want {
-				t.Fatalf("%s on %d workers: speculates %v, want %v", c.name, workers, ex.spec, c.want)
+			for _, r := range ex.Pop {
+				r.Fitness = 5
+			}
+			idx := make([]int, c.m)
+			for i := range idx {
+				idx[i] = i
+			}
+			want := c.want && cfg.Distance != DistanceHybrid
+			if got := ex.cannotEnter(ex.Pop[0].Clone(), 0, idx); got != want {
+				t.Errorf("%s, EMAX %v, f_min %v, M=%d: cannotEnter %v, want %v", k.name, c.emax, c.fmin, c.m, got, want)
 			}
 		}
 	}

@@ -1,12 +1,28 @@
 package core
 
-// ForceSpeculation turns the speculative offspring prefetch on for
-// every execution built until restore is called, however cheap its
-// regressions: the fits tests can afford are too small for the gate.
-func ForceSpeculation() (restore func()) {
-	w := specMinWork
-	specMinWork = 0
-	return func() { specMinWork = w }
+import (
+	"context"
+	"sync/atomic"
+
+	"repro/internal/series"
+)
+
+// CheckPruned installs fn as the pruning gate's test seam until
+// restore is called: every offspring the gate would drop is handed to
+// fn with its replacement slot (-1 unless ReplaceRandom) and matched
+// set, and is dropped only if fn returns true.
+func CheckPruned(fn func(ex *Execution, child *Rule, target int, idx []int) bool) (restore func()) {
+	checkPruned = fn
+	return func() { checkPruned = nil }
+}
+
+// Regress runs the post-match half of an evaluation — the consequent
+// regression and fitness — on r over the matched set idx.
+func (e *Evaluator) Regress(r *Rule, idx []int) { e.evalFromMatches(r, idx) }
+
+// NearestIndex is the crowding target of cand under the distance kind.
+func NearestIndex(pop []*Rule, cand *Rule, kind DistanceKind, predSpan float64) int {
+	return nearestIndex(pop, cand, kind, predSpan)
 }
 
 // CacheLen returns the number of entries resident in c.
@@ -14,4 +30,21 @@ func CacheLen(c *ResultCache) int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.m)
+}
+
+// CtxIndex is a MatchIndex that also implements BackendCtx, as a
+// networked backend does, so in-process tests run the speculative
+// window. Singles counts its single-rule queries.
+type CtxIndex struct {
+	*MatchIndex
+	Singles atomic.Int64
+}
+
+// NewCtxIndex builds a CtxIndex over ds.
+func NewCtxIndex(ds *series.Dataset) *CtxIndex { return &CtxIndex{MatchIndex: NewMatchIndex(ds)} }
+
+// MatchIndicesCtx answers like MatchIndices.
+func (c *CtxIndex) MatchIndicesCtx(_ context.Context, r *Rule) []int {
+	c.Singles.Add(1)
+	return c.MatchIndices(r)
 }

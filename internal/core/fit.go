@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/linalg"
@@ -13,10 +14,13 @@ import (
 )
 
 // Evaluator fits rules against a fixed training dataset and computes
-// the paper's fitness. One Evaluator is shared by a whole execution;
-// it is safe for concurrent use by multiple goroutines: the dataset
-// and backend are read-only (or internally synchronized) and the
-// evaluation cache is internally synchronized.
+// the paper's fitness. One Evaluator is shared by a whole execution.
+// Evaluate and EvaluateAll are safe for concurrent use by multiple
+// goroutines: the dataset and backend are read-only (or internally
+// synchronized) and the evaluation cache is internally synchronized.
+// The matched sets the run loop keeps (prefetch, a pruned evaluate)
+// are written only by the execution that owns the evaluator, between
+// its generations.
 //
 // Every match query goes through one Backend: a MatchIndex by default,
 // or the sharded engine (internal/engine) or remote cluster
@@ -41,11 +45,24 @@ type Evaluator struct {
 	// fans out over workers.
 	local *MatchIndex
 	cache *ResultCache
+	// sets holds matched sets whose evaluation is not cached — fetched
+	// ahead by a speculative window (prefetch), or left by a child the
+	// pruning gate dropped — keyed like the cache, so a generation that
+	// draws one of those signatures needs no match query. setRows
+	// counts the rows they hold (see keepSet).
+	sets    map[string][]int
+	setRows int
+	// tame caches inputsTame's answer for one data epoch.
+	tame      bool
+	tameEpoch uint64
+	tameKnown bool
 
 	// Telemetry counters (nil handles no-op): full evaluations
-	// performed vs results served from the cache.
+	// performed, results served from the cache, and offspring dropped
+	// before their regression (evaluate's skip).
 	evalsComputed *obs.Counter
 	evalsCached   *obs.Counter
+	evalsPruned   *obs.Counter
 }
 
 // EvalOptions carries the optional shared machinery an Evaluator can
@@ -100,6 +117,7 @@ func NewEvaluator(data *series.Dataset, emax, fmin, ridge float64, workers int, 
 	if opt.Telemetry != nil {
 		e.evalsComputed = opt.Telemetry.Counter("core_evals_computed")
 		e.evalsCached = opt.Telemetry.Counter("core_evals_cached")
+		e.evalsPruned = opt.Telemetry.Counter("core_evals_pruned")
 	}
 	return e
 }
@@ -196,39 +214,114 @@ func (e *Evaluator) evalKey(cond []Interval) string {
 // its trace span. A result cut short by cancellation or a backend
 // fault is discarded — the rule keeps its prior fields and nothing is
 // cached; the run loops poll BackendErr and abort with the failure.
-func (e *Evaluator) Evaluate(ctx context.Context, r *Rule) {
+func (e *Evaluator) Evaluate(ctx context.Context, r *Rule) { e.evaluate(ctx, r, nil) }
+
+// evaluate is Evaluate with a veto between the match and the
+// regression: on a cache miss, once the rule's matched set is known
+// (and the query was neither cancelled nor faulted), a non-nil skip
+// sees it and may stop the evaluation. A stopped rule is neither
+// regressed nor cached, keeps its prior fields, and evaluate reports
+// pruned; its matched set is kept (keepSet), so the signature needs
+// no match query when drawn again. A set kept by a speculative
+// window's prefetch likewise replaces the query.
+func (e *Evaluator) evaluate(ctx context.Context, r *Rule, skip func(idx []int) bool) (pruned bool) {
 	key := e.evalKey(r.Cond)
 	if c := e.cache.Get(key); c != nil {
 		c.apply(r)
 		e.evalsCached.Inc()
-		return
+		return false
 	}
-	var idx []int
-	switch {
-	case e.local != nil:
-		idx = e.local.match(r, e.workers)
-	case e.backendCtx != nil:
-		idx = e.backendCtx.MatchIndicesCtx(ctx, r)
-	default:
-		idx = e.backend.MatchIndices(r)
+	idx, kept := e.sets[key]
+	if !kept {
+		switch {
+		case e.local != nil:
+			idx = e.local.match(r, e.workers)
+		case e.backendCtx != nil:
+			idx = e.backendCtx.MatchIndicesCtx(ctx, r)
+		default:
+			idx = e.backend.MatchIndices(r)
+		}
 	}
 	if ctx.Err() != nil || e.BackendErr() != nil {
-		return
+		return false
+	}
+	if skip != nil && skip(idx) {
+		if !kept {
+			e.keepSet(key, idx)
+		}
+		e.evalsPruned.Inc()
+		return true
 	}
 	e.evalFromMatches(r, idx)
 	e.cache.Put(key, resultOf(r))
 	e.evalsComputed.Inc()
+	return false
 }
 
-// prefetch scores speculative rules through EvaluateAll only to warm
-// the evaluation cache. The computed-vs-cached counters keep counting
-// real evaluations, so a copy without them does the work. A failure
-// needs no handling here: nothing incomplete is cached, and the real
-// evaluation that follows meets the same failure and surfaces it.
+// prefetch fetches the matched sets of a speculative window's rules in
+// one MatchBatch (one cluster round trip) and keeps them. Rules whose
+// result is cached or whose set is already kept, and repeated
+// signatures, are not queried. A matched set is a pure function of its
+// key, so a kept set serves whichever generation draws that signature.
+// A batch cut short by cancellation or a backend fault keeps nothing;
+// the real generation then meets the failure as before.
 func (e *Evaluator) prefetch(ctx context.Context, rules []*Rule) {
-	spec := *e
-	spec.evalsComputed, spec.evalsCached = nil, nil
-	_ = spec.EvaluateAll(ctx, rules)
+	var work []*Rule
+	var keys []string
+	for _, r := range rules {
+		k := e.evalKey(r.Cond)
+		if _, kept := e.sets[k]; kept || slices.Contains(keys, k) || e.cache.Get(k) != nil {
+			continue
+		}
+		work = append(work, r)
+		keys = append(keys, k)
+	}
+	if len(work) == 0 {
+		return
+	}
+	matched := e.backend.MatchBatch(ctx, work)
+	if ctx.Err() != nil || e.BackendErr() != nil {
+		return
+	}
+	for i, k := range keys {
+		e.keepSet(k, matched[i])
+	}
+}
+
+// setsRowLimit bounds the rows the kept matched sets hold (8 MB of
+// indices). Reaching it drops them all, as the result cache does at
+// its own bound: the sets a run still needs are fetched again.
+const setsRowLimit = 1 << 20
+
+// keepSet keeps idx as the matched set of a key not kept yet. Only
+// the execution that owns the evaluator calls it (prefetch and a
+// pruned evaluate), never concurrently.
+func (e *Evaluator) keepSet(key string, idx []int) {
+	if e.sets == nil || e.setRows+len(idx) > setsRowLimit {
+		e.sets, e.setRows = make(map[string][]int), 0
+	}
+	e.sets[key] = idx
+	e.setRows += len(idx)
+}
+
+// inputsTame reports whether every training input is finite and at
+// most 1e100 in magnitude — small enough that no normal equation can
+// overflow — at the backend's current data epoch. It scans the data
+// once per epoch.
+func (e *Evaluator) inputsTame() bool {
+	if ep := e.backend.Epoch(); !e.tameKnown || ep != e.tameEpoch {
+		e.tame, e.tameEpoch, e.tameKnown = true, ep, true
+	scan:
+		for _, row := range e.data.Inputs {
+			for _, v := range row {
+				if !(math.Abs(v) <= 1e100) {
+					e.tame = false
+					break scan
+				}
+			}
+		}
+	}
+	return e.tame
 }
 
 // fitScratch is the per-worker scratch one evaluation reuses across

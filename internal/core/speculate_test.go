@@ -17,10 +17,9 @@ import (
 )
 
 // Speculative offspring prefetch must never change a result: a fit's
-// rule set is the same whether it speculates or not (these fits are
-// too cheap for the gate, so in process it is off unless forced) and
-// whether it matches in process or over a loopback cluster (which
-// always speculates), at one worker or two.
+// rule set is the same whether it speculates or not (in process it
+// does not; a context-aware backend — the loopback cluster, or a
+// MatchIndex dressed as one — does), at one worker or two.
 
 // specDataset builds a fresh small training set; every evaluation path
 // gets its own, since a store takes over the dataset it is given.
@@ -41,14 +40,14 @@ func specDataset(t *testing.T) *series.Dataset {
 type specPath struct {
 	name    string
 	workers int
-	store   string // "" (the single index), "engine" or "cluster"
-	force   bool   // speculate in process too (core.ForceSpeculation)
+	store   string // "" (the single index), "ctxindex" (core.CtxIndex, speculates), "engine" or "cluster" (speculates)
 }
 
 var specPaths = []specPath{
-	{"index-w1", 1, "", false}, {"index-w2-spec", 2, "", true}, {"index-w1-spec", 1, "", true},
-	{"engine-w2", 2, "engine", false}, {"engine-w1-spec", 1, "engine", true}, {"engine-w2-spec", 2, "engine", true},
-	{"cluster-w1", 1, "cluster", false}, {"cluster-w2", 2, "cluster", false},
+	{"index-w1", 1, ""}, {"index-w2", 2, ""},
+	{"ctxindex-w1-spec", 1, "ctxindex"}, {"ctxindex-w2-spec", 2, "ctxindex"},
+	{"engine-w1", 1, "engine"}, {"engine-w2", 2, "engine"},
+	{"cluster-w1-spec", 1, "cluster"}, {"cluster-w2-spec", 2, "cluster"},
 }
 
 // loopbackCluster loads ds into a cluster of two in-process shard
@@ -76,6 +75,8 @@ func (p specPath) wire(t *testing.T, cfg *core.Config) *series.Dataset {
 	ds := specDataset(t)
 	cfg.Runtime.Workers = p.workers
 	switch p.store {
+	case "ctxindex":
+		cfg.Runtime.Backend = core.NewCtxIndex(ds)
 	case "engine":
 		eng := engine.New(ds, engine.Options{Shards: 2})
 		cfg.Runtime.Backend, cfg.Runtime.Cache = eng, eng.Cache()
@@ -139,10 +140,6 @@ func TestSpeculationIdentityMatrix(t *testing.T) {
 				cfg := specConfig()
 				v.cfg(&cfg)
 				data := p.wire(t, &cfg)
-				restore := func() {}
-				if p.force {
-					restore = core.ForceSpeculation()
-				}
 				var rs *core.RuleSet
 				switch {
 				case v.islands:
@@ -179,7 +176,6 @@ func TestSpeculationIdentityMatrix(t *testing.T) {
 					}
 					rs = res.RuleSet
 				}
-				restore()
 				if rs.Len() == 0 {
 					t.Fatalf("%s: empty rule set", p.name)
 				}

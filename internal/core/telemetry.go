@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the evolutionary core's telemetry seam: per-generation
-// duration, evaluations computed vs served from cache, and the
+// duration, evaluations computed vs served from cache vs pruned, and the
 // best-of-run trajectory (gauges plus trace events). Wiring is the
 // same as the engine's — Runtime.Telemetry flows into the evaluator
 // and execution at construction; with no registry every hook is one
@@ -26,7 +26,7 @@ type runTelemetry struct {
 	// simulated child ends as a hit or as waste, so once a run has
 	// ended, spec_evals = spec_hits + spec_wasted.
 	specWindows *obs.Counter // core_spec_windows: windows opened
-	specEvals   *obs.Counter // core_spec_evals: offspring simulated and scored ahead
+	specEvals   *obs.Counter // core_spec_evals: offspring simulated and matched ahead
 	specHits    *obs.Counter // core_spec_hits: generations whose child a window foresaw
 	specWaste   *obs.Counter // core_spec_wasted: foreseen generations that never ran
 }

@@ -48,14 +48,20 @@ func TestRunTelemetry(t *testing.T) {
 	}
 	computed := s["core_evals_computed"].(uint64)
 	cached, _ := s["core_evals_cached"].(uint64)
-	// Every rule carries an evaluation: the initial population plus one
-	// offspring per generation, each either computed or cache-served.
+	pruned, _ := s["core_evals_pruned"].(uint64)
+	// Every evaluation is counted once: the initial population plus one
+	// offspring per generation, each computed, cache-served or pruned
+	// before its regression.
 	want := uint64(cfg.PopSize + cfg.Generations)
-	if computed+cached != want {
-		t.Fatalf("core_evals computed %d + cached %d = %d, want %d", computed, cached, computed+cached, want)
+	if computed+cached+pruned != want {
+		t.Fatalf("core_evals computed %d + cached %d + pruned %d = %d, want %d",
+			computed, cached, pruned, computed+cached+pruned, want)
 	}
 	if computed == 0 {
 		t.Fatal("core_evals_computed = 0, nothing was ever regressed")
+	}
+	if pruned == 0 {
+		t.Fatal("core_evals_pruned = 0, no offspring was ever pruned")
 	}
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -121,13 +127,14 @@ func TestTelemetryDoesNotChangeResults(t *testing.T) {
 }
 
 // TestSpeculationTelemetry runs each replacement kind and the
-// mutation-only path with speculation forced on, at one and two
-// workers, and checks the prefetch counters: every simulated offspring
-// ends as a hit or as waste, every generation inside a window finds
-// its child already scored (the simulation drew exactly what the real
-// loop drew), the real-evaluation counters still count one evaluation
-// per rule, and the counters are exposed on /metrics. Left to its
-// gate, this cheap in-process fit must open no window.
+// mutation-only path over a context-aware index (which speculates) at
+// one and two workers, and checks the prefetch counters: every
+// simulated offspring ends as a hit or as waste, every generation
+// inside a window finds its child's matched set already fetched (the
+// simulation drew exactly what the real loop drew), the evaluation
+// counters still count one evaluation per rule, and the counters are
+// exposed on /metrics. Over a plain in-process index, the same fit
+// opens no window.
 func TestSpeculationTelemetry(t *testing.T) {
 	ds := sineDataset(t, 300, 4)
 	variants := map[string]func(*Config){
@@ -136,15 +143,14 @@ func TestSpeculationTelemetry(t *testing.T) {
 		"random":        func(c *Config) { c.Replacement = ReplaceRandom },
 		"mutation-only": func(c *Config) { c.CrossoverRate = 0.3; c.Replacement = ReplaceRandom },
 	}
+	const pop, gens = 30, 1200
 	for name, set := range variants {
 		t.Run(name, func(t *testing.T) {
-			run := func(workers int, force bool) obs.Snapshot {
-				if force {
-					defer ForceSpeculation()()
-				}
+			run := func(workers int, backend Backend) obs.Snapshot {
 				cfg := quickConfig(4, 9)
-				cfg.Generations = 1200
+				cfg.Generations = gens
 				cfg.Runtime.Workers = workers
+				cfg.Runtime.Backend = backend
 				set(&cfg)
 				reg := obs.New()
 				cfg.Runtime.Telemetry = reg
@@ -155,10 +161,10 @@ func TestSpeculationTelemetry(t *testing.T) {
 				if err := ex.Run(context.Background(), 0, nil); err != nil {
 					t.Fatal(err)
 				}
-				if force {
+				if ex.spec {
 					var prom bytes.Buffer
 					reg.WritePrometheus(&prom)
-					for _, m := range []string{"core_spec_windows", "core_spec_evals", "core_spec_hits", "core_spec_wasted"} {
+					for _, m := range []string{"core_spec_windows", "core_spec_evals", "core_spec_hits", "core_spec_wasted", "core_evals_pruned"} {
 						if !strings.Contains(prom.String(), "\n"+m+" ") {
 							t.Fatalf("/metrics exposition lacks %s:\n%s", m, prom.String())
 						}
@@ -169,12 +175,13 @@ func TestSpeculationTelemetry(t *testing.T) {
 			count := func(s obs.Snapshot, name string) uint64 { v, _ := s[name].(uint64); return v }
 
 			for _, workers := range []int{1, 2} {
-				if off := run(workers, false); count(off, "core_spec_windows") != 0 {
-					t.Fatalf("a cheap in-process fit on %d workers opened %d speculative windows", workers, count(off, "core_spec_windows"))
+				if off := run(workers, nil); count(off, "core_spec_windows") != 0 {
+					t.Fatalf("an in-process fit on %d workers opened %d speculative windows", workers, count(off, "core_spec_windows"))
 				}
 			}
 			for _, workers := range []int{1, 2} {
-				s := run(workers, true)
+				ix := NewCtxIndex(ds)
+				s := run(workers, ix)
 				windows, evals := count(s, "core_spec_windows"), count(s, "core_spec_evals")
 				hits, wasted := count(s, "core_spec_hits"), count(s, "core_spec_wasted")
 				if windows == 0 || hits == 0 {
@@ -183,14 +190,13 @@ func TestSpeculationTelemetry(t *testing.T) {
 				if evals != hits+wasted {
 					t.Fatalf("spec evals %d != hits %d + wasted %d", evals, hits, wasted)
 				}
-				computed, cached := count(s, "core_evals_computed"), count(s, "core_evals_cached")
-				const pop, gens = 30, 1200
-				if computed+cached != pop+gens {
-					t.Fatalf("real evaluations computed %d + cached %d, want %d", computed, cached, pop+gens)
+				computed, cached, pruned := count(s, "core_evals_computed"), count(s, "core_evals_cached"), count(s, "core_evals_pruned")
+				if computed+cached+pruned != pop+gens {
+					t.Fatalf("evaluations computed %d + cached %d + pruned %d, want %d", computed, cached, pruned, pop+gens)
 				}
-				if computed > pop+gens-hits {
-					t.Fatalf("%d real evaluations computed, but only %d generations ran outside a window: a window mis-foresaw its offspring",
-						computed, gens-hits)
+				if singles := uint64(ix.Singles.Load()); singles > gens-hits {
+					t.Fatalf("%d single-rule match queries, but only %d generations ran outside a window: a window mis-foresaw its offspring",
+						singles, gens-hits)
 				}
 			}
 		})
