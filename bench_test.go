@@ -120,7 +120,7 @@ func BenchmarkFigure2UnusualTide(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §5 design choices) ---------------------------
+// --- Ablations and the generalization check ---------------------------
 
 // BenchmarkAblations runs the full design-choice ablation study
 // (replacement strategy, distance kind, wildcards, mutation rate,
@@ -142,69 +142,6 @@ func BenchmarkAblations(b *testing.B) {
 			}
 			if row.Variant == "replacement: worst" {
 				b.ReportMetric(row.NMSE, "worst_repl_nmse")
-			}
-		}
-	}
-}
-
-// BenchmarkTradeoffSweep measures the coverage-accuracy tradeoff
-// experiment (the conclusions' tunability claim).
-func BenchmarkTradeoffSweep(b *testing.B) {
-	sc := experiments.Tiny()
-	var last *experiments.TradeoffResult
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Tradeoff(context.Background(), sc, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	if last != nil && len(last.Rows) > 0 {
-		b.ReportMetric(last.Rows[0].CoveragePct, "loose_coverage_%")
-		b.ReportMetric(last.Rows[len(last.Rows)-1].CoveragePct, "strict_coverage_%")
-	}
-}
-
-// BenchmarkHorizonStability measures the horizon sweep (§4.1's
-// stability claim).
-func BenchmarkHorizonStability(b *testing.B) {
-	sc := experiments.Tiny()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.HorizonStability(context.Background(), sc, 42); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkNoiseRobustness measures the observation-noise sweep.
-func BenchmarkNoiseRobustness(b *testing.B) {
-	sc := experiments.Tiny()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.NoiseRobustness(context.Background(), sc, 42); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMichiganVsPittsburgh measures the architecture comparison
-// (Michigan, Michigan+islands, Pittsburgh).
-func BenchmarkMichiganVsPittsburgh(b *testing.B) {
-	sc := experiments.Tiny()
-	var last *experiments.ApproachResult
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.MichiganVsPittsburgh(context.Background(), sc, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	if last != nil {
-		for _, row := range last.Rows {
-			switch row.Approach {
-			case "Michigan (paper)":
-				b.ReportMetric(row.NMSE, "michigan_nmse")
-			case "Pittsburgh":
-				b.ReportMetric(row.NMSE, "pittsburgh_nmse")
 			}
 		}
 	}

@@ -7,13 +7,14 @@
 //	experiments -table 3
 //	experiments -figure 1           # rule diagram
 //	experiments -figure 2           # unusual-tide trace
-//	experiments -ablations
+//	experiments -ablations          # design-choice ablations
+//	experiments -all                # Tables 1-3, Figures 1-2 and the ablations
+//	experiments -generalization     # the rule system on the Lorenz attractor
 //	experiments -stream             # windowed-stream lifecycle scenario
-//	experiments -all                # everything at the chosen scale
 //
 // The -full flag switches from the quick (laptop) scale to the
 // paper's full protocol (45k-point Venice training, 75k generations);
-// expect hours at full scale.
+// expect hours at full scale. -tiny selects the unit-test scale.
 package main
 
 import (
@@ -31,20 +32,15 @@ import (
 
 func main() {
 	var (
-		table      = flag.Int("table", 0, "table to regenerate (1, 2 or 3)")
-		figure     = flag.Int("figure", 0, "figure to regenerate (1 or 2)")
-		ablations  = flag.Bool("ablations", false, "run the design-choice ablations")
-		tradeoff   = flag.Bool("tradeoff", false, "run the coverage-accuracy tradeoff sweep")
-		horizons   = flag.Bool("horizons", false, "run the horizon-stability sweep")
-		noise      = flag.Bool("noise", false, "run the noise-robustness sweep")
-		approaches = flag.Bool("approaches", false, "compare Michigan vs Pittsburgh vs islands")
-		general    = flag.Bool("generalization", false, "run the Lorenz generalization check")
-		stream     = flag.Bool("stream", false, "run the windowed-stream lifecycle scenario (append + sliding window)")
-		all        = flag.Bool("all", false, "regenerate every table and figure")
-		extras     = flag.Bool("extras", false, "also run every extension experiment with -all")
-		full       = flag.Bool("full", false, "use the paper's full-scale protocol")
-		tiny       = flag.Bool("tiny", false, "use the unit-test scale (fast smoke run)")
-		seed       = flag.Int64("seed", 42, "base RNG seed")
+		table     = flag.Int("table", 0, "table to regenerate (1, 2 or 3)")
+		figure    = flag.Int("figure", 0, "figure to regenerate (1 or 2)")
+		ablations = flag.Bool("ablations", false, "run the design-choice ablations")
+		general   = flag.Bool("generalization", false, "run the Lorenz generalization check")
+		stream    = flag.Bool("stream", false, "run the windowed-stream lifecycle scenario (append + sliding window)")
+		all       = flag.Bool("all", false, "regenerate every table and figure, and the ablations")
+		full      = flag.Bool("full", false, "use the paper's full-scale protocol")
+		tiny      = flag.Bool("tiny", false, "use the unit-test scale (fast smoke run)")
+		seed      = flag.Int64("seed", 42, "base RNG seed")
 	)
 	ef := forecast.RegisterFlags(flag.CommandLine)     // -shards, -window, -remote
 	ofl := forecast.RegisterObsFlags(flag.CommandLine) // -debug-addr, -trace
@@ -69,7 +65,7 @@ func main() {
 		sc.EngineWindow = ef.Window()
 		sc.EngineRemote = ef.Remote()
 		if sc.EngineRemote != nil {
-			fmt.Fprintln(os.Stderr, "note: -remote drives the facade-based experiments (tables, figures, horizons, noise, generalization); ablations, approaches and -stream stay in-process")
+			fmt.Fprintln(os.Stderr, "note: -remote drives the facade-based experiments (tables, figures, generalization); the ablations and -stream stay in-process")
 		}
 	}
 
@@ -85,12 +81,11 @@ func main() {
 	defer stopObs()
 	sc.Telemetry = reg
 
-	if ef.Window() > 0 && !*stream && !(*all && *extras) {
-		fmt.Fprintln(os.Stderr, "note: -window only applies to the windowed-stream scenario (-stream, or -all -extras); the selected experiments train on their full dataset")
+	if ef.Window() > 0 && !*stream {
+		fmt.Fprintln(os.Stderr, "note: -window only applies to the windowed-stream scenario (-stream); the selected experiments train on their full dataset")
 	}
 
-	anyExtra := *tradeoff || *horizons || *noise || *approaches || *general || *stream
-	if !*all && *table == 0 && *figure == 0 && !*ablations && !anyExtra {
+	if !*all && *table == 0 && *figure == 0 && !*ablations && !*general && !*stream {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -153,42 +148,14 @@ func main() {
 		}
 		fmt.Println(res.Format())
 	}
-	if (*all && *extras) || *tradeoff {
-		res, err := experiments.Tradeoff(ctx, sc, *seed)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(res.Format())
-	}
-	if (*all && *extras) || *horizons {
-		res, err := experiments.HorizonStability(ctx, sc, *seed)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(res.Format())
-	}
-	if (*all && *extras) || *noise {
-		res, err := experiments.NoiseRobustness(ctx, sc, *seed)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(res.Format())
-	}
-	if (*all && *extras) || *approaches {
-		res, err := experiments.MichiganVsPittsburgh(ctx, sc, *seed)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(res.Format())
-	}
-	if (*all && *extras) || *general {
+	if *general {
 		res, err := experiments.Generalization(ctx, sc, *seed)
 		if err != nil {
 			fail(err)
 		}
 		fmt.Println(res.Format())
 	}
-	if (*all && *extras) || *stream {
+	if *stream {
 		res, err := experiments.WindowedStream(ctx, sc, *seed)
 		if err != nil {
 			fail(err)

@@ -29,7 +29,7 @@ type Config struct {
 	CrossoverRate    float64 // probability the offspring is produced by crossover (else clone+mutate)
 
 	// Consequent fitting.
-	Ridge float64 // ridge regularizer for the rule regression (see DESIGN.md §5)
+	Ridge float64 // ridge added to the rule regression's diagonal, so a near-singular matched set still solves
 
 	// Crowding.
 	Distance    DistanceKind    // phenotypic distance used for replacement

@@ -71,7 +71,7 @@ type Evaluator struct {
 type EvalOptions struct {
 	// Backend answers every match query: a MatchIndex shared by the
 	// callers that evaluate one dataset many times (multi-run,
-	// islands, the Pittsburgh baseline), the sharded engine or the
+	// islands), the sharded engine or the
 	// remote cluster. Nil, or a backend whose Data() is not the
 	// evaluator's dataset, makes the evaluator build its own
 	// MatchIndex.

@@ -131,24 +131,6 @@ func (rs *RuleSet) Coverage(ds *series.Dataset) float64 {
 	return float64(n) / float64(ds.Len())
 }
 
-// Prune removes rules whose training error exceeds emax or whose
-// match count is below minMatches, returning the number removed. The
-// paper tunes the balance between coverage and accuracy; pruning is
-// the knob.
-func (rs *RuleSet) Prune(emax float64, minMatches int) int {
-	kept := rs.Rules[:0]
-	removed := 0
-	for _, r := range rs.Rules {
-		if r.Error > emax || r.Matches < minMatches {
-			removed++
-			continue
-		}
-		kept = append(kept, r)
-	}
-	rs.Rules = kept
-	return removed
-}
-
 // SortByFitness orders rules by descending fitness (stable for equal
 // fitness by ascending error), convenient for display and for keeping
 // the top-k.

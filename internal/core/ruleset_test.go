@@ -103,23 +103,6 @@ func TestCoverageEmptyDataset(t *testing.T) {
 	}
 }
 
-func TestPrune(t *testing.T) {
-	rs := NewRuleSet(1)
-	good := constRule(0, 10, 1)
-	highErr := constRule(0, 10, 2)
-	highErr.Error = 100
-	fewMatches := constRule(0, 10, 3)
-	fewMatches.Matches = 1
-	rs.Add(good, highErr, fewMatches)
-	removed := rs.Prune(10, 2)
-	if removed != 2 || rs.Len() != 1 {
-		t.Fatalf("Prune removed %d, left %d", removed, rs.Len())
-	}
-	if rs.Rules[0] != good {
-		t.Fatal("Prune kept the wrong rule")
-	}
-}
-
 func TestSortByFitness(t *testing.T) {
 	rs := NewRuleSet(1)
 	a := constRule(0, 1, 1)

@@ -54,8 +54,7 @@ import (
 // Engine implements core.Store (the lifecycle-managed superset of
 // core.Backend); setting core.Runtime.Backend to it wires it into a
 // fit. One Engine serves every consumer over its dataset —
-// evaluators, multi-run waves, islands, the Pittsburgh baseline —
-// concurrently.
+// evaluators, multi-run waves, islands — concurrently.
 type Engine struct {
 	mu      sync.RWMutex
 	data    *series.Dataset // guarded by mu: the full dataset view; Append grows it, Delete and Window shrink it

@@ -21,10 +21,9 @@ type AblationRow struct {
 	Rules       int
 }
 
-// AblationResult bundles the ablation study of the design choices
-// DESIGN.md §5 calls out: crowding replacement, stratified
-// initialization, phenotypic distance, and the prediction-combination
-// rule.
+// AblationResult bundles the ablation study of the paper's design
+// choices: crowding replacement, stratified initialization, phenotypic
+// distance, and the prediction-combination rule.
 type AblationResult struct {
 	Scale Scale
 	Rows  []AblationRow

@@ -179,6 +179,31 @@ func TestAblationsTinyRuns(t *testing.T) {
 	}
 }
 
+func TestGeneralizationTinyRuns(t *testing.T) {
+	res, err := Generalization(context.Background(), Tiny(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 3 {
+		t.Fatalf("rows %d", len(res.Rows))
+	}
+	names := map[string]bool{}
+	for _, row := range res.Rows {
+		names[row.Learner] = true
+		if row.CoveragePct <= 0 {
+			t.Fatalf("%q coverage %v", row.Learner, row.CoveragePct)
+		}
+	}
+	for _, want := range []string{"rule system", "RAN", "AR(12)"} {
+		if !names[want] {
+			t.Fatalf("missing learner %q", want)
+		}
+	}
+	if !strings.Contains(res.Format(), "Lorenz") {
+		t.Fatal("Format missing title")
+	}
+}
+
 func TestTable1RejectsBadScale(t *testing.T) {
 	bad := Tiny()
 	bad.PopSize = 0
@@ -199,5 +224,8 @@ func TestTable1RejectsBadScale(t *testing.T) {
 	}
 	if _, err := Ablations(context.Background(), bad, 1); err == nil {
 		t.Fatal("bad scale accepted by Ablations")
+	}
+	if _, err := Generalization(context.Background(), bad, 1); err == nil {
+		t.Fatal("bad scale accepted by Generalization")
 	}
 }

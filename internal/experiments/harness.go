@@ -4,37 +4,15 @@ import (
 	"context"
 
 	"fmt"
-	"math"
 	"strings"
 	"text/tabwriter"
 
 	"repro/forecast"
 	"repro/internal/core"
-	"repro/internal/linalg"
 	"repro/internal/neural"
 	"repro/internal/series"
 	"repro/internal/stats"
 )
-
-// defaultEMax mirrors the core auto-resolution (10% of the training
-// output span) for harnesses that need the numeric value, e.g. to
-// scale pruning thresholds.
-func defaultEMax(train *series.Dataset) float64 {
-	lo, hi := train.TargetRange()
-	return 0.1 * (hi - lo)
-}
-
-// globalLinearRMSE fits one affine model to the whole training set
-// and returns its RMSE — the error a single global hyperplane
-// achieves, reported by the ablation/diagnostic harnesses as the
-// "no-locality" reference point.
-func globalLinearRMSE(train *series.Dataset) float64 {
-	fit, err := linalg.FitAffine(train.Inputs, train.Targets, 1e-8)
-	if err != nil {
-		return math.NaN()
-	}
-	return math.Sqrt(fit.MeanSquaredResidual(train.Inputs, train.Targets))
-}
 
 // ruleSystemRun trains the evolutionary rule system on train and
 // evaluates it on val, returning the accumulated rule set plus the

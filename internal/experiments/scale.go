@@ -1,6 +1,7 @@
 // Package experiments contains one harness per table and figure of
-// the paper's evaluation section, plus the ablation studies DESIGN.md
-// commits to. Every harness is parameterized by a Scale so the same
+// the paper's evaluation section, plus the design-choice ablations, a
+// generalization check on the Lorenz attractor and a windowed-stream
+// lifecycle scenario. Every harness is parameterized by a Scale so the same
 // code regenerates the experiment at laptop scale (benchmarks, CI) or
 // at the paper's full protocol (-full in cmd/experiments).
 package experiments
@@ -50,11 +51,10 @@ type Scale struct {
 	EngineWindow int
 
 	// EngineRemote routes the facade-driven experiments (tables,
-	// figures, horizons, noise, generalization) through a cluster of
-	// shard servers at these addresses instead of an in-process
-	// engine (cmd/experiments: -remote). Results are bit-identical;
-	// the direct-core scenarios (ablations, approaches, stream) stay
-	// in-process.
+	// figures, generalization) through a cluster of shard servers at
+	// these addresses instead of an in-process engine
+	// (cmd/experiments: -remote). Results are bit-identical; the
+	// direct-core scenarios (ablations, stream) stay in-process.
 	EngineRemote []string
 
 	// Telemetry attaches a metrics registry to every facade-driven

@@ -3,14 +3,10 @@ package series
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/rng"
 )
 
-// Additional generators used by the robustness experiments and
-// available to downstream users: the Lorenz attractor (a second
-// chaotic benchmark), a random walk, and a noise-injection wrapper for
-// perturbation studies.
+// The Lorenz attractor: a second chaotic benchmark, outside the
+// paper's three domains, for the generalization check.
 
 // LorenzConfig parameterizes the Lorenz system
 //
@@ -73,64 +69,4 @@ func Lorenz(cfg LorenzConfig) (*Series, error) {
 		}
 	}
 	return New("lorenz-x", out), nil
-}
-
-// RandomWalk generates x_t = x_{t-1} + N(drift, σ²), the classic
-// unpredictable baseline series.
-func RandomWalk(n int, drift, sigma float64, seed int64) (*Series, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("series: RandomWalk n=%d must be positive", n)
-	}
-	src := rng.New(seed)
-	out := make([]float64, n)
-	for t := 1; t < n; t++ {
-		out[t] = out[t-1] + src.Norm(drift, sigma)
-	}
-	return New("random-walk", out), nil
-}
-
-// AddNoise returns a copy of the series with Gaussian noise of the
-// given std added to every observation — the perturbation used by the
-// noise-robustness experiment.
-func AddNoise(s *Series, std float64, seed int64) *Series {
-	src := rng.New(seed)
-	out := make([]float64, s.Len())
-	for i, v := range s.Values {
-		out[i] = v + src.Norm(0, std)
-	}
-	return New(s.Name+"/noisy", out)
-}
-
-// Difference returns the first-difference series y_t = x_{t+1} - x_t
-// (length len-1), a standard stationarizing transform.
-func Difference(s *Series) (*Series, error) {
-	if s.Len() < 2 {
-		return nil, fmt.Errorf("series: Difference needs at least 2 values")
-	}
-	out := make([]float64, s.Len()-1)
-	for i := range out {
-		out[i] = s.Values[i+1] - s.Values[i]
-	}
-	return New(s.Name+"/diff", out), nil
-}
-
-// Aggregate returns the series of non-overlapping k-sample means
-// (e.g. hourly → daily), truncating the tail remainder.
-func Aggregate(s *Series, k int) (*Series, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("series: Aggregate k=%d must be positive", k)
-	}
-	n := s.Len() / k
-	if n == 0 {
-		return nil, fmt.Errorf("series: Aggregate(%d) of %d samples", k, s.Len())
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		sum := 0.0
-		for j := 0; j < k; j++ {
-			sum += s.Values[i*k+j]
-		}
-		out[i] = sum / float64(k)
-	}
-	return New(fmt.Sprintf("%s/agg%d", s.Name, k), out), nil
 }

@@ -4,9 +4,10 @@
 // evaluation domains: the Mackey-Glass delay-differential system, a
 // Venice-Lagoon-like tide simulator, and a sunspot-like solar-cycle
 // simulator. The real Venice gauge record and the SIDC sunspot archive
-// are not redistributable/reachable offline; DESIGN.md §4 documents
-// why the synthetic stand-ins preserve the behaviours the paper's
-// method exploits.
+// are not redistributable or reachable offline, so the Venice and
+// sunspot generators are synthetic stand-ins: each keeps the
+// behaviour the paper's method exploits (see VeniceConfig and
+// SunspotConfig).
 package series
 
 import (

@@ -16,7 +16,6 @@ var determinismScope = []string{
 	"internal/core",
 	"internal/engine",
 	"internal/remote",
-	"internal/pittsburgh",
 	"internal/obs",
 }
 
