@@ -225,7 +225,12 @@ func TestTable1RejectsBadScale(t *testing.T) {
 	if _, err := Ablations(context.Background(), bad, 1); err == nil {
 		t.Fatal("bad scale accepted by Ablations")
 	}
+}
+
+func TestExtensionsRejectBadScale(t *testing.T) {
+	bad := Tiny()
+	bad.Generations = 0
 	if _, err := Generalization(context.Background(), bad, 1); err == nil {
-		t.Fatal("bad scale accepted by Generalization")
+		t.Fatal("Generalization accepted bad scale")
 	}
 }
