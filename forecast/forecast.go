@@ -194,7 +194,7 @@ func (f *Forecaster) Fit(ctx context.Context, ds *Dataset) error {
 		if old, ok := f.eng.(*remote.Cluster); ok {
 			old.Retire()
 		}
-		cl, err := remote.Dial(ctx, f.s.remote, remote.Options{Workers: f.s.workers})
+		cl, err := remote.Dial(ctx, f.s.remote, remote.Options{})
 		if err != nil {
 			return fmt.Errorf("forecast: remote cluster: %w", err)
 		}
@@ -210,7 +210,7 @@ func (f *Forecaster) Fit(ctx context.Context, ds *Dataset) error {
 		}
 		st = cl
 	case f.s.engine:
-		st = engine.New(ds, engine.Options{Shards: f.s.shards, Workers: f.s.workers})
+		st = engine.New(ds, engine.Options{Shards: f.s.shards})
 		if f.s.telemetry != nil {
 			st.Instrument(f.s.telemetry)
 		}
@@ -278,7 +278,6 @@ func (f *Forecaster) config(data *Dataset, eng store) core.Config {
 	if f.s.seedSet {
 		cfg.Seed = f.s.seed
 	}
-	cfg.Runtime.Workers = f.s.workers
 	cfg.Runtime.Telemetry = f.s.telemetry
 	if eng != nil {
 		cfg.Runtime.Backend = eng

@@ -33,7 +33,6 @@ type settings struct {
 	seed        int64
 	seedSet     bool
 	emax        float64
-	workers     int
 	parallelism int
 
 	multiRun       int
@@ -112,19 +111,6 @@ func WithEMax(emax float64) Option {
 			return fmt.Errorf("%w: WithEMax(%v) must be non-negative", ErrOption, emax)
 		}
 		s.emax = emax
-		return nil
-	}
-}
-
-// WithWorkers bounds the goroutines used inside one execution's match
-// scans and batch regressions (0, the default, means GOMAXPROCS). A
-// pure speed knob: results are bit-identical at any setting.
-func WithWorkers(n int) Option {
-	return func(s *settings) error {
-		if n < 0 {
-			return fmt.Errorf("%w: WithWorkers(%d) must be non-negative", ErrOption, n)
-		}
-		s.workers = n
 		return nil
 	}
 }

@@ -129,17 +129,6 @@ func Default(d int) Config {
 	}
 }
 
-// Store returns the configured Backend as a lifecycle-managed Store
-// when it is one (the sharded engine always is), or nil when no
-// backend is set or it is match-only. Callers that stream data in and
-// out — sliding-window loops, eviction policies — reach the mutation
-// side of the engine through this accessor so they depend only on the
-// core contract, not on internal/engine.
-func (c *Config) Store() Store {
-	s, _ := c.Runtime.Backend.(Store)
-	return s
-}
-
 // ErrConfig wraps every configuration validation failure.
 var ErrConfig = errors.New("core: invalid config")
 

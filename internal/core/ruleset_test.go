@@ -167,12 +167,53 @@ func TestReadJSONRejectsMalformed(t *testing.T) {
 		`{"d":2,"rules":[{"cond":[{"lo":0,"hi":1}],"error":0}]}`,
 		`{"d":1,"rules":[{"cond":[{"lo":0,"hi":1}],"error":0,"coef":[1,2]}]}`,
 		`{"d":1,"rules":[{"cond":[{"lo":0,"hi":1}],"error":true}]}`,
+		`{"d":1,"rules":[{"cond":[{"lo":0,"hi":1}],"error":"oops"}]}`,
 	}
 	for i, c := range cases {
 		if _, err := ReadJSON(bytes.NewBufferString(c)); err == nil {
 			t.Fatalf("malformed case %d accepted", i)
 		}
 	}
+}
+
+// FuzzReadJSON feeds arbitrary bytes to the rule-set loader. It must
+// never panic, and any input it accepts must re-encode stably:
+// WriteJSON, then ReadJSON, then WriteJSON again yields the same bytes.
+func FuzzReadJSON(f *testing.F) {
+	rs := NewRuleSet(2)
+	fitted := NewRule([]Interval{NewInterval(-1.5, 2), {Lo: 0, Hi: 0, Wildcard: true}})
+	fitted.Fit = &linalg.LinearFit{Coef: []float64{0.25, -3}, Intercept: 1e-9}
+	fitted.Prediction, fitted.Error, fitted.Matches, fitted.Fitness = 0.5, 0.125, 7, 2
+	rs.Add(fitted, NewRule([]Interval{NewInterval(0, 1), NewInterval(-2, -1)}))
+	var buf bytes.Buffer
+	if err := rs.WriteJSON(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"d":1,"rules":[{"cond":[{"lo":0,"hi":1}],"error":"inf"}]}`))
+	f.Add([]byte(`{"d":1,"rules":[{"cond":[{"lo":0,"hi":1}],"error":null,"coef":[2]}]}`))
+	f.Add([]byte(`{"d":3,"rules":[]}`))
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		rs, err := ReadJSON(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := rs.WriteJSON(&first); err != nil {
+			t.Fatalf("accepted %q but cannot encode it: %v", in, err)
+		}
+		again, err := ReadJSON(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("rejected its own encoding %q: %v", first.Bytes(), err)
+		}
+		if err := again.WriteJSON(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("re-encoding changed the bytes:\n%s\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }
 
 func TestSaveLoad(t *testing.T) {

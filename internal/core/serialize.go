@@ -88,6 +88,9 @@ func ReadJSON(r io.Reader) (*RuleSet, error) {
 		rule.Fitness = rj.Fitness
 		switch e := rj.Error.(type) {
 		case string:
+			if e != "inf" {
+				return nil, fmt.Errorf("core: rule %d has malformed error field %q", i, e)
+			}
 			rule.Error = math.Inf(1)
 		case float64:
 			rule.Error = e

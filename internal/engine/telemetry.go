@@ -13,9 +13,9 @@ import (
 // time the unexported implementations and refresh the lifecycle
 // gauges. With no registry attached (the default) each wrapper is one
 // nil check and a direct call — no closures, no defers, no
-// allocations — which is what keeps the uninstrumented hot path at
-// exactly the PR-6 baseline (see BenchmarkEngineBatchInstrumented and
-// TestMatchBatchZeroAllocDisabled).
+// allocations — so the uninstrumented hot path allocates exactly what
+// the unexported implementation does (see
+// BenchmarkEngineBatchInstrumented and TestMatchBatchDisabledZeroAllocs).
 
 // telemetry bundles the engine's metric handles, pre-resolved at
 // Instrument time so hot paths never touch the registry's name map.

@@ -102,16 +102,3 @@ func (f *LinearFit) Predict(x []float64) float64 {
 	}
 	return Dot(f.Coef, x) + f.Intercept
 }
-
-// MeanSquaredResidual returns the mean squared residual of the fit.
-func (f *LinearFit) MeanSquaredResidual(xs [][]float64, y []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i, row := range xs {
-		r := y[i] - f.Predict(row)
-		s += r * r
-	}
-	return s / float64(len(xs))
-}

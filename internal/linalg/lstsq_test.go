@@ -92,18 +92,6 @@ func TestFitAffinePredictPanicsOnWrongWidth(t *testing.T) {
 	fit.Predict([]float64{1})
 }
 
-func TestMeanSquaredResidual(t *testing.T) {
-	fit := &LinearFit{Coef: []float64{0}, Intercept: 0}
-	xs := [][]float64{{0}, {0}}
-	y := []float64{1, -1}
-	if got := fit.MeanSquaredResidual(xs, y); !almostEq(got, 1, 1e-12) {
-		t.Fatalf("MeanSquaredResidual = %v, want 1", got)
-	}
-	if got := fit.MeanSquaredResidual(nil, nil); got != 0 {
-		t.Fatalf("empty MSR = %v, want 0", got)
-	}
-}
-
 // Property: least-squares residuals are orthogonal to the column space
 // (normal equations hold), checked on random well-conditioned systems.
 func TestPropertyResidualOrthogonality(t *testing.T) {

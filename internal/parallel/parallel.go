@@ -154,10 +154,3 @@ func Fold[T any](n, workers int, zero func() T, fold func(acc T, i int) T, merge
 	}
 	return out
 }
-
-// Map applies fn to every index and collects the results in order.
-func Map[T any](n, workers int, fn func(i int) T) []T {
-	out := make([]T, n)
-	For(n, workers, func(i int) { out[i] = fn(i) })
-	return out
-}

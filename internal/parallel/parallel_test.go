@@ -75,18 +75,6 @@ func TestFoldOrderedAppend(t *testing.T) {
 	}
 }
 
-func TestMap(t *testing.T) {
-	got := Map(10, 3, func(i int) int { return i * i })
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("Map[%d] = %d", i, v)
-		}
-	}
-	if len(Map(0, 3, func(i int) int { return i })) != 0 {
-		t.Fatal("empty Map not empty")
-	}
-}
-
 // Property: Fold with associative merge equals the serial loop for
 // any worker count.
 func TestPropertyFoldMatchesSerial(t *testing.T) {

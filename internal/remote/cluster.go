@@ -19,9 +19,6 @@ import (
 
 // Options configures a Cluster.
 type Options struct {
-	// Workers bounds the goroutines used for the per-server fan-out
-	// and the per-rule merge (0 = GOMAXPROCS).
-	Workers int
 	// Timeout caps every RPC issued without a caller deadline: the
 	// mutation verbs (the core.Store lifecycle methods carry no
 	// context) and match passes whose caller context has no deadline
@@ -65,7 +62,6 @@ const DefaultTimeout = 30 * time.Second
 // rather than evolving against incomplete matched sets.
 type Cluster struct {
 	conns   []*conn
-	workers int
 	timeout time.Duration
 	cache   *engine.SharedCache // returned by Cache; never read or written by the cluster
 	tel     *rpcClientTelemetry // set by Instrument before the cluster is shared; nil = disabled
@@ -89,9 +85,6 @@ func NewCluster(dialers []Dialer, opt Options) (*Cluster, error) {
 	if len(dialers) == 0 {
 		return nil, fmt.Errorf("%w: a cluster needs at least one server", core.ErrConfig)
 	}
-	if opt.Workers < 0 {
-		opt.Workers = 0
-	}
 	switch {
 	case opt.Timeout == 0:
 		opt.Timeout = DefaultTimeout
@@ -100,7 +93,6 @@ func NewCluster(dialers []Dialer, opt Options) (*Cluster, error) {
 	}
 	c := &Cluster{
 		conns:   make([]*conn, len(dialers)),
-		workers: opt.Workers,
 		timeout: opt.Timeout,
 		cache:   engine.NewSharedCache(0),
 		liveBy:  make([]int, len(dialers)),
@@ -586,7 +578,7 @@ func (c *Cluster) MatchBatch(parent context.Context, rules []*core.Rule) [][]int
 	// here, a timeout firing just after a slow-but-successful fan
 	// would silently truncate the merge into nil matched sets that
 	// pass every staleness check.
-	parallel.ForCtx(parent, len(rules), c.workers, func(w int) {
+	parallel.ForCtx(parent, len(rules), 0, func(w int) {
 		out[w] = c.mergeIDsLocked(perServer, w)
 	})
 	return out

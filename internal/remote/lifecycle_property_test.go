@@ -217,7 +217,7 @@ func driveRemoteLifecycle(t *testing.T, seed int64, n0, d, nanEvery, servers, sh
 	rules := append(randomRules(ds, 18, seed+1), wildRule(d))
 
 	srvOpt := engine.Options{Shards: shards, Workers: workers}
-	c, _ := newLoopbackCluster(t, servers, srvOpt, Options{Workers: workers})
+	c, _ := newLoopbackCluster(t, servers, srvOpt, Options{})
 	if err := c.Load(context.Background(), cloneDataset(ds)); err != nil {
 		t.Fatal(err)
 	}

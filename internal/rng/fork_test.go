@@ -18,7 +18,6 @@ var draws = []draw{
 	{"Uniform", func(s *Source) []float64 { return []float64{s.Uniform(-2, 5)} }},
 	{"Intn", func(s *Source) []float64 { return []float64{float64(s.Intn(97))} }},
 	{"IntnLarge", func(s *Source) []float64 { return []float64{float64(s.Intn(1 << 40))} }},
-	{"IntRange", func(s *Source) []float64 { return []float64{float64(s.IntRange(-5, 12))} }},
 	{"Bool", func(s *Source) []float64 { return []float64{b2f(s.Bool(0.3))} }},
 	{"Norm", func(s *Source) []float64 { return []float64{s.Norm(1, 2)} }},
 	{"Exp", func(s *Source) []float64 { return []float64{s.Exp(3)} }},
@@ -26,8 +25,6 @@ var draws = []draw{
 	{"Roulette", func(s *Source) []float64 {
 		return []float64{float64(s.Roulette([]float64{0.5, 0, math.NaN(), 3, -1, 2}))}
 	}},
-	{"SampleDistinctSparse", func(s *Source) []float64 { return ints(s.SampleDistinct(3, 50)) }},
-	{"SampleDistinctDense", func(s *Source) []float64 { return ints(s.SampleDistinct(6, 8)) }},
 	{"Split", func(s *Source) []float64 {
 		c := s.Split()
 		return []float64{float64(c.Seed()), c.Float64(), float64(c.Intn(1000))}

@@ -162,14 +162,6 @@ func (s *Source) Uniform(lo, hi float64) float64 {
 // Intn returns a uniform int in [0,n). It panics if n <= 0.
 func (s *Source) Intn(n int) int { return s.r.Intn(n) }
 
-// IntRange returns a uniform int in [lo,hi). It panics if hi <= lo.
-func (s *Source) IntRange(lo, hi int) int {
-	if hi <= lo {
-		panic("rng: IntRange requires hi > lo")
-	}
-	return lo + s.r.Intn(hi-lo)
-}
-
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool { return s.r.Float64() < p }
 
@@ -219,29 +211,4 @@ func (s *Source) Roulette(weights []float64) int {
 		}
 	}
 	return len(weights) - 1
-}
-
-// SampleDistinct returns k distinct uniform indices from [0,n).
-// It panics if k > n or k < 0.
-func (s *Source) SampleDistinct(k, n int) []int {
-	if k < 0 || k > n {
-		panic("rng: SampleDistinct requires 0 <= k <= n")
-	}
-	if k*4 >= n {
-		// Dense case: partial Fisher-Yates.
-		perm := s.r.Perm(n)
-		return perm[:k]
-	}
-	// Sparse case: rejection sampling.
-	seen := make(map[int]struct{}, k)
-	out := make([]int, 0, k)
-	for len(out) < k {
-		v := s.r.Intn(n)
-		if _, dup := seen[v]; dup {
-			continue
-		}
-		seen[v] = struct{}{}
-		out = append(out, v)
-	}
-	return out
 }

@@ -62,32 +62,6 @@ func TestUniformRange(t *testing.T) {
 	}
 }
 
-func TestIntRange(t *testing.T) {
-	s := New(6)
-	seen := map[int]bool{}
-	for i := 0; i < 1000; i++ {
-		v := s.IntRange(10, 15)
-		if v < 10 || v >= 15 {
-			t.Fatalf("IntRange(10,15) produced %d", v)
-		}
-		seen[v] = true
-	}
-	for v := 10; v < 15; v++ {
-		if !seen[v] {
-			t.Fatalf("IntRange never produced %d in 1000 draws", v)
-		}
-	}
-}
-
-func TestIntRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("IntRange(5,5) did not panic")
-		}
-	}()
-	New(1).IntRange(5, 5)
-}
-
 func TestBoolProbability(t *testing.T) {
 	s := New(7)
 	n, hits := 100000, 0
@@ -192,47 +166,6 @@ func TestRoulettePanicsOnEmpty(t *testing.T) {
 		}
 	}()
 	New(1).Roulette(nil)
-}
-
-func TestSampleDistinct(t *testing.T) {
-	s := New(13)
-	for trial := 0; trial < 100; trial++ {
-		got := s.SampleDistinct(5, 50)
-		if len(got) != 5 {
-			t.Fatalf("SampleDistinct returned %d values, want 5", len(got))
-		}
-		seen := map[int]bool{}
-		for _, v := range got {
-			if v < 0 || v >= 50 {
-				t.Fatalf("SampleDistinct produced out-of-range %d", v)
-			}
-			if seen[v] {
-				t.Fatalf("SampleDistinct produced duplicate %d", v)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestSampleDistinctDense(t *testing.T) {
-	s := New(14)
-	got := s.SampleDistinct(10, 10)
-	seen := map[int]bool{}
-	for _, v := range got {
-		seen[v] = true
-	}
-	if len(seen) != 10 {
-		t.Fatalf("dense SampleDistinct covered %d distinct values, want 10", len(seen))
-	}
-}
-
-func TestSampleDistinctPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SampleDistinct(5,3) did not panic")
-		}
-	}()
-	New(1).SampleDistinct(5, 3)
 }
 
 func TestPermIsPermutation(t *testing.T) {

@@ -53,3 +53,30 @@ func TestSaveLoadCSV(t *testing.T) {
 		t.Fatalf("expected not-exist error, got %v", err)
 	}
 }
+
+// FuzzReadCSV feeds arbitrary bytes to the series loader and windows
+// whatever it accepts at a small D: neither step may panic, only
+// return errors.
+func FuzzReadCSV(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, New("level", []float64{1.5, -2, 3.25, 0, 7})); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte("v\n1\n2\n"))
+	f.Add([]byte("t,v\n0,NaN\n1,+Inf\n2,-1e308\n"))
+	f.Add([]byte("a,b\n1\n"))
+	f.Add([]byte("\"t\",\"v\n"))
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		s, err := ReadCSV(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		for d := 1; d <= 3; d++ {
+			if ds, err := Window(s, d, 1); err == nil && len(ds.Inputs) != s.Len()-d {
+				t.Fatalf("Window(D=%d) of %d values gave %d patterns", d, s.Len(), len(ds.Inputs))
+			}
+		}
+	})
+}

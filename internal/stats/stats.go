@@ -105,40 +105,6 @@ func Autocorrelation(xs []float64, lag int) float64 {
 	return num / den
 }
 
-// Histogram bins xs into nbins equal-width bins spanning [min,max] and
-// returns the counts. Values exactly at max land in the last bin.
-func Histogram(xs []float64, nbins int) []int {
-	if nbins <= 0 {
-		panic("stats: Histogram needs nbins > 0")
-	}
-	counts := make([]int, nbins)
-	if len(xs) == 0 {
-		return counts
-	}
-	min, max := MinMax(xs)
-	width := (max - min) / float64(nbins)
-	if width == 0 {
-		counts[0] = len(xs)
-		return counts
-	}
-	for _, v := range xs {
-		// Extreme ranges can overflow (max-min) to +Inf, making the
-		// ratio NaN; clamp instead of trusting the conversion.
-		ratio := (v - min) / width
-		b := 0
-		switch {
-		case math.IsNaN(ratio) || ratio < 0:
-			b = 0
-		case ratio >= float64(nbins):
-			b = nbins - 1
-		default:
-			b = int(ratio)
-		}
-		counts[b]++
-	}
-	return counts
-}
-
 // Summary bundles the headline statistics of a sample.
 type Summary struct {
 	N        int

@@ -107,30 +107,6 @@ func TestAutocorrelation(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 0.1, 0.5, 0.9, 1.0}
-	counts := Histogram(xs, 2)
-	// Bin 0 spans [0,0.5); 0.5 itself lands in bin 1.
-	if counts[0] != 2 || counts[1] != 3 {
-		t.Fatalf("Histogram = %v", counts)
-	}
-	if got := Histogram(nil, 3); got[0] != 0 || len(got) != 3 {
-		t.Fatalf("empty Histogram = %v", got)
-	}
-	if got := Histogram([]float64{5, 5, 5}, 4); got[0] != 3 {
-		t.Fatalf("constant Histogram = %v", got)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Histogram(nbins=0) did not panic")
-		}
-	}()
-	Histogram([]float64{1}, 0)
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3, 4, 5})
 	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
@@ -138,25 +114,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if len(s.String()) == 0 {
 		t.Fatal("empty Summary.String()")
-	}
-}
-
-func TestPropertyHistogramConservesMass(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, v)
-			}
-		}
-		total := 0
-		for _, c := range Histogram(xs, 7) {
-			total += c
-		}
-		return total == len(xs)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
