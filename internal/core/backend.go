@@ -101,6 +101,18 @@ type BackendCtx interface {
 	MatchIndicesCtx(ctx context.Context, r *Rule) []int
 }
 
+// matchAppender is the optional side of a Backend that can append a
+// matched set into the caller's buffer: AppendMatches(dst, r) appends
+// exactly MatchIndices(r) to dst. The Evaluator asserts it once at
+// construction and then matches into its pooled scratch, so a
+// steady-state evaluation allocates no matched set. MatchIndex and the
+// sharded engine implement it. It is not part of Backend: a wrapper
+// that embeds a Backend or Store to time or replay its match calls
+// must not have the method promoted past it.
+type matchAppender interface {
+	AppendMatches(dst []int, r *Rule) []int
+}
+
 // BackendHealth is an optional interface a Backend implements when
 // its match path can fail out-of-band — a network transport losing a
 // shard server mid-run. BackendErr returns the first such failure

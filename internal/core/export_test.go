@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/series"
@@ -10,15 +11,22 @@ import (
 // CheckPruned installs fn as the pruning gate's test seam until
 // restore is called: every offspring the gate would drop is handed to
 // fn with its replacement slot (-1 unless ReplaceRandom) and matched
-// set, and is dropped only if fn returns true.
+// set, and is dropped only if fn returns true. fn gets a copy of the
+// set: the evaluator's own lives in pooled scratch.
 func CheckPruned(fn func(ex *Execution, child *Rule, target int, idx []int) bool) (restore func()) {
-	checkPruned = fn
+	checkPruned = func(ex *Execution, child *Rule, target int, idx []int) bool {
+		return fn(ex, child, target, slices.Clone(idx))
+	}
 	return func() { checkPruned = nil }
 }
 
 // Regress runs the post-match half of an evaluation — the consequent
 // regression and fitness — on r over the matched set idx.
-func (e *Evaluator) Regress(r *Rule, idx []int) { e.evalFromMatches(r, idx) }
+func (e *Evaluator) Regress(r *Rule, idx []int) {
+	fs := fitScratchPool.Get().(*fitScratch)
+	e.evalFromMatches(r, idx, fs)
+	fitScratchPool.Put(fs)
+}
 
 // NearestIndex is the crowding target of cand under the distance kind.
 func NearestIndex(pop []*Rule, cand *Rule, kind DistanceKind, predSpan float64) int {

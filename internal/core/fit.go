@@ -39,6 +39,10 @@ type Evaluator struct {
 	// one per evaluation); nil when the backend doesn't implement them.
 	backendCtx BackendCtx
 	health     BackendHealth
+	// appender caches the backend's matchAppender side the same way:
+	// a backend that can append a matched set into the evaluator's
+	// pooled buffer instead of allocating one.
+	appender matchAppender
 	// local is the backend when it is an in-process MatchIndex.
 	// Batching buys an index nothing, so EvaluateAll matches each rule
 	// on the worker that regresses it, and Evaluate's scan fallback
@@ -48,10 +52,11 @@ type Evaluator struct {
 	// sets holds matched sets whose evaluation is not cached — fetched
 	// ahead by a speculative window (prefetch), or left by a child the
 	// pruning gate dropped — keyed like the cache, so a generation that
-	// draws one of those signatures needs no match query. setRows
-	// counts the rows they hold (see keepSet).
-	sets    map[string][]int
-	setRows int
+	// draws one of those signatures needs no match query. Each is a
+	// bitmap over the ⌈n/64⌉ words of the dataset's rows; setWords
+	// counts the words they hold (see keepSet).
+	sets     map[string][]uint64
+	setWords int
 	// tame caches inputsTame's answer for one data epoch.
 	tame      bool
 	tameEpoch uint64
@@ -110,6 +115,7 @@ func NewEvaluator(data *series.Dataset, emax, fmin, ridge float64, workers int, 
 	}
 	e.backendCtx, _ = e.backend.(BackendCtx)
 	e.health, _ = e.backend.(BackendHealth)
+	e.appender, _ = e.backend.(matchAppender)
 	e.local, _ = e.backend.(*MatchIndex)
 	if e.cache == nil {
 		e.cache = NewResultCache()
@@ -148,24 +154,24 @@ func (e *Evaluator) BackendErr() error {
 // goroutines for large datasets with chunk-ordered merging keeping the
 // result deterministic. It is exported for benchmarks and equivalence
 // tests; every backend must return exactly its set.
-func (e *Evaluator) MatchIndicesScan(r *Rule) []int { return scanMatches(e.data, r, e.workers) }
+func (e *Evaluator) MatchIndicesScan(r *Rule) []int { return appendScan(nil, e.data, r, e.workers) }
 
-// scanMatches is the scan behind MatchIndicesScan, and the fallback a
-// MatchIndex takes where it cannot answer (NaN data or bounds).
-func scanMatches(data *series.Dataset, r *Rule, workers int) []int {
+// appendScan appends the scan behind MatchIndicesScan to dst. It is
+// also the fallback a MatchIndex takes where it cannot answer (NaN
+// data or bounds).
+func appendScan(dst []int, data *series.Dataset, r *Rule, workers int) []int {
 	n := data.Len()
 	// Parallelism pays only for large scans; the threshold keeps the
 	// tiny datasets in unit tests on the fast serial path.
 	if n < 4096 || parallel.Workers(workers) == 1 {
-		var out []int
 		for i := 0; i < n; i++ {
 			if r.Match(data.Inputs[i]) {
-				out = append(out, i)
+				dst = append(dst, i)
 			}
 		}
-		return out
+		return dst
 	}
-	return parallel.Fold(n, workers,
+	return append(dst, parallel.Fold(n, workers,
 		func() []int { return nil },
 		func(acc []int, i int) []int {
 			if r.Match(data.Inputs[i]) {
@@ -173,7 +179,7 @@ func scanMatches(data *series.Dataset, r *Rule, workers int) []int {
 			}
 			return acc
 		},
-		func(a, b []int) []int { return append(a, b...) })
+		func(a, b []int) []int { return append(a, b...) })...)
 }
 
 // evalKey builds the cache key for a conditional part: the backend's
@@ -224,6 +230,11 @@ func (e *Evaluator) Evaluate(ctx context.Context, r *Rule) { e.evaluate(ctx, r, 
 // pruned; its matched set is kept (keepSet), so the signature needs
 // no match query when drawn again. A set kept by a speculative
 // window's prefetch likewise replaces the query.
+//
+// The matched set lives in the pooled fitScratch for the whole
+// evaluation: the index, the engine and a kept set append into its
+// idx buffer, so a steady-state evaluation allocates no set. skip must
+// not keep idx past its call.
 func (e *Evaluator) evaluate(ctx context.Context, r *Rule, skip func(idx []int) bool) (pruned bool) {
 	key := e.evalKey(r.Cond)
 	if c := e.cache.Get(key); c != nil {
@@ -231,16 +242,26 @@ func (e *Evaluator) evaluate(ctx context.Context, r *Rule, skip func(idx []int) 
 		e.evalsCached.Inc()
 		return false
 	}
-	idx, kept := e.sets[key]
-	if !kept {
-		switch {
-		case e.local != nil:
-			idx = e.local.match(r, e.workers)
-		case e.backendCtx != nil:
-			idx = e.backendCtx.MatchIndicesCtx(ctx, r)
-		default:
-			idx = e.backend.MatchIndices(r)
-		}
+	fs := fitScratchPool.Get().(*fitScratch)
+	defer fitScratchPool.Put(fs)
+	set, kept := e.sets[key]
+	idx, own := fs.idx[:0], true
+	switch {
+	case kept:
+		idx = AppendSetBits(idx, set)
+	case e.local != nil:
+		idx = e.local.appendMatches(idx, r, e.workers)
+	case e.backendCtx != nil:
+		idx, own = e.backendCtx.MatchIndicesCtx(ctx, r), false
+	case e.appender != nil:
+		idx = e.appender.AppendMatches(idx, r)
+	default:
+		idx, own = e.backend.MatchIndices(r), false
+	}
+	if own {
+		// Keep the grown buffer. A set the backend allocated stays out
+		// of the pool: whoever handed it out may still hold it.
+		fs.idx = idx
 	}
 	if ctx.Err() != nil || e.BackendErr() != nil {
 		return false
@@ -252,7 +273,7 @@ func (e *Evaluator) evaluate(ctx context.Context, r *Rule, skip func(idx []int) 
 		e.evalsPruned.Inc()
 		return true
 	}
-	e.evalFromMatches(r, idx)
+	e.evalFromMatches(r, idx, fs)
 	e.cache.Put(key, resultOf(r))
 	e.evalsComputed.Inc()
 	return false
@@ -288,20 +309,27 @@ func (e *Evaluator) prefetch(ctx context.Context, rules []*Rule) {
 	}
 }
 
-// setsRowLimit bounds the rows the kept matched sets hold (8 MB of
-// indices). Reaching it drops them all, as the result cache does at
-// its own bound: the sets a run still needs are fetched again.
-const setsRowLimit = 1 << 20
+// setsWordLimit bounds the words the kept matched-set bitmaps hold
+// (8 MB). Reaching it drops them all, as the result cache does at its
+// own bound: the sets a run still needs are fetched again.
+const setsWordLimit = 1 << 20
 
-// keepSet keeps idx as the matched set of a key not kept yet. Only
-// the execution that owns the evaluator calls it (prefetch and a
-// pruned evaluate), never concurrently.
+// keepSet keeps a bitmap copy of idx as the matched set of a key not
+// kept yet; evaluate expands it back into ascending indices on a hit.
+// Only the execution that owns the evaluator calls it (prefetch and a
+// pruned evaluate), never concurrently. A key carries the data epoch,
+// so the row count a bitmap was sized by holds whenever it is read.
 func (e *Evaluator) keepSet(key string, idx []int) {
-	if e.sets == nil || e.setRows+len(idx) > setsRowLimit {
-		e.sets, e.setRows = make(map[string][]int), 0
+	words := (e.data.Len() + 63) >> 6
+	if e.sets == nil || e.setWords+words > setsWordLimit {
+		e.sets, e.setWords = make(map[string][]uint64), 0
 	}
-	e.sets[key] = idx
-	e.setRows += len(idx)
+	set := make([]uint64, words)
+	for _, i := range idx {
+		set[i>>6] |= 1 << (uint(i) & 63)
+	}
+	e.sets[key] = set
+	e.setWords += words
 }
 
 // inputsTame reports whether every training input is finite and at
@@ -325,32 +353,26 @@ func (e *Evaluator) inputsTame() bool {
 }
 
 // fitScratch is the per-worker scratch one evaluation reuses across
-// rules: the xs/ys gather buffers and the linalg normal-equation
-// storage. Pooled so steady-state batch evaluation allocates only
-// what escapes into results (the fresh LinearFit per rule).
+// rules: the matched set, the xs/ys gather buffers and the linalg
+// normal-equation storage. Pooled so steady-state evaluation
+// allocates only what escapes into results (the fresh LinearFit per
+// rule).
 type fitScratch struct {
-	xs [][]float64
-	ys []float64
-	nf linalg.FitScratch
+	idx []int
+	xs  [][]float64
+	ys  []float64
+	nf  linalg.FitScratch
 }
 
 var fitScratchPool = sync.Pool{New: func() any { return new(fitScratch) }}
 
 // evalFromMatches is the post-match half of an evaluation: given the
 // rule's matched training indices, fit the consequent and assign the
-// paper's fitness. Both Evaluate and EvaluateAll end here, which is
-// what keeps them bit-identical.
-func (e *Evaluator) evalFromMatches(r *Rule, idx []int) {
-	fs := fitScratchPool.Get().(*fitScratch)
-	e.evalFromMatchesScratch(r, idx, fs)
-	fitScratchPool.Put(fs)
-}
-
-// evalFromMatchesScratch is evalFromMatches through caller-owned
-// scratch. Nothing scratch-backed escapes into the rule: the
-// LinearFit (and its Coef) assigned to r.Fit is freshly allocated by
-// the fit itself.
-func (e *Evaluator) evalFromMatchesScratch(r *Rule, idx []int, fs *fitScratch) {
+// paper's fitness through the caller's scratch. Both Evaluate and
+// EvaluateAll end here, which is what keeps them bit-identical.
+// Nothing scratch-backed escapes into the rule: the LinearFit (and its
+// Coef) assigned to r.Fit is freshly allocated by the fit itself.
+func (e *Evaluator) evalFromMatches(r *Rule, idx []int, fs *fitScratch) {
 	r.Matches = len(idx)
 	if len(idx) == 0 {
 		// No evidence at all: no consequent, floor fitness. Prediction
@@ -470,8 +492,6 @@ func (e *Evaluator) EvaluateAll(ctx context.Context, rules []*Rule) error {
 		var matched [][]int
 		if e.local == nil {
 			matched = e.backend.MatchBatch(ctx, work)
-		} else {
-			matched = make([][]int, len(work)) // filled per rule below
 		}
 		if err := ctx.Err(); err != nil {
 			// The matched sets may be truncated: drop the whole batch on
@@ -487,10 +507,16 @@ func (e *Evaluator) EvaluateAll(ctx context.Context, rules []*Rule) error {
 		}
 		fresh := make([]*EvalResult, len(work))
 		if parallel.ForCtx(ctx, len(work), e.workers, func(i int) {
+			fs := fitScratchPool.Get().(*fitScratch)
+			defer fitScratchPool.Put(fs)
+			var idx []int
 			if e.local != nil {
-				matched[i] = e.local.match(work[i], 1)
+				fs.idx = e.local.appendMatches(fs.idx[:0], work[i], 1)
+				idx = fs.idx
+			} else {
+				idx = matched[i]
 			}
-			e.evalFromMatches(work[i], matched[i])
+			e.evalFromMatches(work[i], idx, fs)
 			fresh[i] = resultOf(work[i])
 		}) != nil {
 			// Some regressions ran (and wrote into their work[i] rules),

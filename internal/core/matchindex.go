@@ -127,18 +127,25 @@ func (ix *MatchIndex) Data() *series.Dataset { return ix.data }
 func (ix *MatchIndex) Epoch() uint64 { return 0 }
 
 // MatchIndices returns the rule's matched pattern indices in ascending
-// order, nil when none match. Where the index cannot answer (NaN data
-// or a NaN gene bound) it scans the patterns serially; both answers
-// are the same set.
-func (ix *MatchIndex) MatchIndices(r *Rule) []int { return ix.match(r, 1) }
+// order, nil when none match: AppendMatches(nil, r).
+func (ix *MatchIndex) MatchIndices(r *Rule) []int { return ix.AppendMatches(nil, r) }
 
-// match is MatchIndices with the fallback scan spread over workers
-// goroutines (0 = GOMAXPROCS).
-func (ix *MatchIndex) match(r *Rule, workers int) []int {
-	if out, ok := ix.Lookup(r); ok {
+// AppendMatches appends the rule's matched pattern indices to dst in
+// ascending order and returns the extended slice; dst grows at most
+// once. Where the index cannot answer (NaN data or a NaN gene bound)
+// it scans the patterns serially; both answers are the same set.
+func (ix *MatchIndex) AppendMatches(dst []int, r *Rule) []int { return ix.appendMatches(dst, r, 1) }
+
+// appendMatches is AppendMatches with the fallback scan spread over
+// workers goroutines (0 = GOMAXPROCS).
+func (ix *MatchIndex) appendMatches(dst []int, r *Rule, workers int) []int {
+	sc := matchScratchPool.Get().(*MatchScratch)
+	out, ok := ix.LookupInto(dst, r, sc)
+	matchScratchPool.Put(sc)
+	if ok {
 		return out
 	}
-	return scanMatches(ix.data, r, workers)
+	return appendScan(dst, ix.data, r, workers)
 }
 
 // MatchBatch answers the rules one after another, checking ctx between
@@ -225,24 +232,16 @@ type MatchScratch struct {
 	genes []geneSpan
 }
 
-// matchScratchPool recycles scratch across Lookup calls; the sharded
-// engine keeps one MatchScratch per pooled shard walk instead.
+// matchScratchPool recycles scratch across AppendMatches calls; the
+// sharded engine keeps one MatchScratch per pooled shard walk instead.
 var matchScratchPool = sync.Pool{New: func() any { return new(MatchScratch) }}
 
-// Lookup returns the rule's matched pattern indices in ascending
-// order, nil when none match. ok=false means the index cannot answer
-// (the data is NaN-degenerate or a gene has a NaN bound) and the
-// caller must scan; both paths return identical results.
-func (ix *MatchIndex) Lookup(r *Rule) (out []int, ok bool) {
-	sc := matchScratchPool.Get().(*MatchScratch)
-	out, ok = ix.LookupInto(nil, r, sc)
-	matchScratchPool.Put(sc)
-	return out, ok
-}
-
-// LookupInto is Lookup appending to dst with caller-owned scratch.
-// dst grows at most once, to the exact result size. On the fallback
-// answer (ok=false) dst is returned unchanged.
+// LookupInto appends the rule's matched pattern indices to dst in
+// ascending order through caller-owned scratch. dst grows at most
+// once, by the exact result size. ok=false means the index cannot
+// answer (the data is NaN-degenerate or a gene has a NaN bound) and
+// the caller must scan, which returns the identical set; dst is then
+// returned unchanged.
 func (ix *MatchIndex) LookupInto(dst []int, r *Rule, sc *MatchScratch) (out []int, ok bool) {
 	if ix.degenerate {
 		return dst, false
@@ -395,26 +394,16 @@ func keepRows(keep []int32, words []uint64, rows []int32) []int32 {
 }
 
 // AppendSetBits appends the position of every set bit in words to out
-// in ascending order — the bitmap→ordered-indices sweep of the
-// sharded engine's and the remote cluster's result merges. O(k + n/64)
+// in ascending order — the bitmap→ordered-indices sweep of the remote
+// cluster's result merge and of the evaluator's kept sets. O(k + n/64)
 // for k set bits over an n-bit bitmap.
 func AppendSetBits(out []int, words []uint64) []int {
 	for w, word := range words {
-		out = AppendWordBits(out, w, word)
-	}
-	return out
-}
-
-// AppendWordBits appends the positions of word's set bits, offset by
-// w<<6, to out in ascending order — the single-word step of
-// AppendSetBits, exported for the sharded engine's pooled
-// sweep-and-clear merge.
-func AppendWordBits(out []int, w int, word uint64) []int {
-	base := w << 6
-	for word != 0 {
-		b := bits.TrailingZeros64(word)
-		out = append(out, base+b)
-		word &^= 1 << b
+		base := w << 6
+		for word != 0 {
+			out = append(out, base+bits.TrailingZeros64(word))
+			word &= word - 1
+		}
 	}
 	return out
 }

@@ -57,8 +57,8 @@ func TestMatchIndexInvertedInterval(t *testing.T) {
 	// Contains is false everywhere, so the engine must return nil —
 	// and not panic on an inverted candidate range.
 	r := NewRule([]Interval{{Lo: 0.5, Hi: -0.5}, Wild(), Wild()})
-	if got, ok := ix.Lookup(r); !ok || got != nil {
-		t.Fatalf("inverted interval: Lookup = %v, %v; want nil, true", got, ok)
+	if got, ok := ix.LookupInto(nil, r, new(MatchScratch)); !ok || got != nil {
+		t.Fatalf("inverted interval: LookupInto = %v, %v; want nil, true", got, ok)
 	}
 }
 

@@ -179,6 +179,10 @@ func TestPropertyIndexedMatchEquivalence(t *testing.T) {
 			if !intSlicesIdentical(ix.MatchIndices(r), naive) {
 				return false
 			}
+			// AppendMatches keeps what dst held, NaN fallback included.
+			if !intSlicesEqual(ix.AppendMatches([]int{-1}, r), append([]int{-1}, naive...)) {
+				return false
+			}
 			rules, wants = append(rules, r), append(wants, naive)
 			if got, ok := ix.LookupInto(reuse[:0], r, &sc); ok {
 				if !intSlicesEqual(got, naive) {
@@ -379,9 +383,9 @@ func TestPropertyIndexNaNEquivalence(t *testing.T) {
 }
 
 // Property: LookupInto over a dirty pooled scratch and a reused
-// destination reproduces Lookup exactly on clean data, for every rule
-// and for every one-gene restriction of it (each gene's rank range
-// taken alone).
+// destination reproduces its answer over fresh scratch exactly on
+// clean data, for every rule and for every one-gene restriction of it
+// (each gene's rank range taken alone).
 func TestPropertyLookupScratchEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		src := rng.New(seed)
@@ -400,7 +404,7 @@ func TestPropertyLookupScratchEquivalence(t *testing.T) {
 		defer matchScratchPool.Put(sc)
 		var reuse []int
 		check := func(r *Rule) bool {
-			want, ok := ix.Lookup(r)
+			want, ok := ix.LookupInto(nil, r, new(MatchScratch))
 			if !ok {
 				return false // clean data, finite bounds: always answerable
 			}

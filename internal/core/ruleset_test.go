@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"path/filepath"
 	"testing"
@@ -168,11 +169,18 @@ func TestReadJSONRejectsMalformed(t *testing.T) {
 		`{"d":1,"rules":[{"cond":[{"lo":0,"hi":1}],"error":0,"coef":[1,2]}]}`,
 		`{"d":1,"rules":[{"cond":[{"lo":0,"hi":1}],"error":true}]}`,
 		`{"d":1,"rules":[{"cond":[{"lo":0,"hi":1}],"error":"oops"}]}`,
+		`{"d":1,"rules":[]} trailing`,
+		`{"d":1,"rules":[]}{"d":1,"rules":[]}`,
+		`{"d":1,"rules":[]}}`,
 	}
 	for i, c := range cases {
-		if _, err := ReadJSON(bytes.NewBufferString(c)); err == nil {
-			t.Fatalf("malformed case %d accepted", i)
+		if _, err := ReadJSON(bytes.NewBufferString(c)); !errors.Is(err, ErrRuleSet) {
+			t.Fatalf("malformed case %d: err = %v, want ErrRuleSet", i, err)
 		}
+	}
+	// What WriteJSON emits ends in a newline; trailing whitespace loads.
+	if _, err := ReadJSON(bytes.NewBufferString("{\"d\":1,\"rules\":[]}\n \t\n")); err != nil {
+		t.Fatalf("trailing whitespace rejected: %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -64,19 +65,28 @@ func (rs *RuleSet) WriteJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// ReadJSON decodes a rule set written by WriteJSON.
+// ErrRuleSet is wrapped by every error ReadJSON returns: the input is
+// not a rule set as WriteJSON writes one.
+var ErrRuleSet = errors.New("core: malformed rule set")
+
+// ReadJSON decodes a rule set written by WriteJSON: one JSON value,
+// followed by nothing but whitespace. Every error wraps ErrRuleSet.
 func ReadJSON(r io.Reader) (*RuleSet, error) {
 	var in ruleSetJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("core: decoding rule set: %w", err)
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&in); err != nil {
+		return nil, fmt.Errorf("%w: decoding: %w", ErrRuleSet, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("%w: data after the rule set", ErrRuleSet)
 	}
 	if in.D <= 0 {
-		return nil, fmt.Errorf("core: rule set has invalid D=%d", in.D)
+		return nil, fmt.Errorf("%w: invalid D=%d", ErrRuleSet, in.D)
 	}
 	rs := NewRuleSet(in.D)
 	for i, rj := range in.Rules {
 		if len(rj.Cond) != in.D {
-			return nil, fmt.Errorf("core: rule %d has %d genes, want %d", i, len(rj.Cond), in.D)
+			return nil, fmt.Errorf("%w: rule %d has %d genes, want %d", ErrRuleSet, i, len(rj.Cond), in.D)
 		}
 		cond := make([]Interval, len(rj.Cond))
 		for j, ij := range rj.Cond {
@@ -89,7 +99,7 @@ func ReadJSON(r io.Reader) (*RuleSet, error) {
 		switch e := rj.Error.(type) {
 		case string:
 			if e != "inf" {
-				return nil, fmt.Errorf("core: rule %d has malformed error field %q", i, e)
+				return nil, fmt.Errorf("%w: rule %d has malformed error field %q", ErrRuleSet, i, e)
 			}
 			rule.Error = math.Inf(1)
 		case float64:
@@ -97,11 +107,11 @@ func ReadJSON(r io.Reader) (*RuleSet, error) {
 		case nil:
 			rule.Error = math.Inf(1)
 		default:
-			return nil, fmt.Errorf("core: rule %d has malformed error field %v", i, e)
+			return nil, fmt.Errorf("%w: rule %d has malformed error field %v", ErrRuleSet, i, e)
 		}
 		if rj.Coef != nil {
 			if len(rj.Coef) != in.D {
-				return nil, fmt.Errorf("core: rule %d has %d coefficients, want %d", i, len(rj.Coef), in.D)
+				return nil, fmt.Errorf("%w: rule %d has %d coefficients, want %d", ErrRuleSet, i, len(rj.Coef), in.D)
 			}
 			rule.Fit = &linalg.LinearFit{Coef: rj.Coef, Intercept: rj.Intercept}
 		}

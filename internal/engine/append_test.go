@@ -5,6 +5,7 @@ import (
 
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -103,10 +104,22 @@ func TestAppendMatchesRebuild(t *testing.T) {
 		t.Fatalf("grown dataset has %d patterns, a fresh window %d", ds.Len(), want.Len())
 	}
 
+	// The appended chunks interleave the shards' global rows, so the
+	// merge must interleave their runs, in both query paths.
 	ref := core.NewEvaluator(ds, 0.5, 0, 1e-8, 1, core.EvalOptions{})
-	for ri, r := range randomRules(ds, 40, 3) {
-		if got := s.MatchIndices(r); !intsEqual(got, ref.MatchIndicesScan(r)) {
+	rules := randomRules(ds, 40, 3)
+	batched := s.MatchBatch(context.Background(), rules)
+	lead := []int{-7, 3}
+	for ri, r := range rules {
+		want := ref.MatchIndicesScan(r)
+		if got := s.MatchIndices(r); !intsEqual(got, want) {
 			t.Fatalf("rule %d: post-append matched set diverges from sequential scan", ri)
+		}
+		if !intsEqual(batched[ri], want) {
+			t.Fatalf("rule %d: post-append MatchBatch diverges from sequential scan", ri)
+		}
+		if got := s.AppendMatches(slices.Clip(lead), r); !intsEqual(got, append(slices.Clip(lead), want...)) {
+			t.Fatalf("rule %d: AppendMatches %v, want %v then the scan", ri, got, lead)
 		}
 	}
 }

@@ -2,36 +2,30 @@ package engine
 
 import (
 	"context"
+	"math"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/parallel"
 )
 
-// shardPass is the reusable per-shard working state of one walk: the
-// match-set arena every rule's shard-local result is appended into,
-// the per-rule views into it, and the lookup scratch. Pooled across
-// calls so a steady-state generation reuses the same few buffers;
-// nothing in a shardPass ever escapes a query (merged results are
-// written to a fresh buffer).
+// shardPass is the reusable working state of one walk: the match-set
+// arena shard-local results are appended into, the views into it (per
+// rule in a batch walk of one shard, per shard in a single-rule
+// query), and the lookup scratch. Pooled across calls so a steady-state
+// generation reuses the same few buffers; nothing in a shardPass ever
+// escapes a query (merged results are written to the caller's or a
+// fresh buffer).
 type shardPass struct {
 	sc    core.MatchScratch
 	arena []int
-	mine  [][]int
+	views [][]int
 }
 
 var shardPassPool = sync.Pool{New: func() any { return new(shardPass) }}
 
-// mergeScratch is the pooled state of one rule's result merge: the
-// bitmap over global indices, which carries an all-zero-between-uses
-// invariant (every merge clears the words it set), and the rule's
-// per-shard segments.
-type mergeScratch struct {
-	words []uint64
-	segs  [][]int
-}
-
-var mergeScratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
+// segsPool recycles the per-shard segment lists of the batch merge.
+var segsPool = sync.Pool{New: func() any { return new([][]int) }}
 
 // matchBatch is the MatchBatch implementation; the exported wrapper
 // (telemetry.go) adds the optional latency/size instrumentation.
@@ -81,15 +75,15 @@ func (s *Engine) matchBatch(ctx context.Context, rules []*core.Rule) [][]int {
 		if offs[w+1] == offs[w] {
 			return // nothing matched: out[w] stays nil, like the scan path
 		}
-		ms := mergeScratchPool.Get().(*mergeScratch)
-		segs := ms.segs[:0]
+		sp := segsPool.Get().(*[][]int)
+		segs := (*sp)[:0]
 		for si := range locals {
 			segs = append(segs, locals[si][w])
 		}
-		ms.segs = segs
 		// Three-index segment: appends cannot cross into a sibling.
-		out[w] = s.mergeIntoLocked(flat[offs[w]:offs[w]:offs[w+1]], segs, ms)
-		mergeScratchPool.Put(ms)
+		out[w] = s.mergeLocked(flat[offs[w]:offs[w]:offs[w+1]], segs)
+		*sp = segs
+		segsPool.Put(sp)
 	})
 	return out
 }
@@ -99,7 +93,7 @@ func (s *Engine) matchBatch(ctx context.Context, rules []*core.Rule) [][]int {
 // views into it. It stops early (leaving later views nil) once ctx is
 // cancelled.
 func (p *shardPass) walk(ctx context.Context, sh *shard, rules []*core.Rule) [][]int {
-	mine := p.mine
+	mine := p.views
 	if cap(mine) < len(rules) {
 		mine = make([][]int, len(rules))
 	} else {
@@ -119,41 +113,46 @@ func (p *shardPass) walk(ctx context.Context, sh *shard, rules []*core.Rule) [][
 		// values are unchanged.)
 		mine[w] = arena[start:len(arena):len(arena)]
 	}
-	p.mine, p.arena = mine, arena
+	p.views, p.arena = mine, arena
 	return mine
 }
 
-// mergeIntoLocked unions one rule's per-shard local matches (segs[si]
-// from shard si) into dst, ascending by global index. Shard index sets
-// are disjoint but — after appends — interleaved, so hits are
-// collected in the pooled bitmap over global indices and the touched
-// word range is swept in order (clearing as it goes, restoring the
-// scratch's all-zero invariant): O(k + touched-words), independent of
-// shard layout, and deterministic for any parallelism.
-func (s *Engine) mergeIntoLocked(dst []int, segs [][]int, ms *mergeScratch) []int {
-	need := (s.data.Len() + 63) >> 6
-	if cap(ms.words) < need {
-		ms.words = make([]uint64, need)
-	}
-	words := ms.words[:need]
-	wmin, wmax := need, -1
-	for si, l := range segs {
-		g := s.parts[si].global
-		for _, li := range l {
-			gi := g[li]
-			wd := int(gi) >> 6
-			words[wd] |= 1 << (uint(gi) & 63)
-			wmin = min(wmin, wd)
-			wmax = max(wmax, wd)
+// mergeLocked appends the union of one rule's per-shard local matches
+// (segs[si] from shard si) to dst, ascending by global index. Shard
+// index sets are disjoint and each shard's global indices ascend, so
+// this is a k-way merge by runs: take the shard whose next global
+// index is smallest and copy its indices while they stay below every
+// other shard's next one. Shards that do not interleave (every layout
+// New builds) are each copied in one run, so the merge is one pass;
+// after appends interleave them it is still exact. O(k + P·runs) for
+// k hits over P shards, and deterministic for any parallelism. segs is
+// consumed.
+func (s *Engine) mergeLocked(dst []int, segs [][]int) []int {
+	for {
+		lead, next := -1, int32(math.MaxInt32)
+		var head int32
+		for si, l := range segs {
+			if len(l) == 0 {
+				continue
+			}
+			switch h := s.parts[si].global[l[0]]; {
+			case lead < 0 || h < head:
+				if lead >= 0 {
+					next = head
+				}
+				lead, head = si, h
+			case h < next:
+				next = h
+			}
 		}
-	}
-	for wd := wmin; wd <= wmax; wd++ {
-		word := words[wd]
-		if word == 0 {
-			continue
+		if lead < 0 {
+			return dst
 		}
-		words[wd] = 0
-		dst = core.AppendWordBits(dst, wd, word)
+		g, l := s.parts[lead].global, segs[lead]
+		k := 0
+		for ; k < len(l) && g[l[k]] < next; k++ {
+			dst = append(dst, int(g[l[k]]))
+		}
+		segs[lead] = l[k:]
 	}
-	return dst
 }

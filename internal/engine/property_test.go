@@ -177,7 +177,8 @@ func TestEngineEquivalenceRandomized(t *testing.T) {
 
 // FuzzEngineMatch fuzzes the raw match layer: for arbitrary
 // dataset/rule draws and shard counts, Engine.MatchIndices and
-// MatchBatch must equal the reference linear scan.
+// MatchBatch must equal the reference linear scan, and AppendMatches
+// must append it to whatever dst held.
 func FuzzEngineMatch(f *testing.F) {
 	f.Add(int64(1), uint8(100), uint8(3), uint8(2), false)
 	f.Add(int64(7), uint8(200), uint8(1), uint8(5), true)
@@ -202,6 +203,10 @@ func FuzzEngineMatch(f *testing.F) {
 			}
 			if !intsEqual(batch[ri], want) {
 				t.Fatalf("rule %d: MatchBatch %v, scan %v", ri, batch[ri], want)
+			}
+			dst := make([]int, ri%3, ri%3+len(want)/2) // a prefix, and room for part of the set
+			if got := s.AppendMatches(dst, r); !intsEqual(got, append(make([]int, ri%3), want...)) {
+				t.Fatalf("rule %d: AppendMatches %v, want %d zeros then scan %v", ri, got, ri%3, want)
 			}
 		}
 	})

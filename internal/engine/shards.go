@@ -1,7 +1,8 @@
 // Package engine is the sharded, batched evaluation backend of the
 // rule system. It partitions the training dataset across P shards,
-// each with its own core.MatchIndex, whose per-shard results merge in
-// ascending order; serves whole generations of offspring through one
+// each with its own core.MatchIndex, whose per-shard results merge by
+// their ascending runs into the caller's buffer (AppendMatches) or a
+// fresh result; serves whole generations of offspring through one
 // pass that walks the shards on goroutines (MatchBatch); and manages
 // the dataset's full lifecycle under streaming data — incremental
 // appends, deletes and sliding windows that rewrite only the shards
@@ -18,6 +19,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -32,7 +34,7 @@ import (
 // patterns to the shard with the fewest rows (rebuilding only that
 // shard's index), so after appends a shard owns an ascending but
 // not necessarily contiguous set of global pattern indices. Queries
-// merge per-shard results through a bitmap over global indices, which
+// merge the per-shard results by their ascending global runs, which
 // restores ascending order regardless of layout.
 //
 // Rows leave physically: Delete and Window rewrite the shards holding
@@ -273,29 +275,32 @@ func (s *Engine) appendRows(inputs [][]float64, targets []float64, ids []series.
 
 // MatchIndices returns the rule's matched pattern indices over the
 // full dataset, ascending — exactly what the sequential single-index
-// path over the same rows returns. The shards are walked
-// in a plain loop on the calling goroutine (one rule's lookup costs
-// less than a goroutine hand-off), each appending into a pooled arena,
-// and the per-shard hits are merged into a fresh result.
-func (s *Engine) MatchIndices(r *core.Rule) []int {
+// path over the same rows returns: AppendMatches(nil, r), a fresh
+// result of exactly the matched set's size, nil when none match.
+func (s *Engine) MatchIndices(r *core.Rule) []int { return s.AppendMatches(nil, r) }
+
+// AppendMatches appends the rule's matched pattern indices over the
+// full dataset to dst, ascending, and returns the extended slice; dst
+// grows at most once. The shards are walked in a plain loop on the
+// calling goroutine (one rule's lookup costs less than a goroutine
+// hand-off), each appending its shard-local hits into a pooled arena,
+// and the merge writes their global indices straight into dst.
+func (s *Engine) AppendMatches(dst []int, r *core.Rule) []int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	p := shardPassPool.Get().(*shardPass)
-	ms := mergeScratchPool.Get().(*mergeScratch)
-	arena, segs := p.arena[:0], ms.segs[:0]
+	arena, segs := p.arena[:0], p.views[:0]
 	for _, sh := range s.parts {
 		start := len(arena)
 		arena = sh.matchInto(arena, r, &p.sc)
 		segs = append(segs, arena[start:len(arena):len(arena)])
 	}
-	var out []int
 	if len(arena) > 0 {
-		out = s.mergeIntoLocked(make([]int, 0, len(arena)), segs, ms)
+		dst = s.mergeLocked(slices.Grow(dst, len(arena)), segs)
 	}
-	p.arena, ms.segs = arena, segs
-	mergeScratchPool.Put(ms)
+	p.arena, p.views = arena, segs
 	shardPassPool.Put(p)
-	return out
+	return dst
 }
 
 // matchInto appends the shard-local matched set of r to dst: an

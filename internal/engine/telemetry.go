@@ -79,7 +79,7 @@ func (t *telemetry) afterMutation(s *Engine) {
 // MatchBatch answers one whole generation of rules in a single pass:
 // each shard walks the batch on its own goroutine, appending every
 // rule's shard-local matched set into a pooled arena, and the
-// per-shard hits are merged rule by rule through the global bitmap.
+// per-shard hits are merged rule by rule by their ascending runs.
 // out[i] corresponds to rules[i] and is bit-identical to
 // MatchIndices(rules[i]) — the fan-out is pure scheduling.
 //

@@ -140,42 +140,94 @@ func TestUnknownOpcodeRejected(t *testing.T) {
 	}
 }
 
-// FuzzServerDispatch feeds arbitrary request payloads to the server's
-// request handler, on a server with no dataset and on one with a
-// dataset loaded. The handler must never panic, and every reply must
-// echo the request's opcode or be an opError frame. The seed corpus
-// holds one well-formed request per live opcode plus the retired
-// opcodes 7, 8 and 9.
+// FuzzServerDispatch feeds arbitrary request sequences to the
+// server's request handler, on a server with no dataset and on one
+// with a dataset loaded. Each input is split into framed requests
+// (splitRequests) that one server handles in order, so a request sees
+// the state the ones before it left: a Reset to a NaN-degenerate
+// dataset, then a MatchBatch against it, say. The handler must never
+// panic, and every reply must echo its request's opcode or be an
+// opError frame. The seed corpus holds one well-formed request per
+// live opcode, the retired opcodes 7, 8 and 9, and sequences that
+// reset, mutate and match.
 func FuzzServerDispatch(f *testing.F) {
 	ds := testDataset(f, 40, 3, false)
 	ds.AssignIDs(0)
 	untraced := func(op byte) []byte { return []byte{op, 0, 0} } // zero trace id and parent span
 	rows := appendRows(nil, ds.Inputs[:4], ds.Targets[:4], []series.RowID{100, 101, 102, 103})
+	resetTo := func(inputs [][]float64, targets []float64, ids []series.RowID) []byte {
+		b := binary.AppendUvarint(untraced(opReset), uint64(ds.D))
+		b = binary.AppendUvarint(b, uint64(ds.Horizon))
+		return appendRows(b, inputs, targets, ids)
+	}
+	match := appendRules(untraced(opMatchBatch), ds.D, randomRules(ds, 3, 1))
+	appendReq := append(binary.AppendUvarint(untraced(opAppend), uint64(ds.D)), rows...)
+	deleteReq := appendIDs(untraced(opDelete), ds.IDs[5:9])
+	nan := testDataset(f, 12, 3, true) // one input is NaN: every shard index falls back to scanning
+	nan.AssignIDs(0)
 
-	f.Add(binary.AppendUvarint([]byte{opHello}, protoVersion))
-	f.Add(untraced(opSnapshot))
-	reset := binary.AppendUvarint(untraced(opReset), uint64(ds.D))
-	reset = binary.AppendUvarint(reset, uint64(ds.Horizon))
-	f.Add(append(reset, rows...))
-	f.Add(appendRules(untraced(opMatchBatch), ds.D, randomRules(ds, 3, 1)))
-	f.Add(append(binary.AppendUvarint(untraced(opAppend), uint64(ds.D)), rows...))
-	f.Add(appendIDs(untraced(opDelete), ds.IDs[5:9]))
-	f.Add(untraced(opEpoch))
-	f.Add(untraced(opLiveLen))
-	f.Add(binary.AppendUvarint(untraced(7), 10)) // the retired window verb's request
-	f.Add(untraced(8))
-	f.Add(untraced(9))
+	for _, req := range [][]byte{
+		binary.AppendUvarint([]byte{opHello}, protoVersion),
+		untraced(opSnapshot),
+		resetTo(ds.Inputs[:4], ds.Targets[:4], []series.RowID{100, 101, 102, 103}),
+		match,
+		appendReq,
+		deleteReq,
+		untraced(opEpoch),
+		untraced(opLiveLen),
+		binary.AppendUvarint(untraced(7), 10), // the retired window verb's request
+		untraced(8),
+		untraced(9),
+	} {
+		f.Add(frameRequests(req))
+	}
+	f.Add(frameRequests(resetTo(nan.Inputs, nan.Targets, nan.IDs), appendRules(untraced(opMatchBatch), nan.D, randomRules(nan, 4, 2))))
+	f.Add(frameRequests(resetTo(ds.Inputs[:10], ds.Targets[:10], ds.IDs[:10]), appendReq, deleteReq, match, untraced(opSnapshot)))
 
 	opt := engine.Options{Shards: 2, Workers: 1}
-	f.Fuzz(func(t *testing.T, payload []byte) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		reqs := splitRequests(in)
 		for _, srv := range []*Server{NewServer(opt), NewServerData(cloneDataset(ds), opt)} {
-			resp := srv.handle(context.Background(), payload)
-			if len(resp) == 0 {
-				t.Fatalf("request %x: empty reply", payload)
-			}
-			if resp[0] != opError && (len(payload) == 0 || resp[0] != payload[0]) {
-				t.Fatalf("request %x: reply opcode %d, want the request's or opError", payload, resp[0])
+			for _, payload := range reqs {
+				resp := srv.handle(context.Background(), payload)
+				if len(resp) == 0 {
+					t.Fatalf("request %x: empty reply", payload)
+				}
+				if resp[0] != opError && (len(payload) == 0 || resp[0] != payload[0]) {
+					t.Fatalf("request %x: reply opcode %d, want the request's or opError", payload, resp[0])
+				}
 			}
 		}
 	})
+}
+
+// maxFuzzRequests bounds the requests one fuzz input is split into.
+const maxFuzzRequests = 16
+
+// splitRequests cuts a fuzz input into the requests it frames: each is
+// a uvarint length followed by that many bytes. A length running past
+// the end takes what is left, an unreadable length makes the rest one
+// request, and the last of maxFuzzRequests takes the remainder.
+func splitRequests(in []byte) [][]byte {
+	var reqs [][]byte
+	for len(in) > 0 {
+		n, k := binary.Uvarint(in)
+		if k <= 0 || len(reqs) == maxFuzzRequests-1 {
+			return append(reqs, in)
+		}
+		in = in[k:]
+		m := int(min(n, uint64(len(in))))
+		reqs = append(reqs, in[:m])
+		in = in[m:]
+	}
+	return reqs
+}
+
+// frameRequests is the inverse of splitRequests.
+func frameRequests(reqs ...[]byte) []byte {
+	var b []byte
+	for _, r := range reqs {
+		b = append(binary.AppendUvarint(b, uint64(len(r))), r...)
+	}
+	return b
 }

@@ -2,6 +2,7 @@ package series
 
 import (
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -24,16 +25,21 @@ func WriteCSV(w io.Writer, s *Series) error {
 	return cw.Error()
 }
 
+// ErrCSV is wrapped by every error ReadCSV returns: the input is not
+// a readable series CSV.
+var ErrCSV = errors.New("series: malformed CSV")
+
 // ReadCSV reads a series written by WriteCSV (or any CSV whose last
-// column is the value and whose first row is a header).
+// column is the value and whose first row is a header). Every error
+// wraps ErrCSV.
 func ReadCSV(r io.Reader) (*Series, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrCSV, err)
 	}
 	if len(rows) < 2 {
-		return nil, fmt.Errorf("series: CSV has no data rows")
+		return nil, fmt.Errorf("%w: no data rows", ErrCSV)
 	}
 	name := "series"
 	if len(rows[0]) > 0 {
@@ -46,7 +52,7 @@ func ReadCSV(r io.Reader) (*Series, error) {
 		}
 		v, err := strconv.ParseFloat(row[len(row)-1], 64)
 		if err != nil {
-			return nil, fmt.Errorf("series: CSV row %d: %w", i+2, err)
+			return nil, fmt.Errorf("%w: row %d: %w", ErrCSV, i+2, err)
 		}
 		values = append(values, v)
 	}

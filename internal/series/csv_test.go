@@ -2,6 +2,7 @@ package series
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,11 +28,14 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("header-only\n")); err == nil {
-		t.Fatal("header-only CSV accepted")
+	if _, err := ReadCSV(strings.NewReader("header-only\n")); !errors.Is(err, ErrCSV) {
+		t.Fatalf("header-only CSV: err = %v, want ErrCSV", err)
 	}
-	if _, err := ReadCSV(strings.NewReader("t,v\n0,not-a-number\n")); err == nil {
-		t.Fatal("non-numeric CSV accepted")
+	if _, err := ReadCSV(strings.NewReader("t,v\n0,not-a-number\n")); !errors.Is(err, ErrCSV) {
+		t.Fatalf("non-numeric CSV: err = %v, want ErrCSV", err)
+	}
+	if _, err := ReadCSV(strings.NewReader("t,v\n0,\"1\n")); !errors.Is(err, ErrCSV) {
+		t.Fatalf("unterminated quote: err = %v, want ErrCSV", err)
 	}
 }
 
