@@ -172,6 +172,7 @@ func TestReadJSONRejectsMalformed(t *testing.T) {
 		`{"d":1,"rules":[]} trailing`,
 		`{"d":1,"rules":[]}{"d":1,"rules":[]}`,
 		`{"d":1,"rules":[]}}`,
+		`{"d":2,"rules":[{"cond":[{"lo":0,"hi":1},{"lo":2,"hi":1}],"error":0}]}`,
 	}
 	for i, c := range cases {
 		if _, err := ReadJSON(bytes.NewBufferString(c)); !errors.Is(err, ErrRuleSet) {

@@ -90,6 +90,11 @@ func ReadJSON(r io.Reader) (*RuleSet, error) {
 		}
 		cond := make([]Interval, len(rj.Cond))
 		for j, ij := range rj.Cond {
+			// NewInterval orders its bounds, so WriteJSON never writes
+			// an inverted gene. NaN bounds compare false and load.
+			if !ij.Wildcard && ij.Lo > ij.Hi {
+				return nil, fmt.Errorf("%w: rule %d gene %d has lo %v > hi %v", ErrRuleSet, i, j, ij.Lo, ij.Hi)
+			}
 			cond[j] = Interval{Lo: ij.Lo, Hi: ij.Hi, Wildcard: ij.Wildcard}
 		}
 		rule := NewRule(cond)

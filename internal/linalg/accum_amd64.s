@@ -5,25 +5,32 @@
 // func accumBlock4(xtx, xty, blk, ys []float64, p int)
 //
 // Four packed rows' normal-equation update (the contract is documented
-// on the declaration and the generic implementation). Every cell
-// receives, per row in row order, one multiply and one add, each with
-// a single rounding (MULPD/ADDPD, never FMA): prod = row[b]*row[a]
-// (row[a]*y for Xᵀy), then cell = cell + prod — the per-row loop's
-// operations, so the result is bit-identical to it.
+// on the declaration and the generic implementation). Row r is
+// blk[r*p:(r+1)*p], the design row [x 1], so line a's run of cells
+// xtx[a*p+a : a*p+p] ends with its intercept cell and line p-1 is the
+// intercept line. Every cell receives, per row in row order, one
+// multiply and one add, each with a single rounding (MULPD/ADDPD,
+// never FMA): prod = row[b]*row[a] (row[a]*y for Xᵀy), then
+// cell = cell + prod — the per-row loop's operations, so the result is
+// bit-identical to it.
+//
+// This is the SSE2 kernel. When p >= wideMinP (set at init, see
+// accum_amd64.go) it jumps to accumBlock4AVX512 instead.
 //
 // Register layout:
 //   R8 = &xtx[0]   R9 = &xty[0]   SI = &blk[0]   DI = &ys[0]
-//   R10 = p        CX = d = p-1   R14 = d*8 (row stride)   AX = 3*d*8
+//   R10 = p        R14 = p*8 (row stride)        AX = 3*p*8
 //   R11 = a        BX = &blk[a] (row 0; row r at BX + r*stride)
 //   X0..X3 = ra of rows 0..3      X8..X11 = ys[0..3]       X7 = 0.0
 TEXT ·accumBlock4(SB), NOSPLIT, $0-104
+	MOVQ  p+96(FP), R10
+	CMPQ  R10, ·wideMinP(SB)
+	JGE   wide
 	MOVQ  xtx_base+0(FP), R8
 	MOVQ  xty_base+24(FP), R9
 	MOVQ  blk_base+48(FP), SI
 	MOVQ  ys_base+72(FP), DI
-	MOVQ  p+96(FP), R10
-	LEAQ  -1(R10), CX
-	MOVQ  CX, R14
+	MOVQ  R10, R14
 	SHLQ  $3, R14
 	LEAQ  (R14)(R14*2), AX
 	MOVSD 0(DI), X8
@@ -34,7 +41,7 @@ TEXT ·accumBlock4(SB), NOSPLIT, $0-104
 	XORQ  R11, R11
 
 loop_a:
-	CMPQ  R11, CX
+	CMPQ  R11, R10
 	JGE   done
 	LEAQ  (SI)(R11*8), BX
 	MOVSD (BX), X0
@@ -80,12 +87,12 @@ block:
 	ADDSD  X5, X6
 	MOVSD  X6, (R9)(R11*8)
 
-	// DX = &xtx[a*p+a], R12 = run length d-a.
+	// DX = &xtx[a*p+a], R12 = run length p-a.
 	MOVQ     R11, DX
 	IMULQ    R10, DX
 	ADDQ     R11, DX
 	LEAQ     (R8)(DX*8), DX
-	MOVQ     CX, R12
+	MOVQ     R10, R12
 	SUBQ     R11, R12
 	UNPCKLPD X0, X0
 	UNPCKLPD X1, X1
@@ -117,7 +124,7 @@ block_pair:
 
 block_tail:
 	TESTQ R12, R12
-	JZ    block_intercept
+	JZ    block_next
 	MOVSD (DX), X6
 	MOVSD (BX), X4
 	MULSD X0, X4
@@ -132,18 +139,10 @@ block_tail:
 	MULSD X3, X5
 	ADDSD X5, X6
 	MOVSD X6, (DX)
-	ADDQ  $8, DX
 
-block_intercept:
-	// DX now points at the intercept column: xtx[a*p+d] += ra_r.
-	MOVSD (DX), X6
-	ADDSD X0, X6
-	ADDSD X1, X6
-	ADDSD X2, X6
-	ADDSD X3, X6
-	MOVSD X6, (DX)
-	INCQ  R11
-	JMP   loop_a
+block_next:
+	INCQ R11
+	JMP  loop_a
 
 rowwise:
 	// R13 = r; each row with ra != 0 updates line a on its own.
@@ -153,7 +152,7 @@ row_r:
 	MOVQ    R13, BX
 	IMULQ   R14, BX
 	ADDQ    SI, BX
-	LEAQ    (BX)(R11*8), BX // BX = &blk[r*d+a]
+	LEAQ    (BX)(R11*8), BX // BX = &blk[r*p+a]
 	MOVSD   (BX), X4        // X4 = ra
 	UCOMISD X7, X4
 	JP      row_go
@@ -171,7 +170,7 @@ row_go:
 	IMULQ    R10, DX
 	ADDQ     R11, DX
 	LEAQ     (R8)(DX*8), DX
-	MOVQ     CX, R12
+	MOVQ     R10, R12
 	SUBQ     R11, R12
 	UNPCKLPD X4, X4
 	CMPQ     R12, $2
@@ -191,17 +190,11 @@ row_pair:
 
 row_tail:
 	TESTQ R12, R12
-	JZ    row_intercept
+	JZ    row_next
 	MOVSD (BX), X5
 	MULSD X4, X5
 	MOVSD (DX), X6
 	ADDSD X5, X6
-	MOVSD X6, (DX)
-	ADDQ  $8, DX
-
-row_intercept:
-	MOVSD (DX), X6
-	ADDSD X4, X6
 	MOVSD X6, (DX)
 
 row_next:
@@ -212,4 +205,201 @@ row_next:
 	JMP  loop_a
 
 done:
+	RET
+
+wide:
+	JMP ·accumBlock4AVX512(SB)
+
+// func accumBlock4AVX512(xtx, xty, blk, ys []float64, p int)
+//
+// accumBlock4's contract, eight cells per ZMM register. Xᵀy is one
+// pass over the p cells: per eight cells, each row r in order adds
+// row[a]*y_r under the mask row[a] != 0. Then every line a runs its
+// p-a cells eight at a time and finishes with a masked tail: each row
+// r in order multiplies its eight row[b] by ra_r and adds them under
+// K_r, which is all ones when ra_r != 0 and empty otherwise, so a zero
+// row leaves every cell of the line untouched, exactly as the per-row
+// loop's skip does. VCMPPD's predicate 4 (NEQ_UQ) treats -0 as zero
+// and NaN as nonzero, as that skip does. Merge-masked adds keep their
+// accumulator as the first source, so a NaN product cannot displace a
+// NaN already in the cell, and the products take row[b] as their
+// first source, so NaN payloads propagate exactly as in SSE2.
+//
+// Register layout:
+//   R8 = &xtx[0]   R9 = &xty[0]   SI = &blk[0]   DI = &ys[0]
+//   R10 = p        R14 = p*8 (row stride)        AX = 3*p*8
+//   R11 = a        BX = row 0's next eight cells (row r at BX + r*stride)
+//   DX = the next eight cells of xtx (or xty)    R12 = cells left
+//   Z0..Z3 = ra of rows 0..3 (broadcast)         K1..K4 = their masks
+//   Z8..Z11 = ys[0..3] (broadcast)               Z7 = 0.0
+//   K5 = the tail's lanes                        Z6 = the cells
+TEXT ·accumBlock4AVX512(SB), NOSPLIT, $0-104
+	MOVQ         xtx_base+0(FP), R8
+	MOVQ         xty_base+24(FP), R9
+	MOVQ         blk_base+48(FP), SI
+	MOVQ         ys_base+72(FP), DI
+	MOVQ         p+96(FP), R10
+	MOVQ         R10, R14
+	SHLQ         $3, R14
+	LEAQ         (R14)(R14*2), AX
+	VPXORQ       Z7, Z7, Z7
+	VBROADCASTSD 0(DI), Z8
+	VBROADCASTSD 8(DI), Z9
+	VBROADCASTSD 16(DI), Z10
+	VBROADCASTSD 24(DI), Z11
+
+	// Xᵀy: xty[a] += row_r[a] * y_r where row_r[a] != 0, rows in order.
+	MOVQ SI, BX
+	MOVQ R9, DX
+	MOVQ R10, R12
+	CMPQ R12, $8
+	JLT  ty_tail
+
+ty_full:
+	VMOVUPD (DX), Z6
+	VMOVUPD (BX), Z4
+	VCMPPD  $4, Z7, Z4, K1
+	VMULPD  Z8, Z4, Z4
+	VADDPD  Z4, Z6, K1, Z6
+	VMOVUPD (BX)(R14*1), Z5
+	VCMPPD  $4, Z7, Z5, K2
+	VMULPD  Z9, Z5, Z5
+	VADDPD  Z5, Z6, K2, Z6
+	VMOVUPD (BX)(R14*2), Z4
+	VCMPPD  $4, Z7, Z4, K3
+	VMULPD  Z10, Z4, Z4
+	VADDPD  Z4, Z6, K3, Z6
+	VMOVUPD (BX)(AX*1), Z5
+	VCMPPD  $4, Z7, Z5, K4
+	VMULPD  Z11, Z5, Z5
+	VADDPD  Z5, Z6, K4, Z6
+	VMOVUPD Z6, (DX)
+	ADDQ    $64, BX
+	ADDQ    $64, DX
+	SUBQ    $8, R12
+	CMPQ    R12, $8
+	JGE     ty_full
+
+ty_tail:
+	TESTQ     R12, R12
+	JZ        lines
+	MOVQ      R12, CX
+	MOVL      $1, R13
+	SHLL      CX, R13
+	DECL      R13
+	KMOVW     R13, K5
+	VMOVUPD.Z (DX), K5, Z6
+	VMOVUPD.Z (BX), K5, Z4
+	VCMPPD    $4, Z7, Z4, K1
+	VMULPD    Z8, Z4, Z4
+	VADDPD    Z4, Z6, K1, Z6
+	VMOVUPD.Z (BX)(R14*1), K5, Z5
+	VCMPPD    $4, Z7, Z5, K2
+	VMULPD    Z9, Z5, Z5
+	VADDPD    Z5, Z6, K2, Z6
+	VMOVUPD.Z (BX)(R14*2), K5, Z4
+	VCMPPD    $4, Z7, Z4, K3
+	VMULPD    Z10, Z4, Z4
+	VADDPD    Z4, Z6, K3, Z6
+	VMOVUPD.Z (BX)(AX*1), K5, Z5
+	VCMPPD    $4, Z7, Z5, K4
+	VMULPD    Z11, Z5, Z5
+	VADDPD    Z5, Z6, K4, Z6
+	VMOVUPD   Z6, K5, (DX)
+
+lines:
+	XORQ R11, R11
+
+line:
+	CMPQ         R11, R10
+	JGE          wide_done
+	LEAQ         (SI)(R11*8), BX
+	VBROADCASTSD (BX), Z0
+	VBROADCASTSD (BX)(R14*1), Z1
+	VBROADCASTSD (BX)(R14*2), Z2
+	VBROADCASTSD (BX)(AX*1), Z3
+	VCMPPD       $4, Z7, Z0, K1
+	VCMPPD       $4, Z7, Z1, K2
+	VCMPPD       $4, Z7, Z2, K3
+	VCMPPD       $4, Z7, Z3, K4
+
+	// DX = &xtx[a*p+a], R12 = run length p-a.
+	MOVQ  R11, DX
+	IMULQ R10, DX
+	ADDQ  R11, DX
+	LEAQ  (R8)(DX*8), DX
+	MOVQ  R10, R12
+	SUBQ  R11, R12
+	CMPQ  R12, $8
+	JLT   cells_tail
+
+cells:
+	VMOVUPD (DX), Z6
+	VMOVUPD (BX), Z4
+	VMULPD  Z0, Z4, Z4
+	VADDPD  Z4, Z6, K1, Z6
+	VMOVUPD (BX)(R14*1), Z5
+	VMULPD  Z1, Z5, Z5
+	VADDPD  Z5, Z6, K2, Z6
+	VMOVUPD (BX)(R14*2), Z4
+	VMULPD  Z2, Z4, Z4
+	VADDPD  Z4, Z6, K3, Z6
+	VMOVUPD (BX)(AX*1), Z5
+	VMULPD  Z3, Z5, Z5
+	VADDPD  Z5, Z6, K4, Z6
+	VMOVUPD Z6, (DX)
+	ADDQ    $64, BX
+	ADDQ    $64, DX
+	SUBQ    $8, R12
+	CMPQ    R12, $8
+	JGE     cells
+
+cells_tail:
+	TESTQ     R12, R12
+	JZ        line_next
+	MOVQ      R12, CX
+	MOVL      $1, R13
+	SHLL      CX, R13
+	DECL      R13
+	KMOVW     R13, K5
+	VMOVUPD.Z (DX), K5, Z6
+	VMOVUPD.Z (BX), K5, Z4
+	VMULPD    Z0, Z4, Z4
+	VADDPD    Z4, Z6, K1, Z6
+	VMOVUPD.Z (BX)(R14*1), K5, Z5
+	VMULPD    Z1, Z5, Z5
+	VADDPD    Z5, Z6, K2, Z6
+	VMOVUPD.Z (BX)(R14*2), K5, Z4
+	VMULPD    Z2, Z4, Z4
+	VADDPD    Z4, Z6, K3, Z6
+	VMOVUPD.Z (BX)(AX*1), K5, Z5
+	VMULPD    Z3, Z5, Z5
+	VADDPD    Z5, Z6, K4, Z6
+	VMOVUPD   Z6, K5, (DX)
+
+line_next:
+	INCQ R11
+	JMP  line
+
+wide_done:
+	VZEROUPPER
+	RET
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
 	RET

@@ -10,9 +10,9 @@ import (
 )
 
 // exactNaNPayloads is whether the kernel comparison holds NaN payloads
-// to the bit. On amd64 the block kernel is assembly whose operand order
-// is fixed, and refAccumRow models SSE2's propagation rule, so it does;
-// elsewhere the portable kernel's operand order is the compiler's
+// to the bit. On amd64 the block kernels are assembly whose operand
+// order is fixed, and refAccumRow models the propagation rule SSE2 and
+// AVX-512 share, so it does; elsewhere the portable kernel's operand order is the compiler's
 // choice, and any NaN matches any NaN.
 const exactNaNPayloads = runtime.GOARCH == "amd64"
 
@@ -25,7 +25,8 @@ func quietNaN(x float64) float64 {
 // sse2 models one SSE2 arithmetic instruction whose first source (the
 // destination register) is a and second is b, with r the IEEE-754
 // result: a NaN result carries the first NaN operand's payload,
-// quietened.
+// quietened. An AVX-512 instruction propagates by its first source
+// operand the same way.
 func sse2(a, b, r float64) float64 {
 	switch {
 	case a != a:
@@ -159,42 +160,53 @@ func kernelCase(src *rng.Source, n, d int, zeros bool, specials float64) ([][]fl
 	return xs, y
 }
 
-// TestBlockKernelMatchesPerRowContract pins the block kernel to the
-// per-row contract bit for bit: every width up to 32 genes (past the
-// Venice D=24 shape), every row count mod 4 (the padded final block),
-// up to a few thousand rows, with a lone ±0 in one row of a block,
-// NaN payloads, infinities and denormals — all through one dirty,
-// reused scratch.
+// TestBlockKernelMatchesPerRowContract pins every block kernel the
+// host runs to the per-row contract bit for bit: every width up to 40
+// genes (past the Venice D=24 shape, and below eight cells, where a
+// line's whole run is the AVX-512 kernel's masked tail), every row
+// count mod 4 (the padded final block), up to a few thousand rows,
+// with a lone ±0 in one row of a block, in each row and gene of a
+// block in turn, NaN payloads, infinities and denormals — all through
+// one dirty, reused scratch.
 func TestBlockKernelMatchesPerRowContract(t *testing.T) {
-	src := rng.New(12)
-	var sc FitScratch
-	check := func(n, d int, zeros bool, specials float64) {
-		xs, y := kernelCase(src, n, d, zeros, specials)
-		checkNormal(t, xs, y, d, &sc)
-	}
-	for d := 1; d <= 32; d++ {
-		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 61, 62, 63, 64} {
-			check(n, d, false, 0)
-			check(n, d, true, 0)
-			check(n, d, true, 0.05)
-			check(n, d, false, 0.3)
+	forEachKernel(t, func(t *testing.T) {
+		src := rng.New(12)
+		var sc FitScratch
+		check := func(n, d int, zeros bool, specials float64) {
+			xs, y := kernelCase(src, n, d, zeros, specials)
+			checkNormal(t, xs, y, d, &sc)
 		}
-	}
-	for _, d := range []int{1, 4, 7, 24, 32} {
-		for n := 2997; n <= 3000; n++ {
-			check(n, d, true, 0.002)
+		for d := 1; d <= 40; d++ {
+			for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 61, 62, 63, 64} {
+				check(n, d, false, 0)
+				check(n, d, true, 0)
+				check(n, d, true, 0.05)
+				check(n, d, false, 0.3)
+			}
+			for r := 0; r < 4; r++ {
+				for a := 0; a < d; a++ {
+					xs, y := kernelCase(src, 4, d, false, 0)
+					xs[r][a] = math.Copysign(0, float64(a%2)-0.5)
+					checkNormal(t, xs, y, d, &sc)
+				}
+			}
 		}
-	}
+		for _, d := range []int{1, 4, 7, 24, 32} {
+			for n := 2997; n <= 3000; n++ {
+				check(n, d, true, 0.002)
+			}
+		}
+	})
 }
 
 // decodeFitCase turns fuzz input into a fit problem: the first byte
-// picks d in [1,32], the rest is read as little-endian float64s, d
+// picks d in [1,40], the rest is read as little-endian float64s, d
 // inputs then the target per row. ok is false when no row fits.
 func decodeFitCase(data []byte) (xs [][]float64, y []float64, d int, ok bool) {
 	if len(data) == 0 {
 		return nil, nil, 0, false
 	}
-	d = 1 + int(data[0])%32
+	d = 1 + int(data[0])%40
 	vals := make([]float64, (len(data)-1)/8)
 	for i := range vals {
 		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[1+8*i:]))
@@ -239,10 +251,10 @@ func allFinite(xs [][]float64, y []float64) bool {
 	return true
 }
 
-// FuzzFitAffineScratch checks the block kernel against the per-row
-// contract on arbitrary bit patterns, and — where every input is
-// finite — the whole scratch fit against FitAffine's materialized
-// path. The seeds cover the cases the kernel's exactness argument
+// FuzzFitAffineScratch checks every block kernel the host runs
+// against the per-row contract on arbitrary bit patterns, and — where
+// every input is finite — the whole scratch fit against FitAffine's
+// materialized path. The seeds cover the cases the kernel's exactness argument
 // rests on: a lone ±0 in one row of a block, NaN payloads, infinities,
 // denormals and every row count mod 4.
 func FuzzFitAffineScratch(f *testing.F) {
@@ -257,28 +269,39 @@ func FuzzFitAffineScratch(f *testing.F) {
 	seed(7, 24, true, 0) // the Venice width
 	seed(9, 5, false, 0.4)
 	seed(6, 32, true, 0.1)
+	seed(5, 40, true, 0.05) // five full ZMM runs on line 0
 	nan := math.Float64frombits(0x7ff8000000000abc)
 	snan := math.Float64frombits(0xfff0000000000123)
 	f.Add(encodeFitCase(
 		[][]float64{{nan, 1}, {2, snan}, {math.Inf(1), 0}, {math.Copysign(0, -1), 5e-324}},
 		[]float64{snan, nan, 1, math.Inf(-1)}, 2))
+	kernels := hostKernels(f)
 	var sc FitScratch
 	f.Fuzz(func(t *testing.T, data []byte) {
 		xs, y, d, ok := decodeFitCase(data)
 		if !ok {
 			return
 		}
-		checkNormal(t, xs, y, d, &sc)
-		got, errS := FitAffineScratch(xs, y, 1e-8, &sc)
-		if !allFinite(xs, y) {
-			return
+		finite := allFinite(xs, y)
+		var want *LinearFit
+		var errW error
+		if finite {
+			want, errW = FitAffine(xs, y, 1e-8)
 		}
-		want, errW := FitAffine(xs, y, 1e-8)
-		if (errS == nil) != (errW == nil) {
-			t.Fatalf("error mismatch: scratch %v, FitAffine %v", errS, errW)
-		}
-		if errS == nil && !fitsBitIdentical(got, want) {
-			t.Fatalf("scratch fit %+v, FitAffine %+v", got, want)
+		for _, k := range kernels {
+			restore := k.force()
+			checkNormal(t, xs, y, d, &sc)
+			got, errS := FitAffineScratch(xs, y, 1e-8, &sc)
+			restore()
+			if !finite {
+				continue
+			}
+			if (errS == nil) != (errW == nil) {
+				t.Fatalf("%s: error mismatch: scratch %v, FitAffine %v", k.name, errS, errW)
+			}
+			if errS == nil && !fitsBitIdentical(got, want) {
+				t.Fatalf("%s: scratch fit %+v, FitAffine %+v", k.name, got, want)
+			}
 		}
 	})
 }

@@ -16,7 +16,7 @@ type FitScratch struct {
 	l    []float64 // p×p Cholesky factor (lower triangle written)
 	y    []float64 // forward-substitution intermediate
 	beta []float64
-	blk  []float64  // 4×d block of packed observation rows
+	blk  []float64  // 4×p block of packed design rows [x 1]
 	ys   [4]float64 // the packed rows' targets
 }
 
@@ -100,17 +100,25 @@ func FitAffineScratch(xs [][]float64, y []float64, ridge float64, sc *FitScratch
 	return &LinearFit{Coef: coef, Intercept: beta[d]}, nil
 }
 
+// wideMinP is the shortest packed row (p = d+1 cells) that
+// accumBlock4 hands to the host's wide kernel. It is set once, at
+// package init, on amd64 hosts with AVX-512F (see accum_amd64.go); it
+// stays MaxInt where the host or the build has no wide kernel.
+var wideMinP = math.MaxInt
+
 // accumulate zeroes the scratch normal equations and adds every
 // observation to their upper triangle, returning XᵀX (p×p, p = d+1)
 // and Xᵀy. Rows are packed four at a time into sc.blk for the block
-// kernel (see accum_amd64.s / accum_generic.go); a short final block
-// is padded with all-zero rows, which the kernel's row[a] == 0 skip
-// drops exactly.
+// kernel (see accum_amd64.s / accum_generic.go), each as the design
+// row [x 1] with stride p: the trailing 1 makes the intercept column
+// xtx[a*p+d] one more cell of gene line a, and the intercept line d
+// counts the row. A short final block is padded with all-zero rows,
+// which the kernel's row[a] == 0 skip drops exactly.
 func (sc *FitScratch) accumulate(xs [][]float64, y []float64, d int) (xtx, xty []float64, err error) {
 	p := d + 1
 	xtx = growZero(&sc.xtx, p*p)
 	xty = growZero(&sc.xty, p)
-	blk := grow(&sc.blk, 4*d)
+	blk := grow(&sc.blk, 4*p)
 	for i := 0; i < len(xs); i += 4 {
 		k := min(4, len(xs)-i)
 		for r := 0; r < k; r++ {
@@ -118,16 +126,12 @@ func (sc *FitScratch) accumulate(xs [][]float64, y []float64, d int) (xtx, xty [
 			if len(row) != d {
 				return nil, nil, fmt.Errorf("%w: ragged observation %d", ErrShape, i+r)
 			}
-			copy(blk[r*d:], row)
-			yi := y[i+r]
-			sc.ys[r] = yi
-			// The intercept row of the design matrix: its entry is the
-			// constant 1, which the ra==0 skip can never drop.
-			xty[d] += yi
-			xtx[d*p+d]++
+			copy(blk[r*p:], row)
+			blk[r*p+d] = 1
+			sc.ys[r] = y[i+r]
 		}
 		if k < 4 {
-			clear(blk[k*d:])
+			clear(blk[k*p:])
 			clear(sc.ys[k:])
 		}
 		accumBlock4(xtx, xty, blk, sc.ys[:], p)

@@ -31,24 +31,27 @@ func fitsBitIdentical(a, b *LinearFit) bool {
 
 // Property: FitAffineScratch is FitAffine bit for bit — same
 // coefficients, same intercept, same error behaviour — across random
-// geometries (up to 32 genes and a few thousand rows), exact zeros
+// geometries (up to 40 genes and a few thousand rows), exact zeros
 // (the accumulator's skip path), huge and denormal magnitudes,
 // rank-deficient designs (the non-PD Gaussian fallback), and with a
-// single dirty scratch reused across all of it.
+// single dirty scratch reused across all of it — through every block
+// kernel the host runs.
 func TestPropertyFitScratchBitIdentical(t *testing.T) {
-	var sc FitScratch // deliberately shared and dirty across trials
-	g := func(seed int64) bool {
-		src := rng.New(seed)
-		n := 1 + src.Intn(40)
-		if src.Bool(0.1) {
-			n = 1 + src.Intn(3000)
+	forEachKernel(t, func(t *testing.T) {
+		var sc FitScratch // deliberately shared and dirty across trials
+		g := func(seed int64) bool {
+			src := rng.New(seed)
+			n := 1 + src.Intn(40)
+			if src.Bool(0.1) {
+				n = 1 + src.Intn(3000)
+			}
+			d := 1 + src.Intn(40)
+			return checkFitEquivalence(src, n, d, &sc)
 		}
-		d := 1 + src.Intn(32)
-		return checkFitEquivalence(src, n, d, &sc)
-	}
-	if err := quick.Check(g, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
+		if err := quick.Check(g, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func checkFitEquivalence(src *rng.Source, n, d int, sc *FitScratch) bool {
