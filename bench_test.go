@@ -15,6 +15,7 @@ import (
 	"context"
 
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -387,11 +388,36 @@ func benchGrownSeries(b *testing.B, n int) []float64 {
 	return v
 }
 
+// BenchmarkNewMatchIndex measures one rank-index build over a shard
+// of the paper's Venice workload: the first 2,988 of the 5,976 D=24
+// training patterns, as each of two shards holds them. Every engine
+// Append, Delete and Window rebuilds such an index.
+func BenchmarkNewMatchIndex(b *testing.B) {
+	venice, _, err := series.VenicePaper(6000, 1500, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v24, err := series.Window(venice, 24, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	shard := &series.Dataset{Inputs: v24.Inputs[:2988], Targets: v24.Targets[:2988], D: 24, Horizon: 1}
+	b.ReportAllocs()
+	runtime.GC() // the allocation count is gated; keep the setup's collections out of it
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.NewMatchIndex(shard)
+	}
+}
+
 // BenchmarkShardsAppend measures incremental index maintenance: one
 // 512-pattern streaming chunk appended to an 8-shard engine, which
 // rebuilds only the shard the chunk is routed to. Compare against
-// BenchmarkShardsFullRebuild — the cost Append avoids.
+// BenchmarkShardsFullRebuild — the cost Append avoids. Only the
+// Append is timed, after a collection of the setup's garbage, as in
+// BenchmarkShardsDelete.
 func BenchmarkShardsAppend(b *testing.B) {
+	b.StopTimer()
 	const n, d, tail = 20000, 24, 512
 	v := benchGrownSeries(b, n+tail+d)
 	inputs := make([][]float64, 0, tail)
@@ -401,16 +427,17 @@ func BenchmarkShardsAppend(b *testing.B) {
 		targets = append(targets, v[i+d])
 	}
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
 		ds, err := series.Window(series.New("bench", v[:n]), d, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		s := engine.New(ds, engine.Options{Shards: 8})
+		runtime.GC()
 		b.StartTimer()
 		if err := s.Append(inputs, targets); err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
 	}
 }
 
@@ -436,22 +463,26 @@ func BenchmarkShardsFullRebuild(b *testing.B) {
 // physically, so the cost is one shard rewrite, the global remap and
 // one shard-index rebuild (the contiguous initial partition puts all
 // 512 rows in shard 0). Compare against BenchmarkShardsFullRebuild —
-// the re-shard it avoids.
+// the re-shard it avoids. Only the Delete is timed, after a collection
+// of the setup's garbage, so a one-iteration run counts the same
+// allocations as every later iteration.
 func BenchmarkShardsDelete(b *testing.B) {
+	b.StopTimer()
 	const n, d, del = 20000, 24, 512
 	v := benchGrownSeries(b, n+d)
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
 		ds, err := series.Window(series.New("bench", v[:n]), d, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		eng := engine.New(ds, engine.Options{Shards: 8})
 		ids := append([]series.RowID(nil), eng.Data().IDs[:del]...)
+		runtime.GC()
 		b.StartTimer()
 		if got := eng.Delete(ids); got != del {
 			b.Fatalf("deleted %d, want %d", got, del)
 		}
+		b.StopTimer()
 	}
 }
 

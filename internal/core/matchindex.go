@@ -65,9 +65,16 @@ type rankedValue struct {
 	i int32
 }
 
-// NewMatchIndex builds the rank index over the dataset. Cost is
-// O(D·n·log n) once, amortized over the many thousands of rule
-// evaluations of an evolutionary run.
+// NewMatchIndex builds the rank index over the dataset. Lag 0 is one
+// O(n log n) sort. Each later lag j reuses lag j−1's order: where row
+// i's lag-j value has the same bits as row i+1's lag-(j−1) value, row
+// i sorts among such rows exactly as row i+1 sorts in lag j−1 (equal
+// values, indices one lower), so one walk of lag j−1's order lists
+// them sorted. Only the other rows are sorted, then merged in. In a
+// windowed series those are the last row and one per append seam, so
+// a build costs one sort plus D−1 linear merges; spaced lags
+// (WindowEmbed) share no values and sort in full. Either way the
+// result is the (value, index) order a sort of each lag gives.
 func NewMatchIndex(data *series.Dataset) *MatchIndex {
 	n, d := data.Len(), data.D
 	ix := &MatchIndex{data: data, n: n, words: (n + 63) >> 6, step: max(8, n/64)}
@@ -87,10 +94,20 @@ func NewMatchIndex(data *series.Dataset) *MatchIndex {
 	ix.pre = make([]uint64, d*(ix.buckets+1)*ix.words)
 	ranked := make([]rankedValue, n)
 	for j := 0; j < d; j++ {
+		vals, perm := ix.vals[j*n:(j+1)*n], ix.perm[j*n:(j+1)*n]
+		// inherited marks the rows whose lag-j value is the next row's
+		// lag-(j−1) value, bit for bit. It borrows lag j's last
+		// bucket, which the bucket loop below overwrites.
+		inherited := ix.bucket(j, ix.buckets)
+		fresh := ranked[:0]
 		for i, row := range data.Inputs {
-			ranked[i] = rankedValue{row[j], int32(i)}
+			if j > 0 && i+1 < n && math.Float64bits(row[j]) == math.Float64bits(data.Inputs[i+1][j-1]) {
+				inherited[i>>6] |= 1 << (i & 63)
+			} else {
+				fresh = append(fresh, rankedValue{row[j], int32(i)})
+			}
 		}
-		slices.SortFunc(ranked, func(a, b rankedValue) int {
+		slices.SortFunc(fresh, func(a, b rankedValue) int {
 			switch {
 			case a.v < b.v:
 				return -1
@@ -99,9 +116,27 @@ func NewMatchIndex(data *series.Dataset) *MatchIndex {
 			}
 			return int(a.i - b.i) // deterministic tie-break
 		})
-		vals, perm := ix.vals[j*n:(j+1)*n], ix.perm[j*n:(j+1)*n]
-		for k, rv := range ranked {
+		k := 0
+		if j > 0 {
+			prevVals, prevPerm := ix.vals[(j-1)*n:j*n], ix.perm[(j-1)*n:j*n]
+			for p, r := range prevPerm {
+				i := r - 1
+				if i < 0 || inherited[i>>6]&(1<<(i&63)) == 0 {
+					continue
+				}
+				v := prevVals[p]
+				for len(fresh) > 0 && (fresh[0].v < v || fresh[0].v == v && fresh[0].i < i) {
+					vals[k], perm[k] = fresh[0].v, fresh[0].i
+					fresh = fresh[1:]
+					k++
+				}
+				vals[k], perm[k] = v, i
+				k++
+			}
+		}
+		for _, rv := range fresh {
 			vals[k], perm[k] = rv.v, rv.i
+			k++
 		}
 		for b := 1; b <= ix.buckets; b++ {
 			cur := ix.bucket(j, b)

@@ -6,7 +6,9 @@ import (
 	"bytes"
 	"math"
 	"testing"
+	"testing/quick"
 
+	"repro/internal/rng"
 	"repro/internal/series"
 )
 
@@ -175,6 +177,100 @@ func TestEvalCacheBounded(t *testing.T) {
 	}
 }
 
+// Property: NewMatchIndex derives each lag's order from the previous
+// lag's, yet builds exactly the index that sorting every lag on its
+// own does — identical perm and pre, bitwise-identical vals — on
+// windowed Venice data, spaced lags (WindowEmbed), tie-heavy integer
+// series, ±0 and ±Inf values, NaN data, n = 0, n = 1, n < step, D = 1,
+// and datasets stitched the way the engine's lifecycle leaves a
+// shard: window-trimmed prefixes followed by appended chunks, at seams
+// that continue the series and at seams that do not.
+func TestPropertyIndexBuildMatchesReference(t *testing.T) {
+	check := func(name string, ds *series.Dataset) bool {
+		t.Helper()
+		if err := diffIndex(NewMatchIndex(ds), referenceMatchIndex(ds)); err != nil {
+			t.Errorf("%s (n=%d, D=%d): %v", name, ds.Len(), ds.D, err)
+			return false
+		}
+		return true
+	}
+	embed := func(v []float64, d, spacing int) *series.Dataset {
+		t.Helper()
+		ds, err := series.WindowEmbed(series.New("ref", v), d, spacing, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+	venice, _, err := series.VenicePaper(1200, 100, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("venice D=24", embed(venice.Values, 24, 1))
+	mg, _, err := series.MackeyGlassPaper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("mackey-glass D=4 spacing 6", embed(mg.Values, 4, 6))
+	negZero, inf := math.Copysign(0, -1), math.Inf(1)
+	signed := []float64{0, negZero, inf, -inf, 0, 1, negZero, -inf, inf, 0, negZero, negZero, 0, -1, inf, 0}
+	check("±0 and ±Inf", embed(signed, 3, 1))
+	check("n = 0", &series.Dataset{D: 3, Horizon: 1}) // a shard a window emptied
+	check("n = 1", embed([]float64{2, 1, 3}, 2, 1))
+	check("n < step", embed([]float64{3, 1, 4, 1, 5, 9, 2, 6, 5}, 4, 1))
+	check("D = 1", embed([]float64{5, 3, 5, 3, 1, 0, 1}, 1, 1))
+	check("NaN", embed([]float64{1, 2, math.NaN(), 4, 5, 6}, 2, 1))
+
+	f := func(seed int64) bool {
+		src := rng.New(seed)
+		d := 1 + src.Intn(8)
+		n := 1 + src.Intn(300)
+		if src.Bool(0.3) {
+			n = indexSizes[src.Intn(len(indexSizes))]
+		}
+		kind := src.Intn(3)
+		values := func(m int) []float64 {
+			v := make([]float64, m)
+			for i := range v {
+				switch {
+				case kind == 0:
+					v[i] = src.Uniform(-2, 2)
+				case kind == 1:
+					v[i] = float64(src.Intn(5) - 2) // tie-heavy
+				default:
+					v[i] = signed[src.Intn(len(signed))]
+				}
+			}
+			return v
+		}
+		whole := embed(values(n+d), d, 1)
+		spacing := 2 + src.Intn(3)
+		if !check("window", whole) || !check("spaced", embed(values(n+(d-1)*spacing+1), d, spacing)) {
+			return false
+		}
+		// A shard's life: a trimmed prefix of the window, then chunks
+		// that either continue the series or come from elsewhere.
+		shard := &series.Dataset{D: d, Horizon: 1}
+		keep := src.Intn(whole.Len())
+		shard.Inputs = append(shard.Inputs, whole.Inputs[keep:]...)
+		shard.Targets = append(shard.Targets, whole.Targets[keep:]...)
+		for c := src.Intn(4); c > 0; c-- {
+			chunk := whole
+			if src.Bool(0.5) {
+				chunk = embed(values(d+1+src.Intn(40)), d, 1)
+			}
+			from := src.Intn(chunk.Len())
+			to := from + 1 + src.Intn(chunk.Len()-from)
+			shard.Inputs = append(shard.Inputs, chunk.Inputs[from:to]...)
+			shard.Targets = append(shard.Targets, chunk.Targets[from:to]...)
+		}
+		return check("stitched", shard)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // fuzzValue decodes one fuzz byte into a pattern value or gene bound:
 // mostly a coarse grid (so ties are common), plus NaN, ±Inf and -0.
 func fuzzValue(b byte) float64 {
@@ -215,6 +311,9 @@ func FuzzMatchIndex(f *testing.F) {
 			return
 		}
 		ix := NewMatchIndex(ds)
+		if err := diffIndex(ix, referenceMatchIndex(ds)); err != nil {
+			t.Fatalf("index over %d patterns, D=%d: %v", ds.Len(), dd, err)
+		}
 		var sc MatchScratch
 		for k := 0; k < 32 && len(genes) >= 3*dd; k++ {
 			cond := make([]Interval, dd)

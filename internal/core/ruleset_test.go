@@ -173,6 +173,8 @@ func TestReadJSONRejectsMalformed(t *testing.T) {
 		`{"d":1,"rules":[]}{"d":1,"rules":[]}`,
 		`{"d":1,"rules":[]}}`,
 		`{"d":2,"rules":[{"cond":[{"lo":0,"hi":1},{"lo":2,"hi":1}],"error":0}]}`,
+		`{"d":9223372036854775807,"rules":[]}`,
+		`{"d":65537,"rules":[]}`,
 	}
 	for i, c := range cases {
 		if _, err := ReadJSON(bytes.NewBufferString(c)); !errors.Is(err, ErrRuleSet) {
@@ -182,6 +184,9 @@ func TestReadJSONRejectsMalformed(t *testing.T) {
 	// What WriteJSON emits ends in a newline; trailing whitespace loads.
 	if _, err := ReadJSON(bytes.NewBufferString("{\"d\":1,\"rules\":[]}\n \t\n")); err != nil {
 		t.Fatalf("trailing whitespace rejected: %v", err)
+	}
+	if _, err := ReadJSON(bytes.NewBufferString(`{"d":65536,"rules":[]}`)); err != nil {
+		t.Fatalf("the widest window rejected: %v", err)
 	}
 }
 

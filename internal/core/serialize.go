@@ -69,6 +69,12 @@ func (rs *RuleSet) WriteJSON(w io.Writer) error {
 // not a rule set as WriteJSON writes one.
 var ErrRuleSet = errors.New("core: malformed rule set")
 
+// maxRuleSetD bounds the window width ReadJSON accepts, so that an
+// empty rule set cannot hand a D near 2^63 to whatever windows data by
+// it. The paper's widest window is 24 lags; a rule over 2^16 lags
+// would carry a megabyte of genes.
+const maxRuleSetD = 1 << 16
+
 // ReadJSON decodes a rule set written by WriteJSON: one JSON value,
 // followed by nothing but whitespace. Every error wraps ErrRuleSet.
 func ReadJSON(r io.Reader) (*RuleSet, error) {
@@ -80,8 +86,8 @@ func ReadJSON(r io.Reader) (*RuleSet, error) {
 	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("%w: data after the rule set", ErrRuleSet)
 	}
-	if in.D <= 0 {
-		return nil, fmt.Errorf("%w: invalid D=%d", ErrRuleSet, in.D)
+	if in.D <= 0 || in.D > maxRuleSetD {
+		return nil, fmt.Errorf("%w: invalid D=%d (want 1..%d)", ErrRuleSet, in.D, maxRuleSetD)
 	}
 	rs := NewRuleSet(in.D)
 	for i, rj := range in.Rules {

@@ -198,8 +198,10 @@ func (s *Engine) LiveSpread() (lo, hi int) {
 // Append adds streaming patterns to the dataset and maintains the
 // shard indexes incrementally: all new patterns are routed to the
 // shard currently holding the fewest rows (lowest index on ties, so
-// the layout is deterministic) and only that shard's index is rebuilt
-// — O(n_s log n_s) instead of the full O(n log n) rebuild. The global
+// the layout is deterministic) and only that shard's index is rebuilt:
+// over windowed rows, one O(n_s log n_s) sort of the first lag and an
+// O(n_s) merge per further lag (core.NewMatchIndex), instead of
+// rebuilding every shard over all n rows. The global
 // dataset view grows in place and each new row receives the next
 // ascending RowID. Routing by size also refills a shard a window
 // emptied. Returns an error when a pattern's width does not
