@@ -144,3 +144,19 @@ func firstDiff[T comparable](a, b []T) int {
 	}
 	return -1
 }
+
+// SetMemoHash installs h as the matched-set memo's hash until restore
+// is called: a constant h makes every matched set collide, and a nil h
+// turns the memo off.
+func SetMemoHash(h func(idx []int) uint64) (restore func()) {
+	saved := setMemoHash
+	setMemoHash = h
+	return func() { setMemoHash = saved }
+}
+
+// EvaluateInLoop evaluates r as the run loop does, through the
+// matched-set memo and the evaluator's own scratch, with a veto that
+// never prunes.
+func (e *Evaluator) EvaluateInLoop(ctx context.Context, r *Rule) {
+	e.evaluate(ctx, r, func([]int) bool { return false })
+}

@@ -18,9 +18,10 @@ import (
 // Evaluate and EvaluateAll are safe for concurrent use by multiple
 // goroutines: the dataset and backend are read-only (or internally
 // synchronized) and the evaluation cache is internally synchronized.
-// The matched sets the run loop keeps (prefetch, a pruned evaluate)
-// are written only by the execution that owns the evaluator, between
-// its generations.
+// What only the run loop uses — the matched sets it keeps (prefetch, a
+// pruned evaluate over the cluster), the matched-set memo and the
+// evaluator's own scratch — is touched only by the execution that owns
+// the evaluator.
 //
 // Every match query goes through one Backend: a MatchIndex by default,
 // or the sharded engine (internal/engine) or remote cluster
@@ -51,12 +52,17 @@ type Evaluator struct {
 	cache *ResultCache
 	// sets holds matched sets whose evaluation is not cached — fetched
 	// ahead by a speculative window (prefetch), or left by a child the
-	// pruning gate dropped — keyed like the cache, so a generation that
-	// draws one of those signatures needs no match query. Each is a
-	// bitmap over the ⌈n/64⌉ words of the dataset's rows; setWords
-	// counts the words they hold (see keepSet).
-	sets     map[string][]uint64
-	setWords int
+	// pruning gate dropped after a match that was a round trip — keyed
+	// like the cache, so a generation that draws one of those
+	// signatures needs no match query. Each maps to its bitmap in
+	// setBits (see keepSet).
+	sets    map[string]int32
+	setBits bitmapSlab
+	// memo holds the run loop's regression results by matched set (see
+	// setMemo), and fs is the run loop's own fitScratch. Like sets,
+	// only the execution that owns the evaluator touches them.
+	memo setMemo
+	fs   fitScratch
 	// tame caches inputsTame's answer for one data epoch.
 	tame      bool
 	tameEpoch uint64
@@ -68,6 +74,9 @@ type Evaluator struct {
 	evalsComputed *obs.Counter
 	evalsCached   *obs.Counter
 	evalsPruned   *obs.Counter
+	// evalsSetHits counts the cached results that came from the
+	// matched-set memo (also counted in evalsCached).
+	evalsSetHits *obs.Counter
 }
 
 // EvalOptions carries the optional shared machinery an Evaluator can
@@ -124,6 +133,7 @@ func NewEvaluator(data *series.Dataset, emax, fmin, ridge float64, workers int, 
 		e.evalsComputed = opt.Telemetry.Counter("core_evals_computed")
 		e.evalsCached = opt.Telemetry.Counter("core_evals_cached")
 		e.evalsPruned = opt.Telemetry.Counter("core_evals_pruned")
+		e.evalsSetHits = opt.Telemetry.Counter("core_evals_set_hits")
 	}
 	return e
 }
@@ -227,14 +237,21 @@ func (e *Evaluator) Evaluate(ctx context.Context, r *Rule) { e.evaluate(ctx, r, 
 // (and the query was neither cancelled nor faulted), a non-nil skip
 // sees it and may stop the evaluation. A stopped rule is neither
 // regressed nor cached, keeps its prior fields, and evaluate reports
-// pruned; its matched set is kept (keepSet), so the signature needs
-// no match query when drawn again. A set kept by a speculative
+// pruned. Where the match was a round trip (a BackendCtx backend, the
+// cluster) its matched set is kept (keepSet), so the signature needs
+// no match query when drawn again; a set kept by a speculative
 // window's prefetch likewise replaces the query.
 //
-// The matched set lives in the pooled fitScratch for the whole
-// evaluation: the index, the engine and a kept set append into its
-// idx buffer, so a steady-state evaluation allocates no set. skip must
-// not keep idx past its call.
+// A non-nil skip also marks the run loop's own path, which alone uses
+// the evaluator's matched-set memo and fitScratch: a child that passes
+// the veto with a set the memo has regressed takes that result instead
+// of regressing again. The exported Evaluate (skip == nil) touches
+// neither, so it stays safe for concurrent use.
+//
+// The matched set lives in the fitScratch for the whole evaluation:
+// the index, the engine and a kept set append into its idx buffer, so
+// a steady-state evaluation allocates no set. skip must not keep idx
+// past its call.
 func (e *Evaluator) evaluate(ctx context.Context, r *Rule, skip func(idx []int) bool) (pruned bool) {
 	key := e.evalKey(r.Cond)
 	if c := e.cache.Get(key); c != nil {
@@ -242,13 +259,16 @@ func (e *Evaluator) evaluate(ctx context.Context, r *Rule, skip func(idx []int) 
 		e.evalsCached.Inc()
 		return false
 	}
-	fs := fitScratchPool.Get().(*fitScratch)
-	defer fitScratchPool.Put(fs)
+	fs := &e.fs
+	if skip == nil {
+		fs = fitScratchPool.Get().(*fitScratch)
+		defer fitScratchPool.Put(fs)
+	}
 	set, kept := e.sets[key]
 	idx, own := fs.idx[:0], true
 	switch {
 	case kept:
-		idx = AppendSetBits(idx, set)
+		idx = AppendSetBits(idx, e.setBits.at(int(set)))
 	case e.local != nil:
 		idx = e.local.appendMatches(idx, r, e.workers)
 	case e.backendCtx != nil:
@@ -260,21 +280,42 @@ func (e *Evaluator) evaluate(ctx context.Context, r *Rule, skip func(idx []int) 
 	}
 	if own {
 		// Keep the grown buffer. A set the backend allocated stays out
-		// of the pool: whoever handed it out may still hold it.
+		// of the scratch: whoever handed it out may still hold it.
 		fs.idx = idx
 	}
 	if ctx.Err() != nil || e.BackendErr() != nil {
 		return false
 	}
-	if skip != nil && skip(idx) {
-		if !kept {
+	if skip == nil {
+		e.evalFromMatches(r, idx, fs)
+		e.cache.Put(key, resultOf(r))
+		e.evalsComputed.Inc()
+		return false
+	}
+	if skip(idx) {
+		if !kept && e.backendCtx != nil {
 			e.keepSet(key, idx)
 		}
 		e.evalsPruned.Inc()
 		return true
 	}
+	h, memo := uint64(0), setMemoHash != nil
+	if memo {
+		h = setMemoHash(idx)
+		if c := e.memo.get(e.backend.Epoch(), h, idx); c != nil {
+			c.apply(r)
+			e.cache.Put(key, c)
+			e.evalsCached.Inc()
+			e.evalsSetHits.Inc()
+			return false
+		}
+	}
 	e.evalFromMatches(r, idx, fs)
-	e.cache.Put(key, resultOf(r))
+	c := resultOf(r)
+	e.cache.Put(key, c)
+	if memo {
+		e.memo.put(h, idx, (e.data.Len()+63)>>6, c)
+	}
 	e.evalsComputed.Inc()
 	return false
 }
@@ -310,26 +351,177 @@ func (e *Evaluator) prefetch(ctx context.Context, rules []*Rule) {
 }
 
 // setsWordLimit bounds the words the kept matched-set bitmaps hold
-// (8 MB). Reaching it drops them all, as the result cache does at its
-// own bound: the sets a run still needs are fetched again.
+// (8 MB), and those of the matched-set memo apart. Reaching it drops
+// them all, as the result cache does at its own bound: the sets a run
+// still needs are fetched, or regressed, again.
 const setsWordLimit = 1 << 20
 
 // keepSet keeps a bitmap copy of idx as the matched set of a key not
 // kept yet; evaluate expands it back into ascending indices on a hit.
 // Only the execution that owns the evaluator calls it (prefetch and a
-// pruned evaluate), never concurrently. A key carries the data epoch,
-// so the row count a bitmap was sized by holds whenever it is read.
+// pruned evaluate over a round-trip backend), never concurrently. A
+// key carries the data epoch, so the row count a bitmap was sized by
+// holds whenever it is read.
 func (e *Evaluator) keepSet(key string, idx []int) {
-	words := (e.data.Len() + 63) >> 6
-	if e.sets == nil || e.setWords+words > setsWordLimit {
-		e.sets, e.setWords = make(map[string][]uint64), 0
+	if words := (e.data.Len() + 63) >> 6; e.sets == nil || e.setBits.full(words) {
+		if e.sets == nil {
+			e.sets = make(map[string]int32)
+		}
+		clear(e.sets)
+		e.setBits.reset(words)
 	}
-	set := make([]uint64, words)
+	e.sets[key] = e.setBits.add(idx)
+}
+
+// bitmapSlab holds matched sets as bitmaps of one width, ⌈n/64⌉ words
+// each, packed into fixed blocks of slabBlockWords words. Blocks are
+// allocated once and reused after each reset, and no bitmap is its
+// own allocation; a slab grown by append would instead copy itself at
+// every growth, five times its final size at Go's large-slice growth
+// rate.
+type bitmapSlab struct {
+	words  int // words per bitmap
+	n      int // bitmaps held
+	blocks [][]uint64
+}
+
+// slabBlockWords is the size of one block of a bitmapSlab (64 KB).
+const slabBlockWords = 1 << 13
+
+// perBlock is the number of bitmaps one block holds.
+func (b *bitmapSlab) perBlock() int { return max(1, slabBlockWords/max(1, b.words)) }
+
+// full reports whether the slab must be reset before it takes a bitmap
+// of words words: its width differs, or one more would pass
+// setsWordLimit.
+func (b *bitmapSlab) full(words int) bool {
+	return words != b.words || (b.n+1)*words > setsWordLimit
+}
+
+// reset empties the slab for bitmaps of words words, keeping its
+// blocks where the width stays.
+func (b *bitmapSlab) reset(words int) {
+	if words != b.words {
+		b.blocks, b.words = nil, words
+	}
+	b.n = 0
+}
+
+// at returns bitmap i.
+func (b *bitmapSlab) at(i int) []uint64 {
+	per := b.perBlock()
+	k := i % per * b.words
+	return b.blocks[i/per][k : k+b.words]
+}
+
+// add stores the bitmap of the ascending indices idx and returns its
+// number.
+func (b *bitmapSlab) add(idx []int) int32 {
+	i := b.n
+	if per := b.perBlock(); i/per == len(b.blocks) {
+		b.blocks = append(b.blocks, make([]uint64, per*b.words))
+	}
+	b.n++
+	set := b.at(i)
+	clear(set)
+	for _, k := range idx {
+		set[k>>6] |= 1 << (uint(k) & 63)
+	}
+	return int32(i)
+}
+
+// setMemo memoizes the run loop's regressions by matched set. A
+// regression (evalFromMatches) is a function of the matched set alone
+// — given the data at one epoch and the evaluator's EMAX, f_min and
+// ridge — so two children with different genes but one matched set
+// get the same consequent, error and fitness, bit for bit; a
+// zero-match result leaves the rule's Prediction alone, and apply
+// keeps that too. Entries are found by a hash of the matched set and
+// served only after an exact check against the entry's bitmap
+// (popcount and membership), so a hash collision can never serve
+// another set's result. Entry i's bitmap is bitmap i of bits.
+//
+// The memo is dropped when the data epoch moves, and flushed when its
+// bitmaps would pass setsWordLimit.
+type setMemo struct {
+	epoch   uint64
+	heads   map[uint64]int32 // hash → newest entry with that hash
+	entries []memoEntry
+	bits    bitmapSlab
+}
+
+// memoEntry is one memoized regression: its matched set's size, the
+// next older entry with the same hash (-1: none) and the result.
+type memoEntry struct {
+	m, next int32
+	res     *EvalResult
+}
+
+// setMemoHash hashes a matched set for the memo: its size plus the sum
+// of its indices, each mixed by a multiply and a shift. The terms are
+// independent, so the loop is not one serial chain of multiplies, and
+// a lookup's exact check makes any collision harmless. It is a test
+// seam (export_test.go): a nil setMemoHash turns the memo off, and a
+// constant one makes every set collide.
+var setMemoHash = func(idx []int) uint64 {
+	h := uint64(len(idx))
 	for _, i := range idx {
-		set[i>>6] |= 1 << (uint(i) & 63)
+		x := uint64(i) * 0x9e3779b97f4a7c15
+		h += x ^ x>>29
 	}
-	e.sets[key] = set
-	e.setWords += words
+	return h
+}
+
+// get returns the memoized result of the matched set idx, whose hash
+// is h, at data epoch ep, or nil. A moved epoch drops the memo.
+func (s *setMemo) get(ep, h uint64, idx []int) *EvalResult {
+	if ep != s.epoch {
+		s.flush(s.bits.words)
+		s.epoch = ep
+	}
+	for i, ok := s.heads[h]; ok && i >= 0; i = s.entries[i].next {
+		if en := &s.entries[i]; int(en.m) == len(idx) && holdsAll(s.bits.at(int(i)), idx) {
+			return en.res
+		}
+	}
+	return nil
+}
+
+// holdsAll reports whether every index of idx is set in the bitmap.
+// With equal counts, that makes the two sets equal.
+func holdsAll(set []uint64, idx []int) bool {
+	for _, k := range idx {
+		if set[k>>6]&(1<<(uint(k)&63)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// put memoizes res as the regression of idx, whose hash is h, with
+// bitmaps of words words, at the epoch of the get that missed it.
+func (s *setMemo) put(h uint64, idx []int, words int, res *EvalResult) {
+	if s.heads == nil || s.bits.full(words) {
+		s.flush(words)
+	}
+	next, ok := s.heads[h]
+	if !ok {
+		next = -1
+	}
+	s.heads[h] = s.bits.add(idx)
+	s.entries = append(s.entries, memoEntry{m: int32(len(idx)), next: next, res: res})
+}
+
+// flush empties the memo for bitmaps of words words, keeping its
+// storage for reuse.
+func (s *setMemo) flush(words int) {
+	if s.heads == nil {
+		s.heads = make(map[uint64]int32)
+	}
+	clear(s.heads)
+	clear(s.entries) // release the results
+	s.entries = s.entries[:0]
+	s.bits.reset(words)
 }
 
 // inputsTame reports whether every training input is finite and at
@@ -352,11 +544,12 @@ func (e *Evaluator) inputsTame() bool {
 	return e.tame
 }
 
-// fitScratch is the per-worker scratch one evaluation reuses across
-// rules: the matched set, the xs/ys gather buffers and the linalg
-// normal-equation storage. Pooled so steady-state evaluation
-// allocates only what escapes into results (the fresh LinearFit per
-// rule).
+// fitScratch is the scratch one evaluation reuses across rules: the
+// matched set, the xs/ys gather buffers and the linalg normal-equation
+// storage. The run loop's evaluations use the evaluator's own; the
+// concurrent Evaluate and EvaluateAll workers take one from a pool.
+// Either way steady-state evaluation allocates only what escapes into
+// results (the fresh LinearFit per rule).
 type fitScratch struct {
 	idx []int
 	xs  [][]float64
@@ -385,8 +578,11 @@ func (e *Evaluator) evalFromMatches(r *Rule, idx []int, fs *fitScratch) {
 	}
 
 	if cap(fs.xs) < len(idx) {
-		fs.xs = make([][]float64, len(idx))
-		fs.ys = make([]float64, len(idx))
+		// Size the buffers for the whole dataset, which bounds every
+		// matched set: growing them one larger set at a time would
+		// reallocate them again and again as a run's sets grow.
+		fs.xs = make([][]float64, e.data.Len())
+		fs.ys = make([]float64, e.data.Len())
 	}
 	xs := fs.xs[:len(idx)]
 	ys := fs.ys[:len(idx)]
@@ -419,17 +615,8 @@ func (e *Evaluator) evalFromMatches(r *Rule, idx []int, fs *fitScratch) {
 	r.Fit = fit
 	// One fused pass computes the paper's e_R (max absolute residual)
 	// and the representative prediction (mean regression output over
-	// matches) from the same per-row Predict value — identical
-	// operations to running MaxAbsResidual then a mean loop, without
-	// evaluating the fit twice per row.
-	maxAbs, sum := 0.0, 0.0
-	for k, row := range xs {
-		pred := fit.Predict(row)
-		if res := math.Abs(ys[k] - pred); res > maxAbs {
-			maxAbs = res
-		}
-		sum += pred
-	}
+	// matches) from the same per-row prediction, four rows at a time.
+	maxAbs, sum := fit.ResidualPass(xs, ys)
 	r.Error = maxAbs
 	r.Prediction = sum / float64(len(xs))
 

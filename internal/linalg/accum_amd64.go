@@ -70,3 +70,17 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 // xgetbv reads XCR0. Call it only when CPUID reports OSXSAVE.
 func xgetbv() (eax, edx uint32)
+
+// residualPass is ResidualPass's loop over rows whose widths the
+// caller has checked to be len(coef) (see accum_generic.go for the
+// reference implementation). Rows go four at a time, each in its own
+// accumulator, with a final short block row by row. Each row receives
+// exactly Predict's operations in Predict's order — per gene a
+// multiply with the coefficient as first operand, then an add with the
+// accumulator as first addend, each singly rounded and never fused,
+// then the intercept added last — and the folds run in row order with
+// the running sum as first addend, so even NaN payloads propagate as
+// they do through a per-row Predict loop.
+//
+//go:noescape
+func residualPass(coef []float64, xs [][]float64, ys []float64, icpt float64) (maxAbs, sum float64)

@@ -403,3 +403,134 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
 	RET
+
+// func residualPass(coef []float64, xs [][]float64, ys []float64, icpt float64) (maxAbs, sum float64)
+//
+// The fused e_R and prediction-sum pass (the contract is documented on
+// the declaration). Per gene j and row r: prod = coef[j]*x_r[j] (MULSD
+// into a copy of the coefficient), then s_r = s_r + prod (ADDSD into
+// the accumulator); then s_r = s_r + icpt. Each row then folds in row
+// order: res = |y - p| (SUBSD into y, sign bit cleared), maxAbs =
+// res > maxAbs ? res : maxAbs (MAXSD with maxAbs as source, which
+// also keeps maxAbs when res is NaN), sum = sum + p. These are the
+// instructions Go compiles a per-row Predict loop to, operand for
+// operand, so even NaN payloads come out the same.
+//
+// Register layout:
+//   SI = &coef[0]   CX = len(coef)   DX = &xs[0] (24-byte headers)
+//   BX = len(xs)    DI = &ys[0]      R13 = k (row)   AX = j (gene)
+//   R15 = &xs[k]    R8..R11 = &x_k[0]..&x_{k+3}[0]
+//   X0..X3 = s_0..s_3   X4 = coef[j]   X5..X8 = products   X9 = res
+//   X10 = maxAbs    X11 = sum        X12 = icpt      X14 = abs mask
+TEXT ·residualPass(SB), NOSPLIT, $0-96
+	MOVQ  coef_base+0(FP), SI
+	MOVQ  coef_len+8(FP), CX
+	MOVQ  xs_base+24(FP), DX
+	MOVQ  xs_len+32(FP), BX
+	MOVQ  ys_base+48(FP), DI
+	MOVSD icpt+72(FP), X12
+	MOVQ  $0x7fffffffffffffff, R12
+	MOVQ  R12, X14
+	XORPS X10, X10
+	XORPS X11, X11
+	XORQ  R13, R13
+
+block:
+	LEAQ  4(R13), R12
+	CMPQ  R12, BX
+	JGT   tail
+	LEAQ  (R13)(R13*2), R15
+	LEAQ  (DX)(R15*8), R15
+	MOVQ  0(R15), R8
+	MOVQ  24(R15), R9
+	MOVQ  48(R15), R10
+	MOVQ  72(R15), R11
+	XORPS X0, X0
+	XORPS X1, X1
+	XORPS X2, X2
+	XORPS X3, X3
+	XORQ  AX, AX
+
+block_j:
+	CMPQ   AX, CX
+	JGE    block_fold
+	MOVSD  (SI)(AX*8), X4
+	MOVAPD X4, X5
+	MULSD  (R8)(AX*8), X5
+	MOVAPD X4, X6
+	MULSD  (R9)(AX*8), X6
+	MOVAPD X4, X7
+	MULSD  (R10)(AX*8), X7
+	MOVAPD X4, X8
+	MULSD  (R11)(AX*8), X8
+	ADDSD  X5, X0
+	ADDSD  X6, X1
+	ADDSD  X7, X2
+	ADDSD  X8, X3
+	INCQ   AX
+	JMP    block_j
+
+block_fold:
+	ADDSD  X12, X0
+	ADDSD  X12, X1
+	ADDSD  X12, X2
+	ADDSD  X12, X3
+	MOVSD  0(DI)(R13*8), X9
+	SUBSD  X0, X9
+	ANDPD  X14, X9
+	MAXSD  X10, X9
+	MOVAPD X9, X10
+	ADDSD  X0, X11
+	MOVSD  8(DI)(R13*8), X9
+	SUBSD  X1, X9
+	ANDPD  X14, X9
+	MAXSD  X10, X9
+	MOVAPD X9, X10
+	ADDSD  X1, X11
+	MOVSD  16(DI)(R13*8), X9
+	SUBSD  X2, X9
+	ANDPD  X14, X9
+	MAXSD  X10, X9
+	MOVAPD X9, X10
+	ADDSD  X2, X11
+	MOVSD  24(DI)(R13*8), X9
+	SUBSD  X3, X9
+	ANDPD  X14, X9
+	MAXSD  X10, X9
+	MOVAPD X9, X10
+	ADDSD  X3, X11
+	MOVQ   R12, R13
+	JMP    block
+
+tail:
+	CMPQ  R13, BX
+	JGE   done
+	LEAQ  (R13)(R13*2), R15
+	MOVQ  (DX)(R15*8), R8
+	XORPS X0, X0
+	XORQ  AX, AX
+
+tail_j:
+	CMPQ  AX, CX
+	JGE   tail_fold
+	MOVSD (SI)(AX*8), X4
+	MULSD (R8)(AX*8), X4
+	ADDSD X4, X0
+	INCQ  AX
+	JMP   tail_j
+
+tail_fold:
+	ADDSD  X12, X0
+	MOVSD  (DI)(R13*8), X9
+	SUBSD  X0, X9
+	ANDPD  X14, X9
+	MAXSD  X10, X9
+	MOVAPD X9, X10
+	ADDSD  X0, X11
+	INCQ   R13
+	JMP    tail
+
+done:
+	MOVSD X10, maxAbs+80(FP)
+	MOVSD X11, sum+88(FP)
+	RET

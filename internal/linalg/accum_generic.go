@@ -2,6 +2,8 @@
 
 package linalg
 
+import "math"
+
 // accumBlock4 adds the contributions of the four observation rows
 // packed in blk (row r is blk[r*p:(r+1)*p], its target ys[r]) to the
 // normal equations, one row at a time in row order. A packed row is
@@ -33,4 +35,39 @@ func accumRow(xtx, xty, row []float64, yi float64, p int) {
 			ud[b] += ra * rb
 		}
 	}
+}
+
+// residualPass is ResidualPass's loop over rows of width len(coef):
+// four rows at a time, each accumulated in gene order from +0 with the
+// intercept added last (Predict's order of operations), then the short
+// final block row by row, folding every row in row order.
+func residualPass(coef []float64, xs [][]float64, ys []float64, icpt float64) (maxAbs, sum float64) {
+	k := 0
+	for ; k+4 <= len(xs); k += 4 {
+		r0, r1, r2, r3 := xs[k][:len(coef)], xs[k+1][:len(coef)], xs[k+2][:len(coef)], xs[k+3][:len(coef)]
+		var p0, p1, p2, p3 float64
+		for j, c := range coef {
+			p0 += c * r0[j]
+			p1 += c * r1[j]
+			p2 += c * r2[j]
+			p3 += c * r3[j]
+		}
+		maxAbs, sum = foldResidual(maxAbs, sum, ys[k], p0+icpt)
+		maxAbs, sum = foldResidual(maxAbs, sum, ys[k+1], p1+icpt)
+		maxAbs, sum = foldResidual(maxAbs, sum, ys[k+2], p2+icpt)
+		maxAbs, sum = foldResidual(maxAbs, sum, ys[k+3], p3+icpt)
+	}
+	for ; k < len(xs); k++ {
+		maxAbs, sum = foldResidual(maxAbs, sum, ys[k], Dot(coef, xs[k])+icpt)
+	}
+	return maxAbs, sum
+}
+
+// foldResidual folds one row's target y and prediction into the
+// running maximum absolute residual and prediction sum.
+func foldResidual(maxAbs, sum, y, pred float64) (float64, float64) {
+	if res := math.Abs(y - pred); res > maxAbs {
+		maxAbs = res
+	}
+	return maxAbs, sum + pred
 }

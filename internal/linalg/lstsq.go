@@ -102,3 +102,21 @@ func (f *LinearFit) Predict(x []float64) float64 {
 	}
 	return Dot(f.Coef, x) + f.Intercept
 }
+
+// ResidualPass returns the largest absolute residual |ys[k] − f(xs[k])|
+// over the observations and the sum of their predictions f(xs[k]): the
+// paper's e_R and, divided by len(xs), a rule's mean prediction. It is
+// bit-identical to calling Predict on each row in order and folding
+// both (a NaN residual never raises the maximum). Rows are predicted
+// four at a time (residualPass), each in its own accumulator with
+// Predict's order of operations, so four dependency chains overlap
+// where Predict runs one.
+func (f *LinearFit) ResidualPass(xs [][]float64, ys []float64) (maxAbs, sum float64) {
+	ys = ys[:len(xs)]
+	for _, x := range xs {
+		if len(x) != len(f.Coef) {
+			f.Predict(x) // panics on the width, as a per-row loop would
+		}
+	}
+	return residualPass(f.Coef, xs, ys, f.Intercept)
+}

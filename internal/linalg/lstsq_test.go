@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -166,3 +167,187 @@ func maxAbsResidual(f *LinearFit, xs [][]float64, y []float64) float64 {
 
 // norm2 returns the Euclidean norm of v.
 func norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
+
+// residualRef is the per-row pass ResidualPass replaces: Predict on
+// each row in order, folding the largest absolute residual and the
+// prediction sum.
+func residualRef(f *LinearFit, xs [][]float64, ys []float64) (maxAbs, sum float64) {
+	for k, row := range xs {
+		pred := f.Predict(row)
+		if res := math.Abs(ys[k] - pred); res > maxAbs {
+			maxAbs = res
+		}
+		sum += pred
+	}
+	return maxAbs, sum
+}
+
+// residualModel is residualRef with every multiply and add spelled out
+// as the SSE2 instruction a default amd64 build runs for it (sseMul,
+// sseAdd): the coefficient is the product's first operand, and each
+// accumulator (the row's sum, the prediction before its intercept, the
+// running prediction sum) is its add's first operand. The compiler
+// picks those operands itself and may pick others in another build
+// mode — coverage-instrumented fuzzing does — so NaN payloads are held
+// to this model rather than to Predict's compiled code.
+func residualModel(f *LinearFit, xs [][]float64, ys []float64) (maxAbs, sum float64) {
+	for k, row := range xs {
+		s := 0.0
+		for j, c := range f.Coef {
+			s = sseAdd(s, sseMul(c, row[j]))
+		}
+		pred := sseAdd(s, f.Intercept)
+		if res := math.Abs(ys[k] - pred); res > maxAbs {
+			maxAbs = res
+		}
+		sum = sseAdd(sum, pred)
+	}
+	return maxAbs, sum
+}
+
+// checkResidualPass fails t unless ResidualPass gives residualRef's
+// values (NaN matching NaN) and — where exactNaNPayloads —
+// residualModel's bits; elsewhere residualRef's bits, any NaN matching
+// any NaN.
+func checkResidualPass(t *testing.T, f *LinearFit, xs [][]float64, ys []float64) {
+	t.Helper()
+	gotMax, gotSum := f.ResidualPass(xs, ys)
+	wantMax, wantSum := residualRef(f, xs, ys)
+	sameValue := func(a, b float64) bool { return a == b || a != a && b != b }
+	ok := sameValue(gotMax, wantMax) && sameValue(gotSum, wantSum)
+	if exactNaNPayloads {
+		wantMax, wantSum = residualModel(f, xs, ys)
+	}
+	if !ok || !sameBits(gotMax, wantMax) || !sameBits(gotSum, wantSum) {
+		t.Fatalf("ResidualPass over %d rows of width %d = (%v, %v %#x), want (%v, %v %#x)",
+			len(xs), len(f.Coef), gotMax, gotSum, math.Float64bits(gotSum),
+			wantMax, wantSum, math.Float64bits(wantSum))
+	}
+}
+
+// TestResidualPassMatchesPredict pins the four-row residual pass to
+// the per-row Predict loop bit for bit (checkResidualPass): every
+// width and row count from 0 to 9 (every row count mod 4), with ±0,
+// NaN payloads, infinities and denormals in the rows, targets and
+// coefficients, and past the Venice width over a few thousand rows.
+func TestResidualPassMatchesPredict(t *testing.T) {
+	src := rng.New(27)
+	for d := 0; d <= 9; d++ {
+		for n := 0; n <= 9; n++ {
+			for _, specials := range []float64{0, 0.05, 0.3} {
+				f := &LinearFit{Coef: make([]float64, d), Intercept: src.Uniform(-3, 3)}
+				for j := range f.Coef {
+					f.Coef[j] = src.Uniform(-3, 3)
+					if src.Bool(specials) {
+						f.Coef[j] = specialValue(src)
+					}
+				}
+				xs, ys := kernelCase(src, n, d, d > 0, specials)
+				checkResidualPass(t, f, xs, ys)
+			}
+		}
+	}
+	for _, d := range []int{4, 24, 40} {
+		f := &LinearFit{Coef: make([]float64, d), Intercept: src.Uniform(-3, 3)}
+		for j := range f.Coef {
+			f.Coef[j] = src.Uniform(-3, 3)
+		}
+		for n := 2997; n <= 3000; n++ {
+			xs, ys := kernelCase(src, n, d, true, 0.001)
+			checkResidualPass(t, f, xs, ys)
+		}
+	}
+}
+
+// TestResidualPassPanicsOnWrongWidth checks that a row of the wrong
+// width panics, as Predict does, in a full block of four too.
+func TestResidualPassPanicsOnWrongWidth(t *testing.T) {
+	f := &LinearFit{Coef: []float64{1, 2}}
+	for _, n := range []int{1, 4} {
+		xs := make([][]float64, n)
+		for i := range xs {
+			xs[i] = []float64{1, 2}
+		}
+		xs[n-1] = []float64{1, 2, 3}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%d rows: a 3-wide row passed a 2-input fit", n)
+				}
+			}()
+			f.ResidualPass(xs, make([]float64, n))
+		}()
+	}
+}
+
+// FuzzResidualPass checks the four-row residual pass against the
+// per-row Predict loop (checkResidualPass) on arbitrary bit patterns. The first byte picks
+// the width d in [0,9]; the rest is read as little-endian float64s:
+// the d coefficients and the intercept, then each row's d inputs and
+// target.
+func FuzzResidualPass(f *testing.F) {
+	enc := func(d int, vals ...float64) []byte {
+		out := []byte{byte(d)}
+		for _, v := range vals {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+		}
+		return out
+	}
+	nan := math.Float64frombits(0x7ff8000000000abc)
+	negZero := math.Copysign(0, -1)
+	f.Add(enc(0, 1, 2, 3, 4))
+	f.Add(enc(2, 0.5, -1, 2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15))
+	f.Add(enc(1, negZero, negZero, negZero, 0, math.Inf(1), math.Inf(-1), nan, 1, 2, 3, 4, 5))
+	f.Add(enc(3, nan, 1, math.Inf(-1), 0, 1, 2, 3, 4, negZero, 0, negZero, nan, 5, 6, 7, 8, 9, 10, 11, 12))
+	// A NaN prediction meeting a signalling NaN intercept of the other
+	// sign, in a full block and in the row-by-row tail.
+	snan := math.Float64frombits(0xfff0000000000123)
+	f.Add(enc(2, nan, 1, snan, 1, 1, 0, 2, 2, 0, 3, 3, 0, 4, 4, 0, 5, 5, 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		d := int(data[0]) % 10
+		vals := make([]float64, (len(data)-1)/8)
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[1+8*i:]))
+		}
+		if len(vals) < d+1 {
+			return
+		}
+		fit := &LinearFit{Coef: vals[:d:d], Intercept: vals[d]}
+		vals = vals[d+1:]
+		var xs [][]float64
+		var ys []float64
+		for ; len(vals) >= d+1; vals = vals[d+1:] {
+			xs = append(xs, vals[:d:d])
+			ys = append(ys, vals[d])
+		}
+		checkResidualPass(t, fit, xs, ys)
+	})
+}
+
+// residualSink keeps the benchmarked pass's result live.
+var residualSink float64
+
+// BenchmarkResidualPass times the fused e_R and prediction-sum pass
+// over 5,000 rows at the Venice width D=24: the per-row Predict loop
+// it replaces, then ResidualPass.
+func BenchmarkResidualPass(b *testing.B) {
+	src := rng.New(5)
+	f := &LinearFit{Coef: make([]float64, 24), Intercept: 0.5}
+	for j := range f.Coef {
+		f.Coef[j] = src.Uniform(-1, 1)
+	}
+	xs, ys := kernelCase(src, 5000, 24, false, 0)
+	for _, bc := range []struct {
+		name string
+		pass func(*LinearFit, [][]float64, []float64) (float64, float64)
+	}{{"predict", residualRef}, {"pass4", (*LinearFit).ResidualPass}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for range b.N {
+				residualSink, _ = bc.pass(f, xs, ys)
+			}
+		})
+	}
+}

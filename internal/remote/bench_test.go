@@ -81,6 +81,12 @@ func BenchmarkRemoteBatch(b *testing.B) {
 // wire: one 512-pattern chunk appended to a 20k-pattern 2-server
 // cluster (routed whole to the emptier server, which rebuilds one of
 // its shard indexes). Compare against BenchmarkShardsAppend.
+//
+// Run it at a fixed count (-benchtime=20x, as BENCH_engine.json
+// records it): every iteration builds and loads a fresh cluster with
+// the timer stopped, and that setup costs far more than the timed
+// append, so a duration target such as -benchtime=2s grows b.N until
+// the untimed setup runs for minutes.
 func BenchmarkRemoteAppend(b *testing.B) {
 	const n, d, tail = 20000, 24, 512
 	v := make([]float64, n+tail+d)
