@@ -16,6 +16,7 @@ import (
 
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/core"
@@ -311,8 +312,8 @@ func BenchmarkEvaluateRule(b *testing.B) {
 const engineBenchBatch = 128
 
 // benchEngineSetup is the shared fixture of the BenchmarkEngineBatch
-// family: the 10k-pattern dataset, an 8-shard engine (instrumented
-// with reg when non-nil), an evaluator wired to both, and b.N
+// family: the 10k-pattern dataset, an engine (instrumented with reg
+// when non-nil), an evaluator wired to both, and b.N
 // generations of signature-unique rules. It runs one extra warm-up
 // generation before returning so the pooled match/regression scratch
 // is populated ahead of the timer — at CI's -benchtime=1x a cold pool
@@ -320,7 +321,7 @@ const engineBenchBatch = 128
 func benchEngineSetup(b *testing.B, reg *obs.Registry) (*core.Evaluator, []*core.Rule) {
 	b.Helper()
 	ds := benchTrainDataset(b, 10000, 24)
-	eng := engine.New(ds, engine.Options{Shards: 8})
+	eng := engine.New(ds, engine.Options{})
 	opt := core.EvalOptions{Backend: eng}
 	if reg != nil {
 		eng.Instrument(reg)
@@ -334,10 +335,11 @@ func benchEngineSetup(b *testing.B, reg *obs.Registry) (*core.Evaluator, []*core
 
 // BenchmarkEngineBatch measures batched offspring evaluation: one
 // EvaluateAll scheduling pass serves a whole generation of 128 rules
-// through an 8-shard engine. On multicore hosts the pass fans the
-// shard walks and the consequent regressions out across rules, which
-// per-rule dispatch cannot (it parallelizes only within one rule's
-// match); on a single core the two converge. Compare against
+// through the engine. On multicore hosts the pass fans the matches and
+// the consequent regressions out across rules, each worker matching
+// the rule it regresses, which per-rule dispatch cannot (it
+// parallelizes only within one rule's match); on a single core the two
+// converge. Compare against
 // BenchmarkEnginePerRule for the batching speedup and against
 // BenchmarkEvaluateRule (×128) for the sequential single-index path.
 func BenchmarkEngineBatch(b *testing.B) {
@@ -388,10 +390,10 @@ func benchGrownSeries(b *testing.B, n int) []float64 {
 	return v
 }
 
-// BenchmarkNewMatchIndex measures one rank-index build over a shard
-// of the paper's Venice workload: the first 2,988 of the 5,976 D=24
-// training patterns, as each of two shards holds them. Every engine
-// Append, Delete and Window rebuilds such an index.
+// BenchmarkNewMatchIndex measures one rank-index build over the first
+// 2,988 of the 5,976 D=24 training patterns of the paper's Venice
+// workload. The first match query after an engine Append, Delete or
+// Window builds such an index over the engine's rows.
 func BenchmarkNewMatchIndex(b *testing.B) {
 	venice, _, err := series.VenicePaper(6000, 1500, 3)
 	if err != nil {
@@ -410,12 +412,26 @@ func BenchmarkNewMatchIndex(b *testing.B) {
 	}
 }
 
-// BenchmarkShardsAppend measures incremental index maintenance: one
-// 512-pattern streaming chunk appended to an 8-shard engine, which
-// rebuilds only the shard the chunk is routed to. Compare against
-// BenchmarkShardsFullRebuild — the cost Append avoids. Only the
-// Append is timed, after a collection of the setup's garbage, as in
-// BenchmarkShardsDelete.
+// benchQueryRule is a one-gene rule for the lifecycle benchmarks'
+// first query after a mutation: the query builds the index, and its
+// own cost is small next to the build.
+func benchQueryRule(d int) *core.Rule {
+	cond := make([]core.Interval, d)
+	for j := range cond {
+		cond[j] = core.Wild()
+	}
+	cond[0] = core.NewInterval(0, 0.5)
+	return core.NewRule(cond)
+}
+
+// BenchmarkShardsAppend measures streaming index maintenance: one
+// 512-pattern chunk appended to a 20k-pattern engine whose index is
+// built, then the first match query, which rebuilds the index over
+// the grown rows. Only the Append and the query are timed, after a
+// collection of the setup's garbage and with the collector parked, as
+// in BenchmarkShardsDelete: a collection inside the timed rebuild would
+// drop the pooled lookup scratch, and the allocation count would
+// depend on when the collector ran.
 func BenchmarkShardsAppend(b *testing.B) {
 	b.StopTimer()
 	const n, d, tail = 20000, 24, 512
@@ -426,63 +442,59 @@ func BenchmarkShardsAppend(b *testing.B) {
 		inputs = append(inputs, v[i:i+d])
 		targets = append(targets, v[i+d])
 	}
+	rule := benchQueryRule(d)
+	dst := make([]int, 0, n+tail)
 	for i := 0; i < b.N; i++ {
 		ds, err := series.Window(series.New("bench", v[:n]), d, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		s := engine.New(ds, engine.Options{Shards: 8})
+		s := engine.New(ds, engine.Options{})
+		s.AppendMatches(dst, rule)
 		runtime.GC()
+		gc := debug.SetGCPercent(-1)
 		b.StartTimer()
 		if err := s.Append(inputs, targets); err != nil {
 			b.Fatal(err)
 		}
+		dst = s.AppendMatches(dst[:0], rule)
 		b.StopTimer()
-	}
-}
-
-// BenchmarkShardsFullRebuild measures the from-scratch alternative to
-// Append: re-sharding and re-indexing the whole grown dataset.
-func BenchmarkShardsFullRebuild(b *testing.B) {
-	const n, d, tail = 20000, 24, 512
-	v := benchGrownSeries(b, n+tail+d)
-	grown, err := series.Window(series.New("bench", v), d, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		engine.New(grown, engine.Options{Shards: 8})
+		debug.SetGCPercent(gc)
 	}
 }
 
 // --- Dataset lifecycle (internal/engine) ---------------------------------
 
 // BenchmarkShardsDelete measures a real 512-row window slide out of a
-// 20k-pattern, 8-shard engine: deleting the oldest rows removes them
-// physically, so the cost is one shard rewrite, the global remap and
-// one shard-index rebuild (the contiguous initial partition puts all
-// 512 rows in shard 0). Compare against BenchmarkShardsFullRebuild —
-// the re-shard it avoids. Only the Delete is timed, after a collection
-// of the setup's garbage, so a one-iteration run counts the same
+// 20k-pattern engine whose index is built: deleting the oldest rows
+// removes them physically, and the first match query after it
+// rebuilds the index over the remaining rows. Only the Delete and the
+// query are timed, after a collection of the setup's garbage and with
+// the collector parked, so a one-iteration run counts the same
 // allocations as every later iteration.
 func BenchmarkShardsDelete(b *testing.B) {
 	b.StopTimer()
 	const n, d, del = 20000, 24, 512
 	v := benchGrownSeries(b, n+d)
+	rule := benchQueryRule(d)
+	dst := make([]int, 0, n)
 	for i := 0; i < b.N; i++ {
 		ds, err := series.Window(series.New("bench", v[:n]), d, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng := engine.New(ds, engine.Options{Shards: 8})
+		eng := engine.New(ds, engine.Options{})
+		eng.AppendMatches(dst, rule)
 		ids := append([]series.RowID(nil), eng.Data().IDs[:del]...)
 		runtime.GC()
+		gc := debug.SetGCPercent(-1)
 		b.StartTimer()
 		if got := eng.Delete(ids); got != del {
 			b.Fatalf("deleted %d, want %d", got, del)
 		}
+		dst = eng.AppendMatches(dst[:0], rule)
 		b.StopTimer()
+		debug.SetGCPercent(gc)
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 
 	"repro/forecast"
 	"repro/internal/experiments"
@@ -42,7 +41,7 @@ func main() {
 		tiny      = flag.Bool("tiny", false, "use the unit-test scale (fast smoke run)")
 		seed      = flag.Int64("seed", 42, "base RNG seed")
 	)
-	ef := forecast.RegisterFlags(flag.CommandLine)     // -shards, -window, -remote
+	ef := forecast.RegisterFlags(flag.CommandLine)     // -window, -remote
 	ofl := forecast.RegisterObsFlags(flag.CommandLine) // -debug-addr, -trace
 	flag.Parse()
 
@@ -54,14 +53,10 @@ func main() {
 		sc = experiments.Tiny()
 	}
 	if ef.Enabled() {
-		// Route every rule evaluation through the sharded engine (or,
-		// with -remote, a cluster of shard servers); bit-identical to
-		// the single-index path at any shard count, window or number
-		// of shard servers.
-		sc.EngineShards = ef.Shards()
-		if sc.EngineShards == 0 {
-			sc.EngineShards = runtime.GOMAXPROCS(0)
-		}
+		// Route every rule evaluation through the engine (or, with
+		// -remote, a cluster of shard servers); bit-identical to the
+		// single-index path at any window or number of shard servers.
+		sc.Engine = true
 		sc.EngineWindow = ef.Window()
 		sc.EngineRemote = ef.Remote()
 		if sc.EngineRemote != nil {

@@ -1,11 +1,11 @@
 // Command shardserver runs one shard of a distributed evaluation
-// cluster: it owns a sharded evaluation engine over its slice of the
-// training data and serves the remote match/lifecycle protocol over
-// TCP. A training client (any binary built on the forecast facade
-// with -remote, or remote.Dial directly) scatters its dataset across
-// a set of shardservers and evolves against them exactly as it would
-// against the in-process engine — bit-identical results, just with
-// match capacity spread over machines.
+// cluster: it owns an evaluation engine (one match index) over its
+// slice of the training data and serves the remote match/lifecycle
+// protocol over TCP. A training client (any binary built on the
+// forecast facade with -remote, or remote.Dial directly) scatters its
+// dataset across a set of shardservers and evolves against them
+// exactly as it would against the in-process engine — bit-identical
+// results, just with match capacity spread over machines.
 //
 // Start empty (the client's Load ships the slice):
 //
@@ -39,8 +39,6 @@ func main() {
 
 	fs := flag.NewFlagSet("shardserver", flag.ExitOnError)
 	listen := fs.String("listen", ":7070", "address to serve the shard protocol on")
-	shards := fs.Int("shards", 0, "dataset shards inside this server's engine (0 = one per core)")
-	workers := fs.Int("workers", 0, "goroutines for shard fan-out (0 = one per core)")
 	csv := fs.String("csv", "", "optional CSV slice to preload (clients then attach with Sync instead of Load)")
 	d := fs.Int("d", 0, "window width for -csv")
 	horizon := fs.Int("horizon", 1, "prediction horizon for -csv")
@@ -51,7 +49,6 @@ func main() {
 	}
 	fs.Parse(os.Args[1:])
 
-	opt := engine.Options{Shards: *shards, Workers: *workers}
 	var srv *remote.Server
 	if *csv != "" {
 		if *d <= 0 {
@@ -61,10 +58,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		srv = remote.NewServerData(ds, opt)
+		srv = remote.NewServerData(ds)
 		log.Printf("preloaded %d patterns from %s (D=%d, horizon=%d)", ds.Len(), *csv, *d, *horizon)
 	} else {
-		srv = remote.NewServer(opt)
+		srv = remote.NewServer(engine.Options{})
 	}
 
 	// Telemetry: per-verb RPC latency/byte histograms plus the engine's

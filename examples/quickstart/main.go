@@ -2,12 +2,11 @@
 // series, inspect a rule, and forecast held-out data — the minimal
 // end-to-end tour of the public forecast API.
 //
-// The engine flags ride along: `quickstart -shards 8` trains through
-// the in-process sharded engine, and `quickstart -remote
+// The engine flags ride along: `quickstart -remote
 // host0:7070,host1:7071` scatters evaluation across shardserver
-// processes — the output is byte-identical in every case, which the
-// CI smoke job exploits by diffing a local run against a distributed
-// one.
+// processes, and `-window n` trains through the in-process engine on
+// the newest n patterns. The distributed output is byte-identical to
+// the local one, which the CI smoke job exploits by diffing the two.
 package main
 
 import (
@@ -23,7 +22,7 @@ import (
 )
 
 func main() {
-	fl := forecast.RegisterFlags(flag.CommandLine) // -shards, -window, -remote
+	fl := forecast.RegisterFlags(flag.CommandLine) // -window, -remote
 	flag.Parse()
 	// 1. A workload: the Mackey-Glass chaotic series, normalized to
 	//    [0,1], split 1000 train / 500 test as in the paper.

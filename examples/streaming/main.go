@@ -3,11 +3,10 @@
 // Mackey-Glass series; the remainder then arrives in chunks. Each
 // round first forecasts the incoming chunk (a true out-of-sample,
 // prequential test), then calls Append: the chunk's patterns join the
-// engine-backed store (routed to the emptiest shard, one index
-// rebuild), the oldest patterns beyond the sliding window are evicted
-// (only the shards that held them are rewritten), and the system
-// retrains on the window through the same engine — learning the new regime as fast as it forgets the
-// old one.
+// engine-backed store, the oldest patterns beyond the sliding window
+// are evicted, and the system retrains on the window through the same
+// engine, whose first match query rebuilds its index once — learning
+// the new regime as fast as it forgets the old one.
 //
 // With -remote host:port,host:port the same loop runs against live
 // shardserver processes: appends scatter to the emptiest server,
@@ -35,7 +34,7 @@ const (
 )
 
 func main() {
-	fl := forecast.RegisterFlags(flag.CommandLine) // -shards, -window, -remote
+	fl := forecast.RegisterFlags(flag.CommandLine) // -window, -remote
 	flag.Parse()
 
 	ctx := context.Background()
@@ -63,14 +62,10 @@ func main() {
 	}
 	// Distributed or in-process store — only the store option differs;
 	// the sliding window setup (and the results) are identical either
-	// way. -shards and -window override the example's
-	// defaults (4 in-process shards, window = prefix).
-	store := forecast.WithEngine(4)
-	switch {
-	case fl.Remote() != nil:
+	// way. -window overrides the example's default window (the prefix).
+	store := forecast.WithEngine(0)
+	if fl.Remote() != nil {
 		store = forecast.WithRemoteCluster(fl.Remote()...)
-	case fl.Enabled():
-		store = forecast.WithEngine(fl.Shards()) // 0 = one shard per core
 	}
 	opts = append(opts,
 		store,
@@ -85,8 +80,7 @@ func main() {
 		log.Fatal(err)
 	}
 	st, _ := f.StoreStats()
-	fmt.Printf("prefix: %d samples → window of %d patterns across %d shards\n",
-		prefix, st.Live, st.Shards)
+	fmt.Printf("prefix: %d samples → window of %d patterns\n", prefix, st.Live)
 
 	totalEvicted := 0
 	for grown, round := prefix, 1; grown < total; round++ {
@@ -118,8 +112,8 @@ func main() {
 		st, _ := f.StoreStats()
 		evicted := before.Live + len(inputs) - st.Live
 		totalEvicted += evicted
-		fmt.Printf("round %d: window %d  +%d new  -%d evicted  live=%d  shards=%d (live %d..%d)  epoch=%d\n",
-			round, window, len(inputs), evicted, st.Live, st.Shards, st.MinLive, st.MaxLive, st.Epoch)
+		fmt.Printf("round %d: window %d  +%d new  -%d evicted  live=%d  epoch=%d\n",
+			round, window, len(inputs), evicted, st.Live, st.Epoch)
 		grown = next
 	}
 

@@ -21,7 +21,7 @@ func TestFitCancelledInstallsBestSoFar(t *testing.T) {
 		WithPopulation(24),
 		WithGenerations(1<<30), // would run ~forever without cancellation
 		WithSeed(13),
-		WithEngine(4),
+		WithEngine(0),
 		// Deterministic trigger: cancel from the first progress
 		// snapshot, while every execution is mid-run.
 		WithProgress(50, func(Progress) bool {
@@ -85,7 +85,7 @@ func TestFitPreCancelledKeepsPreviousSystem(t *testing.T) {
 func TestAppendCancelledKeepsDataMutation(t *testing.T) {
 	ds := sineDataset(t, 300, 3)
 	f, err := New(
-		WithEngine(2),
+		WithEngine(0),
 		WithSlidingWindow(200),
 		WithPopulation(12),
 		WithGenerations(60),

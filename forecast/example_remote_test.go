@@ -19,7 +19,7 @@ import (
 // capacity knob.
 func ExampleWithRemoteCluster() {
 	// Two shard servers — stand-ins for `shardserver -listen …`
-	// processes. Each shards its slice further across 2 local shards.
+	// processes. Each keeps one match index over its slice.
 	addrs := make([]string, 2)
 	for i := range addrs {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -27,7 +27,7 @@ func ExampleWithRemoteCluster() {
 			panic(err)
 		}
 		defer l.Close()
-		go remote.NewServer(engine.Options{Shards: 2}).Serve(context.Background(), l)
+		go remote.NewServer(engine.Options{}).Serve(context.Background(), l)
 		addrs[i] = l.Addr().String()
 	}
 

@@ -98,7 +98,7 @@ func ExampleForecaster_Append() {
 		forecast.WithPopulation(24),
 		forecast.WithGenerations(500),
 		forecast.WithSeed(1),
-		forecast.WithEngine(2), // 2 shards, batched evaluation
+		forecast.WithEngine(0),
 		forecast.WithSlidingWindow(300),
 	)
 	if err != nil {

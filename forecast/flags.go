@@ -6,11 +6,10 @@ import (
 )
 
 // Flags bundles the facade's engine-related CLI knobs so every binary
-// (tsforecast, experiments, the examples) registers
-// -shards/-window/-remote once, with one shared spelling and meaning,
-// instead of each re-declaring and re-interpreting them.
+// (tsforecast, experiments, the examples) registers -window/-remote
+// once, with one shared spelling and meaning, instead of each
+// re-declaring and re-interpreting them.
 type Flags struct {
-	shards *int
 	window *int
 	remote *string
 }
@@ -19,8 +18,6 @@ type Flags struct {
 // to resolve them after parsing.
 func RegisterFlags(fs *flag.FlagSet) *Flags {
 	return &Flags{
-		shards: fs.Int("shards", 0,
-			"training-set shards for the batched evaluation engine (0 = single index, -1 = one per core; ignored with -remote, shard each server instead)"),
 		window: fs.Int("window", 0,
 			"sliding-window cap on live training patterns: older rows are evicted (0 = keep everything; enables the engine)"),
 		remote: fs.String("remote", "",
@@ -28,11 +25,10 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	}
 }
 
-// Enabled reports whether any flag asked for an engine-backed store.
-// -shards 0 alone keeps the sequential single-index path, but
-// -window or -remote each enable a store on their own.
+// Enabled reports whether any flag asked for an engine-backed store:
+// -window or -remote.
 func (f *Flags) Enabled() bool {
-	return *f.shards != 0 || *f.window > 0 || *f.remote != ""
+	return *f.window > 0 || *f.remote != ""
 }
 
 // Remote returns the parsed shardserver addresses, nil when -remote
@@ -50,15 +46,6 @@ func (f *Flags) Remote() []string {
 	return addrs
 }
 
-// Shards resolves the CLI's "-1 = one per core" spelling onto the
-// facade's (0 = one per core).
-func (f *Flags) Shards() int {
-	if n := *f.shards; n > 0 {
-		return n
-	}
-	return 0
-}
-
 // Window returns the requested sliding-window cap (0 = unbounded).
 func (f *Flags) Window() int {
 	if *f.window < 0 {
@@ -69,9 +56,9 @@ func (f *Flags) Window() int {
 
 // Options resolves the parsed flags into facade options: a remote
 // shard-server cluster when -remote is given, otherwise the
-// in-process sharded engine, plus the sliding window when requested.
-// Nil when no flag asked for a store — results are bit-identical
-// either way, the store is purely a capacity knob.
+// in-process engine, plus the sliding window when requested. Nil when
+// no flag asked for a store — results are bit-identical either way,
+// the store is purely a capacity knob.
 func (f *Flags) Options() []Option {
 	if !f.Enabled() {
 		return nil
@@ -83,7 +70,7 @@ func (f *Flags) Options() []Option {
 		// silently training on the in-process engine.
 		opts = []Option{WithRemoteCluster(f.Remote()...)}
 	} else {
-		opts = []Option{WithEngine(f.Shards())}
+		opts = []Option{WithEngine(0)}
 	}
 	if w := f.Window(); w > 0 {
 		opts = append(opts, WithSlidingWindow(w))

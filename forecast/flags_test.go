@@ -21,11 +21,11 @@ func TestFlagsSharedWiring(t *testing.T) {
 	if f := parse(); f.Enabled() || f.Options() != nil {
 		t.Fatal("no flags: engine must stay disabled")
 	}
-	if f := parse("-shards", "8"); !f.Enabled() || f.Shards() != 8 {
-		t.Fatalf("-shards 8: Enabled=%v Shards=%d", f.Enabled(), f.Shards())
-	}
-	if f := parse("-shards", "-1"); !f.Enabled() || f.Shards() != 0 {
-		t.Fatalf("-shards -1 must resolve to the per-core default, got %d", f.Shards())
+	// RegisterFlags defines no shard count.
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	RegisterFlags(fs)
+	if fs.Lookup("shards") != nil {
+		t.Fatal("RegisterFlags defines -shards")
 	}
 	if f := parse("-window", "500"); !f.Enabled() || f.Window() != 500 {
 		t.Fatalf("-window 500: Enabled=%v Window=%d", f.Enabled(), f.Window())
@@ -51,13 +51,9 @@ func TestFlagsSharedWiring(t *testing.T) {
 
 	// The resolved option sets build valid Forecasters.
 	for _, args := range [][]string{
-		{"-shards", "4"},
 		{"-window", "100"},
-		{"-shards", "-1", "-window", "50"},
 		{"-remote", "h0:7070,h1:7071"},
 		{"-remote", "h0:7070", "-window", "100"},
-		// -shards with -remote is documented as ignored, not an error.
-		{"-remote", "h0:7070", "-shards", "8"},
 	} {
 		f := parse(args...)
 		if _, err := New(f.Options()...); err != nil {

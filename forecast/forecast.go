@@ -8,7 +8,7 @@
 //	f, _ := forecast.New(
 //		forecast.WithMultiRun(3),
 //		forecast.WithCoverageTarget(0.95),
-//		forecast.WithEngine(0),       // sharded evaluation, one shard per core
+//		forecast.WithEngine(0),       // a streaming-capable training store
 //	)
 //	err := f.Fit(ctx, train)          // evolve a rule system (cancellable)
 //	v, ok := f.Predict(pattern)       // forecast one pattern (ok=false: abstain)
@@ -19,11 +19,12 @@
 // cancellation promptly: a cancelled Fit returns ctx.Err() with the
 // best-so-far rule system installed, so the Forecaster remains usable.
 //
-// All speed machinery — worker counts, sharding, batching — is
-// configured through options and guaranteed not to change results:
-// for a fixed seed the fitted system is bit-identical at any
-// parallelism or shard count. Only the hyperparameter options (generations,
-// population, EMax, topology) affect what is learned.
+// All speed machinery — worker counts, the training store, shard
+// servers — is configured through options and guaranteed not to
+// change results: for a fixed seed the fitted system is bit-identical
+// at any parallelism or number of shard servers. Only the
+// hyperparameter options (generations, population, EMax, topology)
+// affect what is learned.
 package forecast
 
 import (
@@ -76,9 +77,9 @@ type FitStats struct {
 // StoreStats is a snapshot of the engine-backed training store.
 type StoreStats struct {
 	Live    int    // live training patterns
-	Shards  int    // current shard count
-	MinLive int    // smallest live shard
-	MaxLive int    // largest live shard
+	Shards  int    // store partitions: 1 in process, one per shard server over a cluster
+	MinLive int    // smallest partition's live patterns
+	MaxLive int    // largest partition's live patterns
 	Epoch   uint64 // data epoch (bumped by every mutation)
 }
 
@@ -210,7 +211,7 @@ func (f *Forecaster) Fit(ctx context.Context, ds *Dataset) error {
 		}
 		st = cl
 	case f.s.engine:
-		st = engine.New(ds, engine.Options{Shards: f.s.shards})
+		st = engine.New(ds, engine.Options{})
 		if f.s.telemetry != nil {
 			st.Instrument(f.s.telemetry)
 		}
@@ -384,12 +385,13 @@ func (f *Forecaster) Refit(ctx context.Context) error {
 }
 
 // Append streams new patterns into the training store and retrains on
-// the updated window: the chunk is routed to the emptiest shard (one
-// index rebuild), anything a configured sliding window no longer
-// holds is evicted, and the system refits from scratch: the mutation
-// bumps the data epoch, so no cached evaluation of the old window is
-// reused. Requires WithEngine. Same cancellation contract as Fit; the
-// data mutation itself is not rolled back on cancellation.
+// the updated window: the chunk joins the store, anything a configured
+// sliding window no longer holds is evicted, and the system refits
+// from scratch. The mutations bump the data epoch, so no cached
+// evaluation of the old window is reused, and the refit's first match
+// query rebuilds the in-process index once. Requires WithEngine. Same
+// cancellation contract as Fit; the data mutation itself is not rolled
+// back on cancellation.
 func (f *Forecaster) Append(ctx context.Context, inputs [][]float64, targets []float64) error {
 	if f.eng == nil {
 		if f.data == nil {

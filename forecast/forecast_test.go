@@ -48,7 +48,7 @@ func TestOptionValidation(t *testing.T) {
 		{"migrants vs population", []Option{WithIslands(2, 10, 5), WithPopulation(4)}},
 		{"zero sliding window", []Option{WithSlidingWindow(0)}},
 		{"nil progress", []Option{WithProgress(10, nil)}},
-		{"negative engine shards", []Option{WithEngine(-1)}},
+		{"negative WithEngine argument", []Option{WithEngine(-1)}},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.opts...); !errors.Is(err, ErrOption) {
@@ -110,10 +110,10 @@ func TestFacadeMatchesCoreMultiRun(t *testing.T) {
 	}
 }
 
-// TestFacadeEngineBitIdentical: the sharded engine + shared cache
-// behind the facade must not change results vs the facade's own
-// sequential path — the engine-level property test, re-proved through
-// the public API.
+// TestFacadeEngineBitIdentical: the engine behind the facade (with
+// or without the no-op shared cache) must not change results vs the
+// facade's own sequential path — the engine-level property test,
+// re-proved through the public API.
 func TestFacadeEngineBitIdentical(t *testing.T) {
 	ds := sineDataset(t, 300, 3)
 	run := func(opts ...Option) []byte {
@@ -133,13 +133,11 @@ func TestFacadeEngineBitIdentical(t *testing.T) {
 		return ruleSetBytes(t, f.RuleSet())
 	}
 	sequential := run()
-	for _, shards := range []int{1, 3} {
-		if engined := run(WithEngine(shards)); !bytes.Equal(sequential, engined) {
-			t.Fatalf("WithEngine(%d) changed results", shards)
-		}
-		if shared := run(WithEngine(shards), WithSharedCache()); !bytes.Equal(sequential, shared) {
-			t.Fatalf("WithEngine(%d)+WithSharedCache changed results", shards)
-		}
+	if engined := run(WithEngine(0)); !bytes.Equal(sequential, engined) {
+		t.Fatal("WithEngine changed results")
+	}
+	if shared := run(WithEngine(0), WithSharedCache()); !bytes.Equal(sequential, shared) {
+		t.Fatal("WithEngine+WithSharedCache changed results")
 	}
 }
 
@@ -197,7 +195,7 @@ func TestFacadeStreaming(t *testing.T) {
 	}
 
 	f, err := New(
-		WithEngine(3),
+		WithEngine(0),
 		WithSlidingWindow(window),
 		WithPopulation(16),
 		WithGenerations(120),

@@ -42,7 +42,6 @@ type settings struct {
 
 	engine         bool
 	engineExplicit bool
-	shards         int
 	slidingWin     int
 	remote         []string
 
@@ -93,7 +92,8 @@ func WithPopulation(n int) Option {
 }
 
 // WithSeed fixes the RNG seed. Every run is deterministic for a fixed
-// seed at any parallelism or shard count; the default seed is 1.
+// seed at any parallelism or number of shard servers; the default
+// seed is 1.
 func WithSeed(seed int64) Option {
 	return func(s *settings) error {
 		s.seed = seed
@@ -176,20 +176,19 @@ func WithIslands(n, migrationInterval, migrants int) Option {
 	}
 }
 
-// WithEngine routes every rule evaluation through the sharded,
-// batched evaluation engine: the training set is partitioned into
-// `shards` shards (0 = one per core), whole generations are matched
-// in one scheduling pass, and streaming (Append/Evict) becomes
-// available. A pure speed knob — results are bit-identical to the
-// single-index path at any shard count.
+// WithEngine trains through the lifecycle engine (internal/engine):
+// one match index over a training store that streaming
+// (Append/Evict) can grow and shrink. Results are bit-identical to
+// the plain single-index path. The shards argument is ignored (it
+// stays for perfbench, which passes one) but must not be negative;
+// pass 0.
 func WithEngine(shards int) Option {
 	return func(s *settings) error {
 		if shards < 0 {
-			return fmt.Errorf("%w: WithEngine(%d) must be non-negative (0 = one shard per core)", ErrOption, shards)
+			return fmt.Errorf("%w: WithEngine(%d) must be non-negative", ErrOption, shards)
 		}
 		s.engine = true
 		s.engineExplicit = true
-		s.shards = shards
 		return nil
 	}
 }
@@ -197,7 +196,7 @@ func WithEngine(shards int) Option {
 // WithRemoteCluster routes every rule evaluation through a cluster of
 // shard servers (cmd/shardserver) instead of the in-process engine:
 // Fit scatters the training set across the servers (contiguous
-// slices, mirroring the in-process shard layout), whole generations
+// slices, in row order), whole generations
 // are matched by scatter/gather RPCs, and the streaming verbs
 // (Append/Evict, sliding windows) decompose into per-server
 // mutations. Results are bit-identical to the in-process paths for a
@@ -274,7 +273,7 @@ func (s *settings) validate() error {
 		return fmt.Errorf("%w: WithIslands and WithMultiRun are mutually exclusive", ErrOption)
 	}
 	if len(s.remote) > 0 && s.engineExplicit {
-		return fmt.Errorf("%w: WithRemoteCluster and WithEngine are mutually exclusive (the cluster's servers shard server-side; set -shards on each shardserver)", ErrOption)
+		return fmt.Errorf("%w: WithRemoteCluster and WithEngine are mutually exclusive (the cluster's servers each run an engine over their slice)", ErrOption)
 	}
 	if s.islands != nil && s.popSize > 0 && s.islands.migrants >= s.popSize {
 		return fmt.Errorf("%w: WithIslands migrants %d must be smaller than the population (%d)", ErrOption, s.islands.migrants, s.popSize)

@@ -68,7 +68,7 @@ func startCluster(t *testing.T, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
 	for i := range addrs {
-		addrs[i] = startServer(t, engine.Options{Shards: 2}).addr
+		addrs[i] = startServer(t, engine.Options{}).addr
 	}
 	return addrs
 }
@@ -125,7 +125,7 @@ func TestRemoteFitBitIdenticalToInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	local, err := forecast.New(fitOptions(forecast.WithEngine(4), forecast.WithSlidingWindow(300))...)
+	local, err := forecast.New(fitOptions(forecast.WithEngine(0), forecast.WithSlidingWindow(300))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestRemoteFitDeadServerFailsLoudly(t *testing.T) {
 	}
 
 	// A server dying mid-fit: the first progress snapshot kills one.
-	servers := []*killableServer{startServer(t, engine.Options{Shards: 2}), startServer(t, engine.Options{Shards: 2})}
+	servers := []*killableServer{startServer(t, engine.Options{}), startServer(t, engine.Options{})}
 	var once sync.Once
 	f2, err := forecast.New(
 		forecast.WithPopulation(24),
@@ -279,7 +279,7 @@ func TestWithRemoteClusterValidation(t *testing.T) {
 	if _, err := forecast.New(forecast.WithRemoteCluster("a:1", "")); !errors.Is(err, forecast.ErrOption) {
 		t.Fatalf("blank address: %v", err)
 	}
-	if _, err := forecast.New(forecast.WithRemoteCluster("a:1"), forecast.WithEngine(4)); !errors.Is(err, forecast.ErrOption) {
+	if _, err := forecast.New(forecast.WithRemoteCluster("a:1"), forecast.WithEngine(0)); !errors.Is(err, forecast.ErrOption) {
 		t.Fatalf("remote+engine: %v", err)
 	}
 	if _, err := forecast.New(forecast.WithRemoteCluster("a:1"), forecast.WithSlidingWindow(10)); err != nil {

@@ -25,7 +25,7 @@ func TestWithTelemetryEndToEnd(t *testing.T) {
 	}
 
 	f, err := New(
-		WithEngine(2),
+		WithEngine(0),
 		WithSeed(7),
 		WithGenerations(300),
 		WithTelemetry(reg),

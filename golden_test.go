@@ -63,11 +63,12 @@ type goldenPath struct {
 }
 
 // goldenPaths are the evaluation paths every golden fit runs through:
-// the evaluator's own single index, the sharded engine, and a cluster
-// of two shard servers on loopback TCP.
+// the evaluator's own single index, the lifecycle engine ("engine2",
+// a name kept from when it split the rows in two), and a cluster of
+// two shard servers on loopback TCP.
 var goldenPaths = []goldenPath{
 	{"index", func(*testing.T) []forecast.Option { return nil }},
-	{"engine2", func(*testing.T) []forecast.Option { return []forecast.Option{forecast.WithEngine(2)} }},
+	{"engine2", func(*testing.T) []forecast.Option { return []forecast.Option{forecast.WithEngine(0)} }},
 	{"cluster", func(t *testing.T) []forecast.Option {
 		return []forecast.Option{forecast.WithRemoteCluster(goldenServer(t), goldenServer(t))}
 	}},
@@ -85,7 +86,7 @@ func goldenServer(t *testing.T) string {
 	// Serve returns (with the listener's error) once cleanup closes the
 	// listener; each connection's handler ends when the fit's cluster
 	// hangs up.
-	go remote.NewServer(engine.Options{Shards: 1}).Serve(context.Background(), l)
+	go remote.NewServer(engine.Options{}).Serve(context.Background(), l)
 	return l.Addr().String()
 }
 
@@ -207,9 +208,10 @@ func TestGoldenLorenz(t *testing.T) {
 	}, forecast.WithSeed(7), forecast.WithPopulation(100), forecast.WithGenerations(1000))
 }
 
-// TestGoldenVeniceStream pins a streaming fit: tombstones, compaction
-// and the routed shard's index rebuild on every Append. The single
-// index cannot stream, so only the store-backed paths run it.
+// TestGoldenVeniceStream pins a streaming fit: every Append adds a
+// chunk, the sliding window evicts the oldest rows, and the refit
+// matches against the rebuilt index. The single index cannot stream,
+// so only the store-backed paths run it.
 func TestGoldenVeniceStream(t *testing.T) {
 	s, _, err := series.VenicePaper(1800, 0, 5)
 	if err != nil {
@@ -270,7 +272,7 @@ func checkGoldenCore(t *testing.T, want string, tweak func(*core.Config, *series
 	}{
 		{"index", func(*testing.T, *series.Dataset) core.Backend { return nil }},
 		{"engine2", func(_ *testing.T, ds *series.Dataset) core.Backend {
-			return engine.New(ds, engine.Options{Shards: 2})
+			return engine.New(ds, engine.Options{})
 		}},
 		{"cluster", func(t *testing.T, ds *series.Dataset) core.Backend {
 			c, err := remote.Dial(context.Background(), []string{goldenServer(t), goldenServer(t)}, remote.Options{})

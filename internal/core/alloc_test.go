@@ -14,8 +14,8 @@ import (
 
 // TestEvaluateAllocatesNoMatchedSet guards the pooled match path: a
 // warmed Evaluate of a rule that is not cached matches into the
-// evaluator's scratch, over its own MatchIndex and over a 2-shard
-// engine alike, so it allocates only what escapes into the result and
+// evaluator's scratch, over its own MatchIndex and over the engine
+// alike, so it allocates only what escapes into the result and
 // the cache (its key, fit and entry) — far less than the n×8 bytes of
 // a matched set the size of the dataset.
 func TestEvaluateAllocatesNoMatchedSet(t *testing.T) {
@@ -31,7 +31,7 @@ func TestEvaluateAllocatesNoMatchedSet(t *testing.T) {
 		backend func(*series.Dataset) core.Backend
 	}{
 		{"index", func(*series.Dataset) core.Backend { return nil }},
-		{"engine2", func(ds *series.Dataset) core.Backend { return engine.New(ds, engine.Options{Shards: 2}) }},
+		{"engine2", func(ds *series.Dataset) core.Backend { return engine.New(ds, engine.Options{}) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			v := make([]float64, 4000)

@@ -9,7 +9,7 @@ import (
 
 // Backend is the evaluator's one match path: whatever answers "which
 // training patterns does this rule match". A MatchIndex is the default
-// (every Evaluator given none builds one); the sharded engine in
+// (every Evaluator given none builds one); the lifecycle engine in
 // internal/engine and the remote cluster in internal/remote implement
 // it too. Core stays the single owner of the regression and fitness
 // math, so any backend that returns exact matched sets yields
@@ -34,23 +34,25 @@ type Backend interface {
 	// Evaluator.MatchIndicesScan would.
 	MatchIndices(r *Rule) []int
 
-	// MatchBatch answers one whole generation of rules in a single
-	// scheduling pass; out[i] corresponds to rules[i] and each entry
-	// equals MatchIndices(rules[i]). The context bounds the parallel
-	// fan-out: when it is cancelled the backend must stop scheduling
-	// promptly, leave no goroutine behind, and return — the result is
-	// then incomplete and the caller must discard it (the Evaluator
-	// checks ctx.Err() before using or caching anything).
+	// MatchBatch answers one whole generation of rules in one call
+	// (one round trip over a cluster); out[i] corresponds to rules[i]
+	// and each entry equals MatchIndices(rules[i]). The evaluator
+	// calls it only on a backend without the matchAppender side. When
+	// the context is cancelled the backend must stop promptly, leave
+	// no goroutine behind, and return — the result is then incomplete
+	// and the caller must discard it (the Evaluator checks ctx.Err()
+	// before using or caching anything).
 	MatchBatch(ctx context.Context, rules []*Rule) [][]int
 }
 
 // Store widens Backend into a lifecycle-managed training store: data
 // can leave as well as arrive, so streaming workloads keep a sliding
 // window instead of a grow-only set. Two implementations speak the
-// contract today: the in-process sharded engine (internal/engine) and
-// the distributed scatter/gather client over shard servers
-// (internal/remote), which takes the same shard layout multi-node
-// while staying bit-identical — the evaluator cannot tell them apart.
+// contract today: the in-process engine (internal/engine), one
+// MatchIndex over the store's rows, and the distributed
+// scatter/gather client over shard servers (internal/remote), each
+// server an engine over its slice. Both are bit-identical — the
+// evaluator cannot tell them apart.
 //
 // Every mutation that changes the store must bump Epoch before it
 // returns. Evaluation-cache keys embed the epoch, so a result computed
@@ -105,10 +107,12 @@ type BackendCtx interface {
 // matched set into the caller's buffer: AppendMatches(dst, r) appends
 // exactly MatchIndices(r) to dst. The Evaluator asserts it once at
 // construction and then matches into its pooled scratch, so a
-// steady-state evaluation allocates no matched set. MatchIndex and the
-// sharded engine implement it. It is not part of Backend: a wrapper
-// that embeds a Backend or Store to time or replay its match calls
-// must not have the method promoted past it.
+// steady-state evaluation allocates no matched set, and EvaluateAll
+// matches each rule on the worker that regresses it instead of calling
+// MatchBatch. MatchIndex and the engine implement it; the remote
+// cluster, whose batch is one round trip, does not. It is not part of
+// Backend: a wrapper that embeds a Backend or Store to time or replay
+// its match calls must not have the method promoted past it.
 type matchAppender interface {
 	AppendMatches(dst []int, r *Rule) []int
 }

@@ -24,7 +24,7 @@ import (
 // the evaluator.
 //
 // Every match query goes through one Backend: a MatchIndex by default,
-// or the sharded engine (internal/engine) or remote cluster
+// or the lifecycle engine (internal/engine) or remote cluster
 // (internal/remote). Each returns exact matched sets, and all
 // regression/fitness math lives here, so every backend yields
 // bit-identical evaluations.
@@ -41,13 +41,13 @@ type Evaluator struct {
 	backendCtx BackendCtx
 	health     BackendHealth
 	// appender caches the backend's matchAppender side the same way:
-	// a backend that can append a matched set into the evaluator's
-	// pooled buffer instead of allocating one.
+	// an in-process backend that can append a matched set into the
+	// evaluator's pooled buffer instead of allocating one. Batching
+	// buys such a backend nothing, so EvaluateAll matches each rule on
+	// the worker that regresses it.
 	appender matchAppender
-	// local is the backend when it is an in-process MatchIndex.
-	// Batching buys an index nothing, so EvaluateAll matches each rule
-	// on the worker that regresses it, and Evaluate's scan fallback
-	// fans out over workers.
+	// local is the backend when it is an evaluator-owned or shared
+	// MatchIndex; Evaluate's scan fallback then fans out over workers.
 	local *MatchIndex
 	cache *ResultCache
 	// sets holds matched sets whose evaluation is not cached — fetched
@@ -85,10 +85,9 @@ type Evaluator struct {
 type EvalOptions struct {
 	// Backend answers every match query: a MatchIndex shared by the
 	// callers that evaluate one dataset many times (multi-run,
-	// islands), the sharded engine or the
-	// remote cluster. Nil, or a backend whose Data() is not the
-	// evaluator's dataset, makes the evaluator build its own
-	// MatchIndex.
+	// islands), the lifecycle engine or the remote cluster. Nil, or a
+	// backend whose Data() is not the evaluator's dataset, makes the
+	// evaluator build its own MatchIndex.
 	Backend Backend
 	// Cache replaces the evaluator's own result cache. Only the
 	// end-to-end benchmark (perfbench) sets it, sharing one cache
@@ -634,13 +633,14 @@ func (e *Evaluator) CacheStats() (hits, misses int) { return e.cache.Stats() }
 // EvaluateAll evaluates a whole generation of rules in one scheduling
 // pass: signatures are deduplicated first (offspring that collapsed to
 // the same conditional part are computed once), cache hits are peeled
-// off, and the surviving unique rules go to Backend.MatchBatch, which
-// answers them all in one call (one walk of each engine shard, one
-// cluster round trip). Consequent regressions then run in parallel
-// across rules. An in-process MatchIndex gains nothing from batching,
-// so there each worker matches its rule just before regressing it, and
-// matching runs in parallel too. Results are bit-identical to calling
-// Evaluate on each rule in order, so scheduling cannot change outcomes.
+// off, and the surviving unique rules are matched and regressed in
+// parallel across rules. An in-process backend (a MatchIndex or the
+// engine, which append matched sets into the caller's buffer) gains
+// nothing from batching, so each worker matches its rule just before
+// regressing it. Any other backend answers the rules in one
+// Backend.MatchBatch call (one cluster round trip) before the
+// regressions start. Results are bit-identical to calling Evaluate on
+// each rule in order, so scheduling cannot change outcomes.
 //
 // Cancellation discards the batch: a MatchBatch cut short by the
 // context returns incomplete matched sets, so nothing from a cancelled
@@ -677,7 +677,7 @@ func (e *Evaluator) EvaluateAll(ctx context.Context, rules []*Rule) error {
 	}
 	if len(work) > 0 {
 		var matched [][]int
-		if e.local == nil {
+		if e.appender == nil {
 			matched = e.backend.MatchBatch(ctx, work)
 		}
 		if err := ctx.Err(); err != nil {
@@ -697,8 +697,8 @@ func (e *Evaluator) EvaluateAll(ctx context.Context, rules []*Rule) error {
 			fs := fitScratchPool.Get().(*fitScratch)
 			defer fitScratchPool.Put(fs)
 			var idx []int
-			if e.local != nil {
-				fs.idx = e.local.appendMatches(fs.idx[:0], work[i], 1)
+			if e.appender != nil {
+				fs.idx = e.appender.AppendMatches(fs.idx[:0], work[i])
 				idx = fs.idx
 			} else {
 				idx = matched[i]

@@ -39,8 +39,8 @@ import (
 // concurrent use. It is the default Backend: an Evaluator given none
 // builds one, and setting Runtime.Backend to one shares it across every
 // Execution, island and experiment run over the same dataset. The
-// sharded evaluation engine (internal/engine) builds one MatchIndex per
-// shard.
+// lifecycle engine (internal/engine) rebuilds one after each burst of
+// mutations.
 type MatchIndex struct {
 	data    *series.Dataset
 	n       int       // patterns indexed
@@ -174,8 +174,8 @@ func (ix *MatchIndex) AppendMatches(dst []int, r *Rule) []int { return ix.append
 // appendMatches is AppendMatches with the fallback scan spread over
 // workers goroutines (0 = GOMAXPROCS).
 func (ix *MatchIndex) appendMatches(dst []int, r *Rule, workers int) []int {
-	sc := matchScratchPool.Get().(*MatchScratch)
-	out, ok := ix.LookupInto(dst, r, sc)
+	sc := matchScratchPool.Get().(*matchScratch)
+	out, ok := ix.lookupInto(dst, r, sc)
 	matchScratchPool.Put(sc)
 	if ok {
 		return out
@@ -186,7 +186,8 @@ func (ix *MatchIndex) appendMatches(dst []int, r *Rule, workers int) []int {
 // MatchBatch answers the rules one after another, checking ctx between
 // them; a cancelled batch is incomplete and the caller discards it.
 // An Evaluator over an index does not call it: its EvaluateAll matches
-// each rule on the worker that regresses it.
+// each rule on the worker that regresses it. A shard server answers its
+// batch RPCs through it (via engine.Engine.MatchBatch).
 func (ix *MatchIndex) MatchBatch(ctx context.Context, rules []*Rule) [][]int {
 	out := make([][]int, len(rules))
 	for i, r := range rules {
@@ -255,29 +256,28 @@ type geneSpan struct {
 	j, lo, hi int
 }
 
-// MatchScratch is the reusable per-worker scratch of a lookup: the
+// matchScratch is the reusable per-worker scratch of a lookup: the
 // rule's accumulating bitmap, the gene spans, and the rows a gene's
 // end fix-ups must carry across an AND. The zero value is ready to
 // use; buffers grow on demand, are retained across calls, and are
 // fully rewritten by every lookup, so one scratch serves indexes of
-// any size. A MatchScratch must not be used concurrently.
-type MatchScratch struct {
+// any size. A matchScratch must not be used concurrently.
+type matchScratch struct {
 	acc   []uint64
 	keep  []int32
 	genes []geneSpan
 }
 
-// matchScratchPool recycles scratch across AppendMatches calls; the
-// sharded engine keeps one MatchScratch per pooled shard walk instead.
-var matchScratchPool = sync.Pool{New: func() any { return new(MatchScratch) }}
+// matchScratchPool recycles scratch across AppendMatches calls.
+var matchScratchPool = sync.Pool{New: func() any { return new(matchScratch) }}
 
-// LookupInto appends the rule's matched pattern indices to dst in
+// lookupInto appends the rule's matched pattern indices to dst in
 // ascending order through caller-owned scratch. dst grows at most
 // once, by the exact result size. ok=false means the index cannot
 // answer (the data is NaN-degenerate or a gene has a NaN bound) and
 // the caller must scan, which returns the identical set; dst is then
 // returned unchanged.
-func (ix *MatchIndex) LookupInto(dst []int, r *Rule, sc *MatchScratch) (out []int, ok bool) {
+func (ix *MatchIndex) lookupInto(dst []int, r *Rule, sc *matchScratch) (out []int, ok bool) {
 	if ix.degenerate {
 		return dst, false
 	}
@@ -384,7 +384,7 @@ func (ix *MatchIndex) initGene(acc []uint64, g geneSpan) {
 // corrections. Rows the corrections add lie outside the bucket
 // difference: those still in acc are saved before the word pass and
 // restored after it.
-func (ix *MatchIndex) andGene(acc []uint64, g geneSpan, sc *MatchScratch) bool {
+func (ix *MatchIndex) andGene(acc []uint64, g geneSpan, sc *matchScratch) bool {
 	b, c, add1, add2, drop1, drop2 := ix.geneParts(g)
 	keep := keepRows(sc.keep[:0], acc, add1)
 	keep = keepRows(keep, acc, add2)

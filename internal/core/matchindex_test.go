@@ -59,8 +59,8 @@ func TestMatchIndexInvertedInterval(t *testing.T) {
 	// Contains is false everywhere, so the engine must return nil —
 	// and not panic on an inverted candidate range.
 	r := NewRule([]Interval{{Lo: 0.5, Hi: -0.5}, Wild(), Wild()})
-	if got, ok := ix.LookupInto(nil, r, new(MatchScratch)); !ok || got != nil {
-		t.Fatalf("inverted interval: LookupInto = %v, %v; want nil, true", got, ok)
+	if got, ok := ix.lookupInto(nil, r, new(matchScratch)); !ok || got != nil {
+		t.Fatalf("inverted interval: lookupInto = %v, %v; want nil, true", got, ok)
 	}
 }
 
@@ -182,8 +182,8 @@ func TestEvalCacheBounded(t *testing.T) {
 // own does — identical perm and pre, bitwise-identical vals — on
 // windowed Venice data, spaced lags (WindowEmbed), tie-heavy integer
 // series, ±0 and ±Inf values, NaN data, n = 0, n = 1, n < step, D = 1,
-// and datasets stitched the way the engine's lifecycle leaves a
-// shard: window-trimmed prefixes followed by appended chunks, at seams
+// and datasets stitched the way the engine's lifecycle leaves its
+// rows: window-trimmed prefixes followed by appended chunks, at seams
 // that continue the series and at seams that do not.
 func TestPropertyIndexBuildMatchesReference(t *testing.T) {
 	check := func(name string, ds *series.Dataset) bool {
@@ -215,7 +215,7 @@ func TestPropertyIndexBuildMatchesReference(t *testing.T) {
 	negZero, inf := math.Copysign(0, -1), math.Inf(1)
 	signed := []float64{0, negZero, inf, -inf, 0, 1, negZero, -inf, inf, 0, negZero, negZero, 0, -1, inf, 0}
 	check("±0 and ±Inf", embed(signed, 3, 1))
-	check("n = 0", &series.Dataset{D: 3, Horizon: 1}) // a shard a window emptied
+	check("n = 0", &series.Dataset{D: 3, Horizon: 1}) // a store a window emptied
 	check("n = 1", embed([]float64{2, 1, 3}, 2, 1))
 	check("n < step", embed([]float64{3, 1, 4, 1, 5, 9, 2, 6, 5}, 4, 1))
 	check("D = 1", embed([]float64{5, 3, 5, 3, 1, 0, 1}, 1, 1))
@@ -248,12 +248,12 @@ func TestPropertyIndexBuildMatchesReference(t *testing.T) {
 		if !check("window", whole) || !check("spaced", embed(values(n+(d-1)*spacing+1), d, spacing)) {
 			return false
 		}
-		// A shard's life: a trimmed prefix of the window, then chunks
+		// A store's life: a trimmed prefix of the window, then chunks
 		// that either continue the series or come from elsewhere.
-		shard := &series.Dataset{D: d, Horizon: 1}
+		rows := &series.Dataset{D: d, Horizon: 1}
 		keep := src.Intn(whole.Len())
-		shard.Inputs = append(shard.Inputs, whole.Inputs[keep:]...)
-		shard.Targets = append(shard.Targets, whole.Targets[keep:]...)
+		rows.Inputs = append(rows.Inputs, whole.Inputs[keep:]...)
+		rows.Targets = append(rows.Targets, whole.Targets[keep:]...)
 		for c := src.Intn(4); c > 0; c-- {
 			chunk := whole
 			if src.Bool(0.5) {
@@ -261,10 +261,10 @@ func TestPropertyIndexBuildMatchesReference(t *testing.T) {
 			}
 			from := src.Intn(chunk.Len())
 			to := from + 1 + src.Intn(chunk.Len()-from)
-			shard.Inputs = append(shard.Inputs, chunk.Inputs[from:to]...)
-			shard.Targets = append(shard.Targets, chunk.Targets[from:to]...)
+			rows.Inputs = append(rows.Inputs, chunk.Inputs[from:to]...)
+			rows.Targets = append(rows.Targets, chunk.Targets[from:to]...)
 		}
-		return check("stitched", shard)
+		return check("stitched", rows)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -314,7 +314,7 @@ func FuzzMatchIndex(f *testing.F) {
 		if err := diffIndex(ix, referenceMatchIndex(ds)); err != nil {
 			t.Fatalf("index over %d patterns, D=%d: %v", ds.Len(), dd, err)
 		}
-		var sc MatchScratch
+		var sc matchScratch
 		for k := 0; k < 32 && len(genes) >= 3*dd; k++ {
 			cond := make([]Interval, dd)
 			nanBound := false
@@ -336,7 +336,7 @@ func FuzzMatchIndex(f *testing.F) {
 					want = append(want, i)
 				}
 			}
-			got, ok := ix.LookupInto(nil, r, &sc)
+			got, ok := ix.lookupInto(nil, r, &sc)
 			if !ok {
 				if !nan && !nanBound {
 					t.Fatalf("lookup declined a rule on clean data: %v", cond)

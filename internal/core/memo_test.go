@@ -178,7 +178,7 @@ func TestSetMemoEpoch(t *testing.T) {
 	t.Run("append", func(t *testing.T) {
 		ds := veniceSet(t, 1, 0, 0)
 		lo, hi = ds.Inputs[0][0]-0.1, ds.Inputs[0][0]+0.1
-		eng := engine.New(ds, engine.Options{Shards: 2})
+		eng := engine.New(ds, engine.Options{})
 		more := veniceSet(t, 1, 0, 0)
 		check(t, ds, eng, func() {
 			if err := eng.Append(more.Inputs[:70], more.Targets[:70]); err != nil {

@@ -104,8 +104,8 @@ func TestPropertyFitnessMonotone(t *testing.T) {
 }
 
 // indexSizes are dataset sizes around the rank index's word (64) and
-// bucket (step = max(8, n/64)) boundaries, plus the two Venice-like
-// shard sizes 466 and 2,988.
+// bucket (step = max(8, n/64)) boundaries, plus the Venice-like sizes
+// 466 and 2,988.
 var indexSizes = []int{1, 7, 63, 64, 65, 127, 129, 466, 2988}
 
 // Property: the indexed match engine is extensionally equal to the
@@ -115,10 +115,10 @@ var indexSizes = []int{1, 7, 63, 64, 65, 127, 129, 466, 2988}
 // and rules with wildcards, unselective, inverted, ±Inf and NaN bounds
 // and all-wildcard conditions — through the evaluator's own
 // MatchIndex backend (MatchIndices, and MatchBatch whole and cancelled
-// mid-batch) and LookupInto. One scratch is reused across every index,
+// mid-batch) and lookupInto. One scratch is reused across every index,
 // whatever its size.
 func TestPropertyIndexedMatchEquivalence(t *testing.T) {
-	var sc MatchScratch
+	var sc matchScratch
 	var reuse []int
 	f := func(seed int64) bool {
 		src := rng.New(seed)
@@ -184,7 +184,7 @@ func TestPropertyIndexedMatchEquivalence(t *testing.T) {
 				return false
 			}
 			rules, wants = append(rules, r), append(wants, naive)
-			if got, ok := ix.LookupInto(reuse[:0], r, &sc); ok {
+			if got, ok := ix.lookupInto(reuse[:0], r, &sc); ok {
 				if !intSlicesEqual(got, naive) {
 					return false
 				}
@@ -310,7 +310,7 @@ func TestPropertyEvaluateConsistency(t *testing.T) {
 // the edges of the float range (values and bounds near ±1e308, and
 // subnormals). Identity is exact: same indices, same order, nil for
 // empty — for the evaluator's backend, the index's own MatchIndices
-// and MatchBatch (whole and cancelled mid-batch), and LookupInto.
+// and MatchBatch (whole and cancelled mid-batch), and lookupInto.
 func TestPropertyIndexNaNEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		src := rng.New(seed)
@@ -336,7 +336,7 @@ func TestPropertyIndexNaNEquivalence(t *testing.T) {
 		}
 		ix := NewMatchIndex(ds)
 		ev := NewEvaluator(ds, 0.8, -5, 1e-8, 1, EvalOptions{})
-		sc := matchScratchPool.Get().(*MatchScratch)
+		sc := matchScratchPool.Get().(*matchScratch)
 		defer matchScratchPool.Put(sc)
 		var reuse []int
 		var rules []*Rule
@@ -368,7 +368,7 @@ func TestPropertyIndexNaNEquivalence(t *testing.T) {
 			// buffers across rules (sc and reuse carry state between
 			// trials on purpose). Into appends to caller storage, so
 			// only values are compared, not nil-ness.
-			if got, ok := ix.LookupInto(reuse[:0], r, sc); ok {
+			if got, ok := ix.lookupInto(reuse[:0], r, sc); ok {
 				if !intSlicesEqual(got, naive) {
 					return false
 				}
@@ -382,7 +382,7 @@ func TestPropertyIndexNaNEquivalence(t *testing.T) {
 	}
 }
 
-// Property: LookupInto over a dirty pooled scratch and a reused
+// Property: lookupInto over a dirty pooled scratch and a reused
 // destination reproduces its answer over fresh scratch exactly on
 // clean data, for every rule and for every one-gene restriction of it
 // (each gene's rank range taken alone).
@@ -400,15 +400,15 @@ func TestPropertyLookupScratchEquivalence(t *testing.T) {
 			return true
 		}
 		ix := NewMatchIndex(ds)
-		sc := matchScratchPool.Get().(*MatchScratch)
+		sc := matchScratchPool.Get().(*matchScratch)
 		defer matchScratchPool.Put(sc)
 		var reuse []int
 		check := func(r *Rule) bool {
-			want, ok := ix.LookupInto(nil, r, new(MatchScratch))
+			want, ok := ix.lookupInto(nil, r, new(matchScratch))
 			if !ok {
 				return false // clean data, finite bounds: always answerable
 			}
-			got, _ := ix.LookupInto(reuse[:0], r, sc)
+			got, _ := ix.lookupInto(reuse[:0], r, sc)
 			reuse = got
 			return intSlicesEqual(got, want)
 		}

@@ -21,10 +21,11 @@ type Runtime struct {
 	// Backend answers every match query of the run. Nil — or a backend
 	// built over a different dataset — makes each execution build its
 	// own MatchIndex; a shared *MatchIndex spares executions over the
-	// same dataset (multi-run waves, islands) that build, and the
-	// sharded engine (internal/engine) or remote cluster
-	// (internal/remote) spread the queries over shards. Every backend
-	// returns exact matched sets, so results are bit-identical.
+	// same dataset (multi-run waves, islands) that build, the engine
+	// (internal/engine) keeps one over a dataset that streaming grows
+	// and shrinks, and the remote cluster (internal/remote) spreads the
+	// queries over shard servers. Every backend returns exact matched
+	// sets, so results are bit-identical.
 	//
 	// A backend may additionally be a lifecycle-managed Store
 	// (appends, deletes, sliding windows). Every mutation bumps the

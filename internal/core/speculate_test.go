@@ -55,8 +55,8 @@ var specPaths = []specPath{
 func loopbackCluster(t *testing.T, ds *series.Dataset) (*remote.Cluster, []*remote.Loopback) {
 	t.Helper()
 	loops := []*remote.Loopback{
-		remote.NewLoopback(remote.NewServer(engine.Options{Shards: 1})),
-		remote.NewLoopback(remote.NewServer(engine.Options{Shards: 2})),
+		remote.NewLoopback(remote.NewServer(engine.Options{})),
+		remote.NewLoopback(remote.NewServer(engine.Options{})),
 	}
 	c, err := remote.NewCluster([]remote.Dialer{loops[0], loops[1]}, remote.Options{})
 	if err != nil {
@@ -78,7 +78,7 @@ func (p specPath) wire(t *testing.T, cfg *core.Config) *series.Dataset {
 	case "ctxindex":
 		cfg.Runtime.Backend = core.NewCtxIndex(ds)
 	case "engine":
-		eng := engine.New(ds, engine.Options{Shards: 2})
+		eng := engine.New(ds, engine.Options{})
 		cfg.Runtime.Backend, cfg.Runtime.Cache = eng, eng.Cache()
 		return eng.Data()
 	case "cluster":

@@ -29,11 +29,11 @@ func windowTail(values []float64, d, horizon, oldLen int) ([][]float64, []float6
 	return inputs, targets
 }
 
-// TestAppendMatchesRebuild is the acceptance criterion: after a
-// stream of appends, (a) only the routed shard's index was rebuilt,
-// (b) every shard index is identical to a from-scratch build over its
-// patterns, and (c) matched sets equal a fresh sequential evaluator
-// over the grown dataset.
+// TestAppendMatchesRebuild: after a stream of appends, (a) the index
+// is rebuilt by the first query after each append and reused by the
+// queries after it, (b) it is identical to a from-scratch build over
+// the grown dataset, and (c) matched sets equal a fresh sequential
+// evaluator over the grown dataset.
 func TestAppendMatchesRebuild(t *testing.T) {
 	const d, horizon = 3, 1
 	src := rng.New(5)
@@ -48,48 +48,26 @@ func TestAppendMatchesRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(ds, Options{Shards: 4, Workers: 1})
+	s := New(ds, Options{})
 
 	grown := prefix
 	for _, chunk := range []int{50, 80, 70} {
 		inputs, targets := windowTail(values[:grown+chunk], d, horizon, grown)
 		grown += chunk
 
-		before := make([]*core.MatchIndex, s.P())
-		for i, sh := range s.parts {
-			before[i] = sh.idx
-		}
-		sizes := shardSizes(s)
-		smallest := 0
-		for i, n := range sizes {
-			if n < sizes[smallest] {
-				smallest = i
-			}
-		}
+		before := s.index()
 		if err := s.Append(inputs, targets); err != nil {
 			t.Fatal(err)
 		}
-
-		rebuilt := 0
-		for i, sh := range s.parts {
-			if sh.idx != before[i] {
-				rebuilt++
-				if i != smallest {
-					t.Fatalf("append rebuilt shard %d, want smallest shard %d", i, smallest)
-				}
-			}
+		after := s.index()
+		if after == before {
+			t.Fatal("append kept the index built over the old rows")
 		}
-		if rebuilt != 1 {
-			t.Fatalf("append rebuilt %d shard indexes, want exactly 1", rebuilt)
+		if s.index() != after {
+			t.Fatal("a second query after one append rebuilt the index again")
 		}
-
-		// Every shard index — rebuilt or untouched — must be
-		// indistinguishable from a from-scratch build over the
-		// shard's patterns.
-		for i, sh := range s.parts {
-			if fresh := core.NewMatchIndex(sh.data); !reflect.DeepEqual(sh.idx, fresh) {
-				t.Fatalf("after append, shard %d index differs from a from-scratch rebuild", i)
-			}
+		if fresh := core.NewMatchIndex(ds); !reflect.DeepEqual(after, fresh) {
+			t.Fatal("after append, the index differs from a from-scratch build")
 		}
 	}
 
@@ -104,8 +82,6 @@ func TestAppendMatchesRebuild(t *testing.T) {
 		t.Fatalf("grown dataset has %d patterns, a fresh window %d", ds.Len(), want.Len())
 	}
 
-	// The appended chunks interleave the shards' global rows, so the
-	// merge must interleave their runs, in both query paths.
 	ref := core.NewEvaluator(ds, 0.5, 0, 1e-8, 1, core.EvalOptions{})
 	rules := randomRules(ds, 40, 3)
 	batched := s.MatchBatch(context.Background(), rules)
@@ -134,7 +110,7 @@ func TestAppendInvalidatesCachedResults(t *testing.T) {
 	// A rule matching everything: its matched count is exactly the
 	// dataset size, making staleness directly observable.
 	all := core.NewRule([]core.Interval{core.Wild(), core.Wild(), core.Wild()})
-	eng := New(ds, Options{Shards: 3})
+	eng := New(ds, Options{})
 	ev := core.NewEvaluator(ds, 0.5, 0, 1e-8, 1, core.EvalOptions{Backend: eng})
 
 	r := all.Clone()

@@ -9,10 +9,10 @@ import (
 	"repro/internal/core"
 )
 
-// Cancellation semantics of the batch fan-out: a cancelled context
-// stops the scheduling passes promptly, every fan-out goroutine
-// drains before MatchBatch returns, and nothing from a cancelled
-// batch is ever cached or applied. CI runs these under -race.
+// Cancellation semantics of a batch: a cancelled context stops
+// MatchBatch between rules, no goroutine outlives the call, and
+// nothing from a cancelled batch is ever cached or applied. CI runs
+// these under -race.
 
 // settleGoroutines waits for the goroutine count to return to (or
 // below) the baseline, failing the test if it never does.
@@ -29,7 +29,7 @@ func settleGoroutines(t *testing.T, baseline int) {
 
 func TestMatchBatchPreCancelledLeavesNoGoroutines(t *testing.T) {
 	ds := testDataset(t, 4096, 4, false)
-	eng := New(ds, Options{Shards: 4, Workers: 4})
+	eng := New(ds, Options{})
 	rules := randomRules(ds, 64, 1)
 
 	baseline := runtime.NumGoroutine()
@@ -53,7 +53,7 @@ func TestMatchBatchPreCancelledLeavesNoGoroutines(t *testing.T) {
 
 func TestMatchBatchCancelledMidwayLeavesNoGoroutines(t *testing.T) {
 	ds := testDataset(t, 8192, 4, false)
-	eng := New(ds, Options{Shards: 8, Workers: 4})
+	eng := New(ds, Options{})
 	rules := randomRules(ds, 256, 2)
 
 	baseline := runtime.NumGoroutine()
@@ -79,7 +79,7 @@ func TestMatchBatchCancelledMidwayLeavesNoGoroutines(t *testing.T) {
 // in the evaluator's cache.
 func TestEvaluateBatchCancelledDiscardsEverything(t *testing.T) {
 	ds := testDataset(t, 2048, 3, false)
-	eng := New(ds, Options{Shards: 4, Workers: 2})
+	eng := New(ds, Options{})
 	ev := core.NewEvaluator(ds, 0.5, 0, 1e-8, 2, core.EvalOptions{Backend: eng})
 
 	rules := randomRules(ds, 32, 3)

@@ -82,31 +82,22 @@ func intsEqual(a, b []int) bool {
 	return true
 }
 
-// shardSizes returns every shard's row count.
-func shardSizes(s *Engine) []int {
-	var sizes []int
-	for _, sh := range s.parts {
-		sizes = append(sizes, sh.data.Len())
-	}
-	return sizes
-}
-
-func TestShardsPartitionCoversDataset(t *testing.T) {
+// TestEngineIgnoresShardCount: the deprecated Shards option, whatever
+// its value, builds the same one-partition store over every row.
+func TestEngineIgnoresShardCount(t *testing.T) {
 	ds := testDataset(t, 200, 4, false)
-	for _, p := range []int{1, 2, 3, 7, 1000} {
-		s := New(ds, Options{Shards: p, Workers: 1})
-		total := 0
-		for _, size := range shardSizes(s) {
-			if size == 0 {
-				t.Fatalf("p=%d: empty shard in %v", p, shardSizes(s))
+	rules := randomRules(ds, 20, 3)
+	ref := New(ds, Options{})
+	for _, p := range []int{-5, 0, 1, 7, 1000} {
+		s := New(ds, Options{Shards: p})
+		if lo, hi := s.LiveSpread(); s.P() != 1 || lo != ds.Len() || hi != ds.Len() || s.LiveLen() != ds.Len() {
+			t.Fatalf("Shards=%d: P=%d spread=(%d,%d) live=%d, want one partition of %d rows",
+				p, s.P(), lo, hi, s.LiveLen(), ds.Len())
+		}
+		for ri, r := range rules {
+			if got, want := s.MatchIndices(r), ref.MatchIndices(r); !intsEqual(got, want) {
+				t.Fatalf("Shards=%d rule %d: matched %v, want %v", p, ri, got, want)
 			}
-			total += size
-		}
-		if total != ds.Len() {
-			t.Fatalf("p=%d: shards cover %d patterns, want %d", p, total, ds.Len())
-		}
-		if p >= ds.Len() && s.P() != ds.Len() {
-			t.Fatalf("p=%d not clamped: got %d shards for %d patterns", p, s.P(), ds.Len())
 		}
 	}
 }
@@ -115,14 +106,11 @@ func TestMatchIndicesEqualsSequential(t *testing.T) {
 	for _, nan := range []bool{false, true} {
 		ds := testDataset(t, 300, 4, nan)
 		ref := core.NewEvaluator(ds, 0.2, 0, 1e-8, 1, core.EvalOptions{})
-		rules := randomRules(ds, 60, 11)
-		for _, p := range []int{1, 2, 5} {
-			s := New(ds, Options{Shards: p})
-			for ri, r := range rules {
-				want := ref.MatchIndicesScan(r)
-				if got := s.MatchIndices(r); !intsEqual(got, want) {
-					t.Fatalf("nan=%v p=%d rule %d: shards matched %v, scan %v", nan, p, ri, got, want)
-				}
+		s := New(ds, Options{})
+		for ri, r := range randomRules(ds, 60, 11) {
+			want := ref.MatchIndicesScan(r)
+			if got := s.MatchIndices(r); !intsEqual(got, want) {
+				t.Fatalf("nan=%v rule %d: engine matched %v, scan %v", nan, ri, got, want)
 			}
 		}
 	}
@@ -132,16 +120,14 @@ func TestMatchBatchEqualsMatchIndices(t *testing.T) {
 	for _, nan := range []bool{false, true} {
 		ds := testDataset(t, 300, 4, nan)
 		rules := randomRules(ds, 50, 23)
-		for _, p := range []int{1, 3, 8} {
-			s := New(ds, Options{Shards: p})
-			batch := s.MatchBatch(context.Background(), rules)
-			if len(batch) != len(rules) {
-				t.Fatalf("MatchBatch returned %d results for %d rules", len(batch), len(rules))
-			}
-			for ri, r := range rules {
-				if want := s.MatchIndices(r); !intsEqual(batch[ri], want) {
-					t.Fatalf("nan=%v p=%d rule %d: batch %v, single %v", nan, p, ri, batch[ri], want)
-				}
+		s := New(ds, Options{})
+		batch := s.MatchBatch(context.Background(), rules)
+		if len(batch) != len(rules) {
+			t.Fatalf("MatchBatch returned %d results for %d rules", len(batch), len(rules))
+		}
+		for ri, r := range rules {
+			if want := s.MatchIndices(r); !intsEqual(batch[ri], want) {
+				t.Fatalf("nan=%v rule %d: batch %v, single %v", nan, ri, batch[ri], want)
 			}
 		}
 	}
@@ -152,7 +138,7 @@ func TestMatchBatchEqualsMatchIndices(t *testing.T) {
 // never the one the engine holds for perfbench.
 func TestEngineBackendKeepsOwnCache(t *testing.T) {
 	ds := testDataset(t, 200, 3, false)
-	eng := New(ds, Options{Shards: 3})
+	eng := New(ds, Options{})
 	cfg := core.Default(3)
 	cfg.Runtime.Backend = eng
 	cfg.Generations = 30
@@ -180,7 +166,7 @@ func TestEngineBackendKeepsOwnCache(t *testing.T) {
 func TestEvaluatorRejectsForeignEngine(t *testing.T) {
 	dsA := testDataset(t, 200, 3, false)
 	dsB := testDataset(t, 260, 3, false)
-	eng := New(dsB, Options{Shards: 2})
+	eng := New(dsB, Options{})
 	cache := core.NewResultCache()
 	ev := core.NewEvaluator(dsA, 1.0, 0, 1e-8, 1,
 		core.EvalOptions{Backend: eng, Cache: cache})
@@ -209,7 +195,7 @@ func TestEvaluatorRejectsCacheWithoutBackend(t *testing.T) {
 func TestAppendValidation(t *testing.T) {
 	ds := testDataset(t, 100, 3, false)
 	n0 := ds.Len()
-	eng := New(ds, Options{Shards: 2})
+	eng := New(ds, Options{})
 	if err := eng.Append([][]float64{{1, 2}}, []float64{0}); err == nil {
 		t.Fatal("Append accepted a pattern of the wrong width")
 	}

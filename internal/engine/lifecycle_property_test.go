@@ -13,7 +13,7 @@ import (
 
 // naiveStore is the reference model of the lifecycle-managed store: a
 // flat list of live rows in insertion order, rebuilt from scratch on
-// every mutation. The engine — any shard count, any worker count, any
+// every mutation. The engine — any worker count, any
 // append/delete/window interleaving — must be
 // bit-identical to a sequential evaluator over exactly these rows.
 type naiveStore struct {
@@ -107,14 +107,6 @@ func checkLiveState(t *testing.T, step string, eng *Engine, m *naiveStore) {
 			t.Fatalf("%s: live row %d has id %d, model says %d", step, k, eng.Data().IDs[g], m.ids[k])
 		}
 	}
-	// Shard bookkeeping must cover exactly the rows.
-	rows := 0
-	for _, n := range shardSizes(eng) {
-		rows += n
-	}
-	if rows != eng.Data().Len() {
-		t.Fatalf("%s: shards cover %d rows, Data() holds %d", step, rows, eng.Data().Len())
-	}
 }
 
 // checkEvalEquivalence asserts engine evaluations (per-rule and
@@ -160,12 +152,12 @@ func checkEvalEquivalence(t *testing.T, step string, eng *Engine, ev *core.Evalu
 // driveLifecycle runs one random interleaving of append/delete/window
 // against an engine and the naive model, asserting equivalence (and cache emptiness after every
 // mutation) throughout.
-func driveLifecycle(t *testing.T, seed int64, n0, d, nanEvery, shards, workers, rounds int) {
+func driveLifecycle(t *testing.T, seed int64, n0, d, nanEvery, workers, rounds int) {
 	src := rng.New(seed)
 	ds := randomDataset(t, src, n0, d, nanEvery)
 	rules := append(randomRules(ds, 24, seed+1), wildRule(d))
 
-	eng := New(ds, Options{Shards: shards, Workers: workers})
+	eng := New(ds, Options{})
 	m := newNaiveStore(ds)
 	const emax, fmin, ridge = 0.7, 0.0, 1e-8
 	ev := core.NewEvaluator(eng.Data(), emax, fmin, ridge, workers,
@@ -248,27 +240,27 @@ func driveLifecycle(t *testing.T, seed int64, n0, d, nanEvery, shards, workers, 
 // TestLifecycleEquivalentToNaiveRebuild is the tentpole property:
 // after arbitrary append/delete/window sequences, match
 // and evaluation results are bit-identical to a from-scratch
-// sequential engine over only the live rows — at any shard and worker
-// count, on clean and NaN-degenerate data — and no cache entry ever
+// sequential engine over only the live rows — at any worker count, on
+// clean and NaN-degenerate data — and no cache entry ever
 // survives a mutation epoch.
 func TestLifecycleEquivalentToNaiveRebuild(t *testing.T) {
 	for _, tc := range []struct {
-		seed            int64
-		nanEvery        int
-		shards, workers int
+		seed     int64
+		nanEvery int
+		workers  int
 	}{
-		{seed: 1, nanEvery: 0, shards: 1, workers: 1},
-		{seed: 2, nanEvery: 0, shards: 4, workers: 1},
-		{seed: 3, nanEvery: 0, shards: 9, workers: 0},
-		{seed: 4, nanEvery: 11, shards: 3, workers: 2},
-		{seed: 5, nanEvery: 7, shards: 6, workers: 0},
+		{seed: 1, nanEvery: 0, workers: 1},
+		{seed: 2, nanEvery: 0, workers: 1},
+		{seed: 3, nanEvery: 0, workers: 0},
+		{seed: 4, nanEvery: 11, workers: 2},
+		{seed: 5, nanEvery: 7, workers: 0},
 	} {
-		driveLifecycle(t, tc.seed, 150, 3, tc.nanEvery, tc.shards, tc.workers, 24)
+		driveLifecycle(t, tc.seed, 150, 3, tc.nanEvery, tc.workers, 24)
 	}
 }
 
 // TestLifecycleRandomized drives many random interleavings through
-// random engine shapes.
+// random dataset shapes and worker counts.
 func TestLifecycleRandomized(t *testing.T) {
 	trials := 20
 	if testing.Short() {
@@ -282,20 +274,20 @@ func TestLifecycleRandomized(t *testing.T) {
 		if src.Bool(0.3) {
 			nanEvery = 3 + src.Intn(15)
 		}
-		driveLifecycle(t, int64(1000+trial), n0, d, nanEvery, 1+src.Intn(8), src.Intn(4), 12)
+		driveLifecycle(t, int64(1000+trial), n0, d, nanEvery, src.Intn(4), 12)
 	}
 }
 
 // FuzzLifecycle fuzzes the full lifecycle harness: arbitrary seeds,
-// dataset shapes and engine shapes must all stay bit-identical to the
+// dataset shapes and worker counts must all stay bit-identical to the
 // naive rebuild.
 func FuzzLifecycle(f *testing.F) {
 	f.Add(int64(1), uint8(100), uint8(2), uint8(3), uint8(0))
 	f.Add(int64(9), uint8(40), uint8(1), uint8(7), uint8(5))
 	f.Add(int64(42), uint8(220), uint8(4), uint8(1), uint8(13))
-	f.Fuzz(func(t *testing.T, seed int64, n, d, shards, nanEvery uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, n, d, workers, nanEvery uint8) {
 		driveLifecycle(t, seed,
 			25+int(n), 1+int(d)%5, int(nanEvery)%20,
-			1+int(shards)%10, int(shards)%4, 10)
+			int(workers)%4, 10)
 	})
 }

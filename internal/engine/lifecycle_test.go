@@ -2,7 +2,7 @@ package engine
 
 import (
 	"context"
-
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -15,31 +15,20 @@ func idsOf(eng *Engine, lo, hi int) []series.RowID {
 }
 
 // TestDeleteHidesRowsImmediately: a deleted row disappears from every
-// match path and from Data() before Delete returns, and only the
-// shard that held it is rewritten — every other shard keeps its index.
+// match path and from Data() before Delete returns.
 func TestDeleteHidesRowsImmediately(t *testing.T) {
 	ds := testDataset(t, 120, 3, false)
 	n0 := ds.Len()
-	eng := New(ds, Options{Shards: 4})
+	eng := New(ds, Options{})
 	wild := wildRule(3)
+	eng.MatchIndices(wild) // build the index before the delete
 
-	// The initial partition is contiguous, so rows 10..24 all live in
-	// shard 0.
-	before := make([]*core.MatchIndex, 0, 4)
-	for _, sh := range eng.parts {
-		before = append(before, sh.idx)
-	}
 	victims := idsOf(eng, 10, 25)
 	if got := eng.Delete(victims); got != len(victims) {
 		t.Fatalf("Delete removed %d, want %d", got, len(victims))
 	}
 	if eng.LiveLen() != n0-len(victims) || eng.Data().Len() != n0-len(victims) {
 		t.Fatalf("after delete: live %d, Data() %d, want both %d", eng.LiveLen(), eng.Data().Len(), n0-len(victims))
-	}
-	for i, sh := range eng.parts {
-		if rebuilt := sh.idx != before[i]; rebuilt != (i == 0) {
-			t.Fatalf("shard %d: index rebuilt = %v, want only shard 0 rebuilt", i, rebuilt)
-		}
 	}
 	if eng.Epoch() != 1 {
 		t.Fatalf("epoch after delete = %d, want 1", eng.Epoch())
@@ -60,8 +49,8 @@ func TestDeleteHidesRowsImmediately(t *testing.T) {
 	if !intsEqual(batch[0], got) {
 		t.Fatal("MatchBatch disagrees with MatchIndices after a delete")
 	}
-	// Every shard index — rewritten or remapped — still answers
-	// exactly like a fresh sequential evaluator over the shrunken view.
+	// The rebuilt index answers exactly like a fresh sequential
+	// evaluator over the shrunken view.
 	ref := core.NewEvaluator(eng.Data(), 0.5, 0, 1e-8, 1, core.EvalOptions{})
 	for ri, r := range randomRules(eng.Data(), 30, 9) {
 		if got := eng.MatchIndices(r); !intsEqual(got, ref.MatchIndicesScan(r)) {
@@ -75,11 +64,11 @@ func TestDeleteHidesRowsImmediately(t *testing.T) {
 }
 
 // TestWindowKeepsNewest: Window(n) retains exactly the n newest live
-// rows by insertion order, across shard boundaries and repeat calls.
+// rows by insertion order, across repeat calls.
 func TestWindowKeepsNewest(t *testing.T) {
 	ds := testDataset(t, 150, 3, false)
 	n0 := ds.Len()
-	eng := New(ds, Options{Shards: 3})
+	eng := New(ds, Options{})
 
 	if evicted := eng.Window(n0 + 10); evicted != 0 {
 		t.Fatalf("Window larger than live evicted %d rows", evicted)
@@ -122,4 +111,53 @@ func TestWindowKeepsNewest(t *testing.T) {
 	if eng.LiveLen() != 3 {
 		t.Fatalf("live after refill = %d", eng.LiveLen())
 	}
+}
+
+// TestDeferredBuildConcurrentQueries: after Append then Window the
+// index is stale, and the first queries build it; 8 goroutines racing
+// to be first, through AppendMatches and MatchBatch, must each get the
+// answer of a fresh index over Data(). Run it under -race.
+func TestDeferredBuildConcurrentQueries(t *testing.T) {
+	ds := testDataset(t, 600, 4, false)
+	eng := New(ds, Options{})
+	rules := randomRules(ds, 24, 8)
+	eng.MatchIndices(rules[0]) // build, so the mutations below discard a built index
+
+	tail := testDataset(t, 700, 4, false)
+	inputs, targets := tail.Inputs[ds.Len():], tail.Targets[ds.Len():]
+	if err := eng.Append(inputs, targets); err != nil {
+		t.Fatal(err)
+	}
+	if evicted := eng.Window(500); evicted == 0 {
+		t.Fatal("Window evicted nothing")
+	}
+
+	fresh := core.NewMatchIndex(eng.Data())
+	want := make([][]int, len(rules))
+	for i, r := range rules {
+		want[i] = fresh.MatchIndices(r)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%2 == 0 {
+				for i, r := range rules {
+					if got := eng.AppendMatches(nil, r); !intsEqual(got, want[i]) {
+						t.Errorf("goroutine %d rule %d: AppendMatches %v, fresh index %v", g, i, got, want[i])
+						return
+					}
+				}
+				return
+			}
+			for i, got := range eng.MatchBatch(context.Background(), rules) {
+				if !intsEqual(got, want[i]) {
+					t.Errorf("goroutine %d rule %d: MatchBatch %v, fresh index %v", g, i, got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -88,10 +88,10 @@ func cloneAll(rules []*core.Rule) []*core.Rule {
 }
 
 // checkEngineEquivalence is the property: for the given dataset and
-// rules, the engine-backed evaluator — any shard count, any worker
-// count, batched or per-rule, with or without the shared cache — is
-// bit-identical to the sequential single-index evaluator.
-func checkEngineEquivalence(t *testing.T, ds *series.Dataset, rules []*core.Rule, shards, workers int, shared bool, batch int) {
+// rules, the engine-backed evaluator — any worker count, batched or
+// per-rule, with or without the shared cache — is bit-identical to
+// the sequential single-index evaluator.
+func checkEngineEquivalence(t *testing.T, ds *series.Dataset, rules []*core.Rule, workers int, shared bool, batch int) {
 	t.Helper()
 	const emax, fmin, ridge = 0.7, 0.0, 1e-8
 
@@ -101,7 +101,7 @@ func checkEngineEquivalence(t *testing.T, ds *series.Dataset, rules []*core.Rule
 		ref.Evaluate(context.Background(), r)
 	}
 
-	eng := New(ds, Options{Shards: shards, Workers: workers})
+	eng := New(ds, Options{})
 	opt := core.EvalOptions{Backend: eng}
 	if shared {
 		opt.Cache = eng.Cache()
@@ -134,26 +134,23 @@ func checkEngineEquivalence(t *testing.T, ds *series.Dataset, rules []*core.Rule
 	}
 }
 
-// TestEngineEquivalentToSequential sweeps shard counts, worker
-// counts, batch sizes and cache sharing over clean and NaN-degenerate
-// datasets — the satellite property: engine ≡ sequential, bit for
-// bit.
+// TestEngineEquivalentToSequential sweeps worker counts, batch sizes
+// and cache sharing over clean and NaN-degenerate datasets — engine ≡
+// sequential, bit for bit.
 func TestEngineEquivalentToSequential(t *testing.T) {
 	src := rng.New(99)
 	for _, nanEvery := range []int{0, 13} {
 		ds := randomDataset(t, src, 260, 3, nanEvery)
 		rules := randomRules(ds, 40, 7)
-		for _, shards := range []int{1, 2, 4, 9} {
-			for _, batch := range []int{0, 1, 7, 40} {
-				checkEngineEquivalence(t, ds, rules, shards, 1, false, batch)
-				checkEngineEquivalence(t, ds, rules, shards, 0, true, batch)
-			}
+		for _, batch := range []int{0, 1, 7, 40} {
+			checkEngineEquivalence(t, ds, rules, 1, false, batch)
+			checkEngineEquivalence(t, ds, rules, 0, true, batch)
 		}
 	}
 }
 
 // TestEngineEquivalenceRandomized drives many random dataset/rule
-// draws through random engine shapes.
+// draws through random evaluator shapes.
 func TestEngineEquivalenceRandomized(t *testing.T) {
 	src := rng.New(2026)
 	trials := 25
@@ -169,21 +166,35 @@ func TestEngineEquivalenceRandomized(t *testing.T) {
 		}
 		ds := randomDataset(t, src, n, d, nanEvery)
 		rules := randomRules(ds, 1+src.Intn(30), int64(trial))
-		shards := 1 + src.Intn(8)
 		batch := src.Intn(len(rules) + 1)
-		checkEngineEquivalence(t, ds, rules, shards, 1+src.Intn(4), src.Bool(0.5), batch)
+		checkEngineEquivalence(t, ds, rules, 1+src.Intn(4), src.Bool(0.5), batch)
 	}
 }
 
-// FuzzEngineMatch fuzzes the raw match layer: for arbitrary
-// dataset/rule draws and shard counts, Engine.MatchIndices and
-// MatchBatch must equal the reference linear scan, and AppendMatches
-// must append it to whatever dst held.
+// scan is the reference matched set: every row of ds that r matches,
+// ascending.
+func scan(ds *series.Dataset, r *core.Rule) []int {
+	var out []int
+	for i, row := range ds.Inputs {
+		if r.Match(row) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// FuzzEngineMatch fuzzes the match layer across the lifecycle: over an
+// arbitrary dataset/rule draw and an arbitrary sequence of Append,
+// Delete and Window calls — queried after some steps and not others,
+// so one deferred index build serves a burst of mutations —
+// Engine.MatchIndices and MatchBatch must equal the reference linear
+// scan over Data(), and AppendMatches must append it to whatever dst
+// held.
 func FuzzEngineMatch(f *testing.F) {
 	f.Add(int64(1), uint8(100), uint8(3), uint8(2), false)
 	f.Add(int64(7), uint8(200), uint8(1), uint8(5), true)
 	f.Add(int64(42), uint8(30), uint8(4), uint8(1), true)
-	f.Fuzz(func(t *testing.T, seed int64, n, d, shards uint8, nan bool) {
+	f.Fuzz(func(t *testing.T, seed int64, n, d, steps uint8, nan bool) {
 		nn := 20 + int(n)
 		dd := 1 + int(d)%6
 		src := rng.New(seed)
@@ -193,20 +204,63 @@ func FuzzEngineMatch(f *testing.F) {
 		}
 		ds := randomDataset(t, src, nn, dd, nanEvery)
 		rules := randomRules(ds, 12, seed+1)
-		ref := core.NewEvaluator(ds, 1, 0, 1e-8, 1, core.EvalOptions{})
-		s := New(ds, Options{Shards: 1 + int(shards)%10})
-		batch := s.MatchBatch(context.Background(), rules)
-		for ri, r := range rules {
-			want := ref.MatchIndicesScan(r)
-			if got := s.MatchIndices(r); !intsEqual(got, want) {
-				t.Fatalf("rule %d: MatchIndices %v, scan %v", ri, got, want)
+		lo, hi := ds.TargetRange()
+		s := New(ds, Options{})
+		check := func(step string) {
+			t.Helper()
+			batch := s.MatchBatch(context.Background(), rules)
+			for ri, r := range rules {
+				want := scan(s.Data(), r)
+				if got := s.MatchIndices(r); !intsEqual(got, want) {
+					t.Fatalf("%s rule %d: MatchIndices %v, scan %v", step, ri, got, want)
+				}
+				if !intsEqual(batch[ri], want) {
+					t.Fatalf("%s rule %d: MatchBatch %v, scan %v", step, ri, batch[ri], want)
+				}
+				dst := make([]int, ri%3, ri%3+len(want)/2) // a prefix, and room for part of the set
+				if got := s.AppendMatches(dst, r); !intsEqual(got, append(make([]int, ri%3), want...)) {
+					t.Fatalf("%s rule %d: AppendMatches %v, want %d zeros then scan %v", step, ri, got, ri%3, want)
+				}
 			}
-			if !intsEqual(batch[ri], want) {
-				t.Fatalf("rule %d: MatchBatch %v, scan %v", ri, batch[ri], want)
+		}
+		check("build")
+		rounds := 1 + int(steps)%10
+		for k := 0; k < rounds; k++ {
+			step := ""
+			switch src.Intn(3) {
+			case 0:
+				m := 1 + src.Intn(12)
+				inputs := make([][]float64, m)
+				targets := make([]float64, m)
+				for i := range inputs {
+					row := make([]float64, dd)
+					for j := range row {
+						row[j] = src.Uniform(lo, hi)
+					}
+					if nan && src.Bool(0.2) {
+						row[src.Intn(dd)] = math.NaN()
+					}
+					inputs[i], targets[i] = row, src.Uniform(lo, hi)
+				}
+				if err := s.Append(inputs, targets); err != nil {
+					t.Fatal(err)
+				}
+				step = "append"
+			case 1:
+				var ids []series.RowID
+				for _, id := range s.Data().IDs {
+					if src.Bool(0.2) {
+						ids = append(ids, id)
+					}
+				}
+				s.Delete(append(ids, -1))
+				step = "delete"
+			case 2:
+				s.Window(src.Intn(s.LiveLen() + 2))
+				step = "window"
 			}
-			dst := make([]int, ri%3, ri%3+len(want)/2) // a prefix, and room for part of the set
-			if got := s.AppendMatches(dst, r); !intsEqual(got, append(make([]int, ri%3), want...)) {
-				t.Fatalf("rule %d: AppendMatches %v, want %d zeros then scan %v", ri, got, ri%3, want)
+			if k == rounds-1 || src.Bool(0.5) {
+				check(step)
 			}
 		}
 	})

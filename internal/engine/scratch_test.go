@@ -15,7 +15,7 @@ import (
 // perturb any later call.
 func TestMatchBatchResultsCallerOwned(t *testing.T) {
 	ds := testDataset(t, 300, 4, false)
-	s := New(ds, Options{Shards: 4})
+	s := New(ds, Options{})
 	rules := randomRules(ds, 24, 3)
 	ctx := context.Background()
 
@@ -58,7 +58,7 @@ func TestMatchBatchResultsCallerOwned(t *testing.T) {
 func TestSharedCacheEntriesUnaliased(t *testing.T) {
 	const emax, fmin, ridge = 0.7, 0.0, 1e-8
 	ds := testDataset(t, 300, 4, false)
-	eng := New(ds, Options{Shards: 4})
+	eng := New(ds, Options{})
 	ev := core.NewEvaluator(ds, emax, fmin, ridge, 1,
 		core.EvalOptions{Backend: eng})
 	rules := randomRules(ds, 16, 5)

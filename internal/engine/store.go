@@ -3,21 +3,19 @@ package engine
 import (
 	"sort"
 
-	"repro/internal/core"
-	"repro/internal/parallel"
 	"repro/internal/series"
 )
 
 // This file is the eviction side of the lifecycle-managed store:
 // Delete and Window remove rows physically in the call that names
-// them. Eviction never moves a row between shards or reorders the
-// rows it keeps, so matched-set order — and with it the
-// floating-point accumulation order of every regression — is exactly
-// that of a from-scratch build over the remaining rows.
+// them. Eviction never reorders the rows it keeps, so matched-set
+// order — and with it the floating-point accumulation order of every
+// regression — is exactly that of a from-scratch build over the
+// remaining rows.
 
-// positionLocked returns the global position of the row with the
-// given stable id, or -1. The id column is ascending, so this is a
-// binary search. Callers hold mu.
+// positionLocked returns the position of the row with the given
+// stable id, or -1. The id column is ascending, so this is a binary
+// search. Callers hold mu.
 func (s *Engine) positionLocked(id series.RowID) int {
 	ids := s.data.IDs
 	g := sort.Search(len(ids), func(k int) bool { return ids[k] >= id })
@@ -46,8 +44,7 @@ func (s *Engine) deleteRows(ids []series.RowID) int {
 		removed++
 	}
 	if removed > 0 {
-		s.evictLocked(drop)
-		s.epoch.Add(1)
+		s.evictLocked(func(g int) bool { return drop[g>>6]&(1<<(uint(g)&63)) != 0 })
 	}
 	return removed
 }
@@ -64,72 +61,28 @@ func (s *Engine) window(n int) int {
 	if evict <= 0 {
 		return 0
 	}
-	// The oldest rows are the lowest global positions, and each
-	// shard's rows sit in ascending global order: every shard loses a
-	// prefix.
-	drop := make([]uint64, (s.data.Len()+63)>>6)
-	for w := 0; w < evict>>6; w++ {
-		drop[w] = ^uint64(0)
-	}
-	if r := evict & 63; r != 0 {
-		drop[evict>>6] = 1<<uint(r) - 1
-	}
-	s.evictLocked(drop)
-	s.epoch.Add(1)
+	// The oldest rows are the lowest positions.
+	s.evictLocked(func(g int) bool { return g < evict })
 	return evict
 }
 
-// evictLocked removes the rows whose global positions are set in
-// drop. The global view shrinks in place (surviving rows shift down
-// in insertion order, and the tail is cleared so the evicted rows'
-// storage is released). A shard that loses rows is rewritten in
-// place and its index rebuilt (in parallel); every other shard only
-// has its global positions remapped — its local data, and therefore
-// its index, is untouched. Callers hold mu.
-func (s *Engine) evictLocked(drop []uint64) {
-	n := s.data.Len()
-	remap := make([]int32, n)
-	next := 0
-	for g := 0; g < n; g++ {
-		if drop[g>>6]&(1<<(uint(g)&63)) != 0 {
-			remap[g] = -1
+// evictLocked removes the rows at the positions drop reports. The
+// dataset shrinks in place: surviving rows shift down in insertion
+// order, and the tail is cleared so the evicted rows' storage is
+// released. It discards the index and bumps the epoch. Callers hold mu.
+func (s *Engine) evictLocked(drop func(g int) bool) {
+	d, next := s.data, 0
+	for g := range d.Inputs {
+		if drop(g) {
 			continue
 		}
-		remap[g] = int32(next)
-		s.data.Inputs[next] = s.data.Inputs[g]
-		s.data.Targets[next] = s.data.Targets[g]
-		s.data.IDs[next] = s.data.IDs[g]
+		d.Inputs[next], d.Targets[next], d.IDs[next] = d.Inputs[g], d.Targets[g], d.IDs[g]
 		next++
 	}
-	clear(s.data.Inputs[next:])
-	s.data.Inputs = s.data.Inputs[:next]
-	s.data.Targets = s.data.Targets[:next]
-	s.data.IDs = s.data.IDs[:next]
-
-	var rebuild []*shard
-	for _, sh := range s.parts {
-		kept := 0
-		for li, g := range sh.global {
-			if remap[g] < 0 {
-				continue
-			}
-			sh.global[kept] = remap[g]
-			sh.data.Inputs[kept] = sh.data.Inputs[li]
-			sh.data.Targets[kept] = sh.data.Targets[li]
-			kept++
-		}
-		if kept == len(sh.global) {
-			continue
-		}
-		clear(sh.data.Inputs[kept:])
-		sh.global = sh.global[:kept]
-		sh.data.Inputs = sh.data.Inputs[:kept]
-		sh.data.Targets = sh.data.Targets[:kept]
-		rebuild = append(rebuild, sh)
-	}
-	parallel.For(len(rebuild), s.workers, func(k int) {
-		rebuild[k].idx = core.NewMatchIndex(rebuild[k].data)
-	})
+	clear(d.Inputs[next:])
+	d.Inputs, d.Targets, d.IDs = d.Inputs[:next], d.Targets[:next], d.IDs[:next]
+	s.resetLocked()
+	s.epoch.Add(1)
 }
 
 // Compact does nothing and returns 0: Delete and Window already

@@ -32,7 +32,6 @@ type telemetry struct {
 	mutations *obs.Counter // mutations that changed the store
 	epoch     *obs.Gauge   // current data epoch
 	liveRows  *obs.Gauge   // rows in the store
-	liveSkew  *obs.Gauge   // largest / smallest shard size
 }
 
 func newTelemetry(reg *obs.Registry) *telemetry {
@@ -49,16 +48,15 @@ func newTelemetry(reg *obs.Registry) *telemetry {
 		mutations:  reg.Counter("engine_mutations"),
 		epoch:      reg.Gauge("engine_epoch"),
 		liveRows:   reg.Gauge("engine_live_rows"),
-		liveSkew:   reg.Gauge("engine_live_skew"),
 	}
 }
 
 // Instrument attaches a metrics registry to the engine: MatchBatch
 // latency and batch sizes, per-verb mutation timings, and the
-// epoch/live-rows/skew gauges. Call it before the engine is shared
-// across goroutines (the field is written without the mutex, exactly
-// like the construction-time policy fields); nil detaches. Purely
-// observational — results are bit-identical instrumented or not.
+// epoch/live-rows gauges. Call it before the engine is shared across
+// goroutines (the field is written without the mutex); nil detaches.
+// Purely observational — results are bit-identical instrumented or
+// not.
 func (s *Engine) Instrument(reg *obs.Registry) { s.tel = newTelemetry(reg) }
 
 // afterMutation refreshes the mutation-facing metrics. It runs after
@@ -68,24 +66,16 @@ func (t *telemetry) afterMutation(s *Engine) {
 	t.mutations.Inc()
 	t.epoch.Set(float64(s.Epoch()))
 	t.liveRows.Set(float64(s.LiveLen()))
-	lo, hi := s.LiveSpread()
-	skew := 0.0
-	if lo > 0 {
-		skew = float64(hi) / float64(lo)
-	}
-	t.liveSkew.Set(skew)
 }
 
-// MatchBatch answers one whole generation of rules in a single pass:
-// each shard walks the batch on its own goroutine, appending every
-// rule's shard-local matched set into a pooled arena, and the
-// per-shard hits are merged rule by rule by their ascending runs.
-// out[i] corresponds to rules[i] and is bit-identical to
-// MatchIndices(rules[i]) — the fan-out is pure scheduling.
+// MatchBatch answers the rules one after another on the calling
+// goroutine: out[i] corresponds to rules[i] and equals
+// MatchIndices(rules[i]). A shard server answers its batch RPCs
+// through it; an in-process evaluator matches each rule on the worker
+// that regresses it instead (core.Evaluator.EvaluateAll).
 //
-// The context bounds every parallel pass: once it is cancelled the
-// remaining scheduling work is skipped, all fan-out goroutines drain
-// before MatchBatch returns, and the result is incomplete — callers
+// The context is checked between rules: once it is cancelled the
+// remaining rules are skipped and the result is incomplete — callers
 // must check ctx.Err() and discard it (core.Evaluator does).
 func (s *Engine) MatchBatch(ctx context.Context, rules []*core.Rule) [][]int {
 	t := s.tel
@@ -131,9 +121,9 @@ func (s *Engine) AppendRows(inputs [][]float64, targets []float64, ids []series.
 }
 
 // Delete removes the rows with the given stable ids and returns how
-// many it removed. Unknown and repeated ids are ignored. Each shard
-// that held one of the rows is rewritten and its index rebuilt before
-// Delete returns; the epoch bump expires every cached evaluation.
+// many it removed. Unknown and repeated ids are ignored. The rows are
+// gone from Data() and from every matched set when Delete returns; the
+// epoch bump expires every cached evaluation.
 func (s *Engine) Delete(ids []series.RowID) int {
 	t := s.tel
 	if t == nil {
@@ -152,8 +142,7 @@ func (s *Engine) Delete(ids []series.RowID) int {
 // the sliding-window primitive — returning the number evicted.
 // "Newest" is insertion order (ascending RowID), so a stream that
 // appends chunks and calls Window(w) after each one trains on exactly
-// the trailing w patterns. Each shard loses a prefix of its rows, and
-// only the shards that lose any are rewritten.
+// the trailing w patterns.
 func (s *Engine) Window(n int) int {
 	t := s.tel
 	if t == nil {

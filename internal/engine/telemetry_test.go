@@ -23,7 +23,7 @@ func tickClock() obs.Clock {
 
 func TestEngineTelemetryMetrics(t *testing.T) {
 	ds := testDataset(t, 300, 4, false)
-	eng := New(ds, Options{Shards: 2})
+	eng := New(ds, Options{})
 	reg := obs.NewWithClock(tickClock())
 	eng.Instrument(reg)
 	ctx := context.Background()
@@ -61,9 +61,6 @@ func TestEngineTelemetryMetrics(t *testing.T) {
 	if got := s["engine_live_rows"].(float64); got != float64(eng.LiveLen()) {
 		t.Fatalf("engine_live_rows gauge = %v, live %d", got, eng.LiveLen())
 	}
-	if skew := s["engine_live_skew"].(float64); skew < 1 {
-		t.Fatalf("engine_live_skew = %v, want >= 1 on a non-empty store", skew)
-	}
 	for _, name := range []string{"engine_append_ns", "engine_window_ns", "engine_delete_ns"} {
 		if hv, ok := s[name].(obs.HistogramValue); !ok || hv.Count != 1 {
 			t.Fatalf("%s = %#v, want one observation", name, s[name])
@@ -76,7 +73,7 @@ func TestEngineTelemetryMetrics(t *testing.T) {
 // engine itself keeps no cache metrics.
 func TestCacheTelemetryCounters(t *testing.T) {
 	ds := testDataset(t, 200, 3, false)
-	eng := New(ds, Options{Shards: 2})
+	eng := New(ds, Options{})
 	reg := obs.New()
 	eng.Instrument(reg)
 	ev := core.NewEvaluator(ds, 0.5, 0, 1e-8, 1, core.EvalOptions{Backend: eng, Telemetry: reg})
@@ -116,7 +113,7 @@ func TestMatchBatchDisabledZeroAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	// Serial: deterministic allocation counts.
-	s := New(ds, Options{Shards: 1, Workers: 1})
+	s := New(ds, Options{})
 	s.matchBatch(ctx, rules) // warm the scratch pools
 	direct := testing.AllocsPerRun(50, func() { s.matchBatch(ctx, rules) })
 	disabled := testing.AllocsPerRun(50, func() { s.MatchBatch(ctx, rules) })
@@ -135,7 +132,7 @@ func TestMatchBatchDisabledZeroAllocs(t *testing.T) {
 // append and snapshot goroutines; the race detector is the assertion.
 func TestEngineTelemetryRace(t *testing.T) {
 	ds := testDataset(t, 300, 4, false)
-	eng := New(ds, Options{Shards: 4})
+	eng := New(ds, Options{})
 	reg := obs.New()
 	eng.Instrument(reg)
 	rules := randomRules(ds, 10, 5)
@@ -184,5 +181,39 @@ func TestEngineTelemetryRace(t *testing.T) {
 	}
 	if n := s["engine_mutations"].(uint64); n != 50 {
 		t.Fatalf("engine_mutations = %d, want 50", n)
+	}
+}
+
+// TestEngineEvaluateAllMatchesOnWorkers: an evaluator over the engine
+// matches each rule of an uncached EvaluateAll on the worker that
+// regresses it, as over its own MatchIndex, so the batch never reaches
+// Engine.MatchBatch; and its results equal that evaluator's.
+func TestEngineEvaluateAllMatchesOnWorkers(t *testing.T) {
+	const emax, fmin, ridge = 0.7, 0.0, 1e-8
+	ds := testDataset(t, 400, 4, false)
+	eng := New(ds, Options{})
+	reg := obs.New()
+	eng.Instrument(reg)
+	rules := randomRules(ds, 64, 17)
+
+	got := cloneAll(rules)
+	ev := core.NewEvaluator(ds, emax, fmin, ridge, 2, core.EvalOptions{Backend: eng})
+	if err := ev.EvaluateAll(context.Background(), got); err != nil {
+		t.Fatal(err)
+	}
+	if hv, ok := reg.Snapshot()["engine_matchbatch_rules"].(obs.HistogramValue); !ok || hv.Count != 0 {
+		t.Fatalf("engine_matchbatch_rules = %#v, want no observation", reg.Snapshot()["engine_matchbatch_rules"])
+	}
+
+	want := cloneAll(rules)
+	own := core.NewEvaluator(ds, emax, fmin, ridge, 2, core.EvalOptions{})
+	if _, ok := own.Backend().(*core.MatchIndex); !ok {
+		t.Fatal("reference evaluator does not run on its own MatchIndex")
+	}
+	if err := own.EvaluateAll(context.Background(), want); err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		requireIdentical(t, "engine vs own index", i, got[i], want[i])
 	}
 }

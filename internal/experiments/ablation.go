@@ -68,8 +68,8 @@ func Ablations(ctx context.Context, sc Scale, seed int64) (*AblationResult, erro
 	// match backend serves all eight MultiRun sweeps.
 	var eng *engine.Engine
 	var idx *core.MatchIndex
-	if sc.EngineShards > 0 {
-		eng = engine.New(train, sc.engineOptions())
+	if sc.Engine {
+		eng = engine.New(train, engine.Options{})
 	} else {
 		idx = core.NewMatchIndex(train)
 	}

@@ -12,11 +12,8 @@ import (
 // (Format for tables, Rendered for figures). The other tests here
 // check only shapes and sanity ranges, so a change that moves any
 // printed number fails only this one. Each harness runs on the default
-// path and through a 2-shard engine, and both must print these bytes.
-//
-// WindowedStream always runs an engine, and with no shard count set it
-// takes one shard per core and prints that count, so its default-path
-// run fixes two shards to print the same bytes on every machine.
+// path and through the engine, and both must print these bytes.
+// WindowedStream always runs an engine.
 var experimentGoldens = []struct {
 	name string
 	run  func(ctx context.Context, sc Scale) (string, error)
@@ -72,26 +69,23 @@ var experimentGoldens = []struct {
 		return r.Format(), nil
 	}, "f00192bc99326eb2bb23cfff3fa661989cabb0c5acbdafdf30970e66efced252"},
 	{"stream", func(ctx context.Context, sc Scale) (string, error) {
-		if sc.EngineShards == 0 {
-			sc.EngineShards = 2
-		}
 		r, err := WindowedStream(ctx, sc, 42)
 		if err != nil {
 			return "", err
 		}
 		return r.Format(), nil
-	}, "340e85e058aee89726149b5b415acc35de1ac221fa0750908a6a6f8db343d41a"},
+	}, "55841107eb29573d14f0d9c1f571c562ec19f2c45a2218127b3a82d6e47743b2"},
 }
 
 func TestExperimentGoldens(t *testing.T) {
 	for _, g := range experimentGoldens {
 		for _, p := range []struct {
 			name   string
-			shards int
-		}{{"index", 0}, {"shards2", 2}} {
+			engine bool
+		}{{"index", false}, {"engine", true}} {
 			t.Run(g.name+"/"+p.name, func(t *testing.T) {
 				sc := Tiny()
-				sc.EngineShards = p.shards
+				sc.Engine = p.engine
 				out, err := g.run(context.Background(), sc)
 				if err != nil {
 					t.Fatal(err)

@@ -40,9 +40,8 @@ func ruleSystemRun(ctx context.Context, train, val *series.Dataset, sc Scale, se
 	case len(sc.EngineRemote) > 0:
 		// Scatter evaluation across live shard servers.
 		opts = append(opts, forecast.WithRemoteCluster(sc.EngineRemote...))
-	case sc.EngineShards > 0:
-		// Sharded, batched evaluation.
-		opts = append(opts, forecast.WithEngine(sc.EngineShards))
+	case sc.Engine:
+		opts = append(opts, forecast.WithEngine(0))
 	}
 	if emaxFrac > 0 {
 		lo, hi := train.TargetRange()

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"repro/forecast"
-	"repro/internal/engine"
 )
 
 // Scale fixes the computational budget of an experiment run. The
@@ -37,12 +36,11 @@ type Scale struct {
 	// Parallelism for MultiRun waves (0 = GOMAXPROCS).
 	Parallelism int
 
-	// EngineShards > 0 routes every rule evaluation through the
-	// sharded, batched engine (internal/engine) with that many
-	// dataset shards; 0 keeps the sequential single-index path. Results are
-	// bit-identical either way (cmd/experiments exposes it as
-	// -shards).
-	EngineShards int
+	// Engine routes every rule evaluation through the lifecycle
+	// engine (internal/engine) instead of a plain MatchIndex. Results
+	// are bit-identical either way (cmd/experiments sets it when
+	// -window or -remote asks for a store).
+	Engine bool
 
 	// EngineWindow > 0 caps the live training set of streaming
 	// scenarios at that many patterns: the windowed-stream experiment
@@ -63,12 +61,6 @@ type Scale struct {
 	// -trace). Purely observational — results are bit-identical with
 	// or without it.
 	Telemetry *forecast.Telemetry
-}
-
-// engineOptions resolves the scale's engine knobs into one option
-// set, so every harness builds its engine the same way.
-func (s Scale) engineOptions() engine.Options {
-	return engine.Options{Shards: s.EngineShards}.Clamped()
 }
 
 // Tiny is the unit-test scale: everything completes in well under a

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -18,8 +17,7 @@ import (
 // — every round appends the incoming chunk, evicts what fell out of
 // the window and retrains through the same engine. It exercises the
 // full data-plane lifecycle (append → window) at experiment scale,
-// reporting forecast quality next to the store's balance so
-// regressions in either are visible in one table.
+// reporting forecast quality next to the live window size.
 
 // StreamRow is one prequential round of the windowed stream.
 type StreamRow struct {
@@ -27,8 +25,6 @@ type StreamRow struct {
 	NewPatterns int     // patterns that arrived this round
 	Evicted     int     // patterns that left the window
 	Live        int     // live training patterns after the slide
-	Shards      int     // shard count (fixed at construction)
-	MaxMinRatio float64 // live shard-size spread (1 = perfectly balanced, +Inf = an empty shard)
 	RMSE        float64 // forecast error on the chunk, before training saw it
 	CoveragePct float64 // chunk coverage
 }
@@ -41,20 +37,14 @@ type StreamResult struct {
 
 // Format renders the per-round table.
 func (r *StreamResult) Format() string {
-	header := []string{"round", "new", "evicted", "live", "shards", "max/min", "rmse", "coverage"}
+	header := []string{"round", "new", "evicted", "live", "rmse", "coverage"}
 	rows := make([][]string, len(r.Rows))
 	for i, row := range r.Rows {
-		spread := fmt.Sprintf("%.2f", row.MaxMinRatio)
-		if math.IsInf(row.MaxMinRatio, 1) {
-			spread = "inf" // an empty shard this round
-		}
 		rows[i] = []string{
 			fmt.Sprintf("%d", row.Round),
 			fmt.Sprintf("%d", row.NewPatterns),
 			fmt.Sprintf("%d", row.Evicted),
 			fmt.Sprintf("%d", row.Live),
-			fmt.Sprintf("%d", row.Shards),
-			spread,
 			fmt.Sprintf("%.4f", row.RMSE),
 			fmt.Sprintf("%.1f%%", row.CoveragePct),
 		}
@@ -70,9 +60,8 @@ const streamRounds = 6
 
 // WindowedStream runs the scenario at the given scale. The stream
 // length tracks the scale's training-set size; the window defaults to
-// half of it (sc.EngineWindow overrides) and the engine comes from
-// the scale's engine knobs (per-core shards when none are set — this
-// scenario is about the engine, so it is always on).
+// half of it (sc.EngineWindow overrides). This scenario is about the
+// engine, so it always trains through one, whatever sc.Engine says.
 func WindowedStream(ctx context.Context, sc Scale, seed int64) (*StreamResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -96,7 +85,7 @@ func WindowedStream(ctx context.Context, sc Scale, seed int64) (*StreamResult, e
 	if window <= 0 {
 		window = ds.Len()
 	}
-	eng := engine.New(ds, sc.engineOptions())
+	eng := engine.New(ds, engine.Options{})
 
 	train := func(round int) (*core.RuleSet, error) {
 		base := core.Default(d)
@@ -148,21 +137,11 @@ func WindowedStream(ctx context.Context, sc Scale, seed int64) (*StreamResult, e
 			return nil, err
 		}
 		evicted := eng.Window(window)
-
-		minLive, maxLive := eng.LiveSpread()
-		ratio := 1.0
-		if minLive > 0 {
-			ratio = float64(maxLive) / float64(minLive)
-		} else if maxLive > 0 {
-			ratio = math.Inf(1) // an empty shard: the spread is unbounded
-		}
 		out.Rows = append(out.Rows, StreamRow{
 			Round:       round,
 			NewPatterns: len(inputs),
 			Evicted:     evicted,
 			Live:        eng.LiveLen(),
-			Shards:      eng.P(),
-			MaxMinRatio: ratio,
 			RMSE:        rmse,
 			CoveragePct: 100 * cov,
 		})

@@ -6,17 +6,17 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/series"
 )
 
 // Loopback benchmarks quantify the wire tax of distribution: the same
 // workload shapes as BenchmarkEngineBatch / BenchmarkShardsAppend in
-// the repository root, with the engine's 8 shards split across 2
-// shard servers of 4 shards each. The delta over the in-process
-// numbers is pure protocol cost (encode, frame, pipe copy, decode,
-// id remap) — loopback has no network latency, so real deployments
-// add their RTT on top. Baselines live in BENCH_engine.json.
+// the repository root, with the dataset split across 2 shard servers
+// that each keep one index over their half. Against the in-process
+// numbers they add the protocol cost (encode, frame, pipe copy,
+// decode, id remap) — loopback has no network latency, so real
+// deployments add their RTT on top. Baselines live in
+// BENCH_engine.json.
 
 func benchDataset(b *testing.B, n, d int) *series.Dataset {
 	b.Helper()
@@ -52,12 +52,12 @@ const remoteBenchBatch = 128
 
 // BenchmarkRemoteBatch measures batched offspring evaluation through
 // the wire: one EvaluateAll scheduling pass serves a 128-rule
-// generation through a 2-server loopback cluster (4 shards each —
-// the same 8 total as BenchmarkEngineBatch). Compare against
+// generation through a 2-server loopback cluster, each server matching
+// the batch over its half of the rows. Compare against
 // BenchmarkEngineBatch for the protocol overhead.
 func BenchmarkRemoteBatch(b *testing.B) {
 	ds := benchDataset(b, 10000, 24)
-	c, _ := newLoopbackCluster(b, 2, engine.Options{Shards: 4}, Options{})
+	c, _ := newLoopbackCluster(b, 2, Options{})
 	if err := c.Load(context.Background(), ds); err != nil {
 		b.Fatal(err)
 	}
@@ -79,8 +79,9 @@ func BenchmarkRemoteBatch(b *testing.B) {
 
 // BenchmarkRemoteAppend measures streaming ingestion through the
 // wire: one 512-pattern chunk appended to a 20k-pattern 2-server
-// cluster (routed whole to the emptier server, which rebuilds one of
-// its shard indexes). Compare against BenchmarkShardsAppend.
+// cluster (routed whole to the emptier server), then the first match
+// query, which rebuilds that server's index. Compare against
+// BenchmarkShardsAppend.
 //
 // Run it at a fixed count (-benchtime=20x, as BENCH_engine.json
 // records it): every iteration builds and loads a fresh cluster with
@@ -99,20 +100,28 @@ func BenchmarkRemoteAppend(b *testing.B) {
 		inputs = append(inputs, v[i:i+d])
 		targets = append(targets, v[i+d])
 	}
+	cond := make([]core.Interval, d)
+	for j := range cond {
+		cond[j] = core.Wild()
+	}
+	cond[0] = core.NewInterval(0, 0.5)
+	rule := core.NewRule(cond)
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		ds, err := series.Window(series.New("bench", v[:n]), d, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		c, _ := newLoopbackCluster(b, 2, engine.Options{Shards: 4}, Options{})
+		c, _ := newLoopbackCluster(b, 2, Options{})
 		if err := c.Load(context.Background(), ds); err != nil {
 			b.Fatal(err)
 		}
+		c.MatchIndices(rule) // both servers build their index
 		b.StartTimer()
 		if err := c.Append(inputs, targets); err != nil {
 			b.Fatal(err)
 		}
+		c.MatchIndices(rule)
 		b.StopTimer()
 		c.Close()
 	}

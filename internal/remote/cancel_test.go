@@ -32,7 +32,7 @@ func settleGoroutines(t *testing.T, baseline int) {
 
 func TestMatchBatchPreCancelledLeavesNoGoroutines(t *testing.T) {
 	ds := testDataset(t, 2048, 4, false)
-	c, _ := newLoopbackCluster(t, 3, engine.Options{Shards: 2}, Options{})
+	c, _ := newLoopbackCluster(t, 3, Options{})
 	if err := c.Load(context.Background(), cloneDataset(ds)); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestMatchBatchPreCancelledLeavesNoGoroutines(t *testing.T) {
 
 func TestMatchBatchCancelledMidwayLeavesNoGoroutines(t *testing.T) {
 	ds := testDataset(t, 8192, 4, false)
-	c, _ := newLoopbackCluster(t, 4, engine.Options{Shards: 2}, Options{})
+	c, _ := newLoopbackCluster(t, 4, Options{})
 	if err := c.Load(context.Background(), cloneDataset(ds)); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestMatchBatchCancelledMidwayLeavesNoGoroutines(t *testing.T) {
 // in-process engine's contract over the wire.
 func TestCancelledRemoteBatchCachesNothing(t *testing.T) {
 	ds := testDataset(t, 1024, 3, false)
-	c, _ := newLoopbackCluster(t, 2, engine.Options{Shards: 2}, Options{})
+	c, _ := newLoopbackCluster(t, 2, Options{})
 	if err := c.Load(context.Background(), cloneDataset(ds)); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestCancelledRemoteBatchCachesNothing(t *testing.T) {
 // never silently wrong rules.
 func TestDroppedServerSurfacesStickyError(t *testing.T) {
 	ds := testDataset(t, 600, 3, false)
-	c, loops := newLoopbackCluster(t, 3, engine.Options{Shards: 2}, Options{})
+	c, loops := newLoopbackCluster(t, 3, Options{})
 	if err := c.Load(context.Background(), cloneDataset(ds)); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func (c *swallowConn) Write(p []byte) (int, error) {
 // common case).
 func TestStalledServerTripsStickyError(t *testing.T) {
 	ds := testDataset(t, 300, 3, false)
-	loop := NewLoopback(NewServer(engine.Options{Shards: 2}))
+	loop := NewLoopback(NewServer(engine.Options{}))
 	bh := &swallowDialer{inner: loop}
 	c, err := NewCluster([]Dialer{bh}, Options{Timeout: 200 * time.Millisecond})
 	if err != nil {
@@ -252,7 +252,7 @@ func TestStalledServerTripsStickyError(t *testing.T) {
 // promptly when a server dies before training starts.
 func TestDroppedServerAbortsMultiRun(t *testing.T) {
 	ds := testDataset(t, 400, 3, false)
-	c, loops := newLoopbackCluster(t, 2, engine.Options{Shards: 2}, Options{})
+	c, loops := newLoopbackCluster(t, 2, Options{})
 	if err := c.Load(context.Background(), cloneDataset(ds)); err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestDroppedServerAbortsMultiRun(t *testing.T) {
 // against truncated matches.
 func TestDroppedServerMidRunAbortsExecution(t *testing.T) {
 	ds := testDataset(t, 400, 3, false)
-	c, loops := newLoopbackCluster(t, 2, engine.Options{Shards: 2}, Options{})
+	c, loops := newLoopbackCluster(t, 2, Options{})
 	if err := c.Load(context.Background(), cloneDataset(ds)); err != nil {
 		t.Fatal(err)
 	}

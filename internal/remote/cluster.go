@@ -40,7 +40,7 @@ const DefaultTimeout = 30 * time.Second
 // and the facade run unchanged against data spread over machines:
 //
 //   - Load scatters a dataset across the servers (contiguous slices,
-//     mirroring the in-process shard layout); Sync instead adopts
+//     in row order); Sync instead adopts
 //     rows the servers already hold.
 //   - MatchBatch sends one whole generation to every server
 //     concurrently, and merges the per-server ascending RowID answers
@@ -458,7 +458,8 @@ func (c *Cluster) LiveLen() int {
 }
 
 // LiveSpread returns the smallest and largest per-server row
-// counts — the balance observable, one level above shard spread.
+// counts — how evenly append routing and windowing have left the
+// servers.
 func (c *Cluster) LiveSpread() (lo, hi int) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -514,9 +515,9 @@ func (c *Cluster) MatchIndicesCtx(ctx context.Context, r *core.Rule) []int {
 // MatchBatch answers one whole generation: the encoded batch goes to
 // every server concurrently (each owns a disjoint slice of the rows),
 // the per-server ascending RowID answers are remapped to global
-// positions and merged through a bitmap sweep — the same
-// deterministic merge the in-process shards use, so out[i] is
-// bit-identical to the engine's answer over the same rows.
+// positions and merged through a bitmap sweep into ascending order,
+// so out[i] is bit-identical to the engine's answer over the same
+// rows.
 //
 // The caller's context bounds everything: on cancellation in-flight
 // IO is interrupted, the poisoned connections are dropped (redialed
@@ -590,7 +591,7 @@ func (c *Cluster) MatchBatch(parent context.Context, rules []*core.Rule) [][]int
 // column, so a galloping cursor resumes where the previous id landed:
 // near-linear for dense matched sets, logarithmic-per-id for sparse
 // ones — never a full binary search per row. The bitmap sweep then
-// restores global order exactly like the in-process shard merge.
+// restores ascending global order.
 // Callers hold the read lock.
 func (c *Cluster) mergeIDsLocked(perServer [][][]series.RowID, w int) []int {
 	total := 0
@@ -638,8 +639,8 @@ func gallop(ids []series.RowID, from int, target series.RowID) int {
 // ---- core.Store: lifecycle side ----
 
 // Append adds streaming patterns: the whole chunk routes to the
-// server with the fewest rows (lowest index on ties — the same
-// deterministic policy the engine uses for shards), which adopts the
+// server with the fewest rows (lowest index on ties, so the layout is
+// deterministic), which adopts the
 // cluster-assigned ascending RowIDs. The merged view grows in place.
 func (c *Cluster) Append(inputs [][]float64, targets []float64) error {
 	if err := c.BackendErr(); err != nil {

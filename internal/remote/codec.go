@@ -1,4 +1,4 @@
-// Package remote takes the sharded evaluation engine multi-node: a
+// Package remote takes the evaluation engine multi-node: a
 // Server owns an engine.Engine over its slice of the training data
 // and answers match and lifecycle RPCs over a length-prefixed binary
 // protocol, and a Cluster is the scatter/gather client that
@@ -20,7 +20,7 @@
 // Results are bit-identical to the in-process engine over the same
 // rows: floats cross the wire as IEEE-754 bits (NaN payloads
 // included), matched sets come back ascending per server and merge
-// through the same bitmap sweep the in-process shards use, and all
+// into ascending global order through one bitmap sweep, and all
 // regression/fitness math stays client-side in core.
 package remote
 

@@ -210,18 +210,17 @@ func checkTriEquivalence(t *testing.T, step string, c *Cluster, eng *engine.Engi
 
 // driveRemoteLifecycle runs one random mutation interleaving against
 // the cluster, the in-process engine and the naive model.
-func driveRemoteLifecycle(t *testing.T, seed int64, n0, d, nanEvery, servers, shards, workers, rounds int) {
+func driveRemoteLifecycle(t *testing.T, seed int64, n0, d, nanEvery, servers, workers, rounds int) {
 	src := rng.New(seed)
 	ds := randomDataset(t, src, n0, d, nanEvery)
 	ds.AssignIDs(0) // one id space shared by cluster, engine and model
 	rules := append(randomRules(ds, 18, seed+1), wildRule(d))
 
-	srvOpt := engine.Options{Shards: shards, Workers: workers}
-	c, _ := newLoopbackCluster(t, servers, srvOpt, Options{})
+	c, _ := newLoopbackCluster(t, servers, Options{})
 	if err := c.Load(context.Background(), cloneDataset(ds)); err != nil {
 		t.Fatal(err)
 	}
-	eng := engine.New(cloneDataset(ds), engine.Options{Shards: shards * servers, Workers: workers})
+	eng := engine.New(cloneDataset(ds), engine.Options{})
 	m := newNaiveStore(ds)
 
 	const emax, fmin, ridge = 0.7, 0.0, 1e-8
@@ -312,20 +311,20 @@ func driveRemoteLifecycle(t *testing.T, seed int64, n0, d, nanEvery, servers, sh
 // scatter/gather cluster over the real wire protocol is bit-identical
 // to the in-process engine and to a from-scratch sequential build
 // over the live rows, through arbitrary mutation interleavings, at
-// any server/shard/worker shape, on clean and NaN-degenerate data.
+// any server/worker shape, on clean and NaN-degenerate data.
 func TestRemoteLifecycleEquivalence(t *testing.T) {
 	for _, tc := range []struct {
-		seed                     int64
-		nanEvery                 int
-		servers, shards, workers int
+		seed             int64
+		nanEvery         int
+		servers, workers int
 	}{
-		{seed: 1, nanEvery: 0, servers: 1, shards: 1, workers: 1},
-		{seed: 2, nanEvery: 0, servers: 2, shards: 2, workers: 1},
-		{seed: 3, nanEvery: 0, servers: 4, shards: 3, workers: 0},
-		{seed: 4, nanEvery: 11, servers: 2, shards: 1, workers: 2},
-		{seed: 5, nanEvery: 7, servers: 3, shards: 2, workers: 0},
+		{seed: 1, nanEvery: 0, servers: 1, workers: 1},
+		{seed: 2, nanEvery: 0, servers: 2, workers: 1},
+		{seed: 3, nanEvery: 0, servers: 4, workers: 0},
+		{seed: 4, nanEvery: 11, servers: 2, workers: 2},
+		{seed: 5, nanEvery: 7, servers: 3, workers: 0},
 	} {
-		driveRemoteLifecycle(t, tc.seed, 140, 3, tc.nanEvery, tc.servers, tc.shards, tc.workers, 16)
+		driveRemoteLifecycle(t, tc.seed, 140, 3, tc.nanEvery, tc.servers, tc.workers, 16)
 	}
 }
 
@@ -345,7 +344,7 @@ func TestRemoteLifecycleRandomized(t *testing.T) {
 			nanEvery = 3 + src.Intn(15)
 		}
 		driveRemoteLifecycle(t, int64(9000+trial), n0, d, nanEvery,
-			1+src.Intn(4), 1+src.Intn(3), src.Intn(4), 10)
+			1+src.Intn(4), src.Intn(4), 10)
 	}
 }
 
@@ -358,6 +357,6 @@ func FuzzRemoteLifecycle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n, d, servers, nanEvery uint8) {
 		driveRemoteLifecycle(t, seed,
 			25+int(n), 1+int(d)%4, int(nanEvery)%20,
-			1+int(servers)%5, 1+int(servers)%3, int(servers)%4, 8)
+			1+int(servers)%5, int(servers)%4, 8)
 	})
 }

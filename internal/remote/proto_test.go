@@ -27,7 +27,7 @@ import (
 // current server on one stream: the server answers each with an error
 // frame naming both versions and keeps the stream in lockstep.
 func TestHelloRejectsOldClient(t *testing.T) {
-	srv := NewServer(engine.Options{Shards: 2})
+	srv := NewServer(engine.Options{})
 	client, server := net.Pipe()
 	done := make(chan struct{})
 	go func() { defer close(done); srv.ServeConn(context.Background(), server) }()
@@ -113,7 +113,7 @@ func TestHelloRejectsOldServer(t *testing.T) {
 // the opcode, the connection stays in lockstep, and the cluster's
 // sticky transport failure is not tripped.
 func TestUnknownOpcodeRejected(t *testing.T) {
-	c, _ := newLoopbackCluster(t, 1, engine.Options{Shards: 2}, Options{})
+	c, _ := newLoopbackCluster(t, 1, Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := c.Load(ctx, testDataset(t, 50, 3, false)); err != nil {
@@ -163,7 +163,7 @@ func FuzzServerDispatch(f *testing.F) {
 	match := appendRules(untraced(opMatchBatch), ds.D, randomRules(ds, 3, 1))
 	appendReq := append(binary.AppendUvarint(untraced(opAppend), uint64(ds.D)), rows...)
 	deleteReq := appendIDs(untraced(opDelete), ds.IDs[5:9])
-	nan := testDataset(f, 12, 3, true) // one input is NaN: every shard index falls back to scanning
+	nan := testDataset(f, 12, 3, true) // one input is NaN: the server's index falls back to scanning
 	nan.AssignIDs(0)
 
 	for _, req := range [][]byte{
@@ -184,10 +184,9 @@ func FuzzServerDispatch(f *testing.F) {
 	f.Add(frameRequests(resetTo(nan.Inputs, nan.Targets, nan.IDs), appendRules(untraced(opMatchBatch), nan.D, randomRules(nan, 4, 2))))
 	f.Add(frameRequests(resetTo(ds.Inputs[:10], ds.Targets[:10], ds.IDs[:10]), appendReq, deleteReq, match, untraced(opSnapshot)))
 
-	opt := engine.Options{Shards: 2, Workers: 1}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		reqs := splitRequests(in)
-		for _, srv := range []*Server{NewServer(opt), NewServerData(cloneDataset(ds), opt)} {
+		for _, srv := range []*Server{NewServer(engine.Options{}), NewServerData(cloneDataset(ds))} {
 			for _, payload := range reqs {
 				resp := srv.handle(context.Background(), payload)
 				if len(resp) == 0 {

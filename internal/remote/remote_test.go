@@ -83,12 +83,12 @@ func cloneDataset(ds *series.Dataset) *series.Dataset {
 // newLoopbackCluster starts `servers` in-process shard servers over
 // the loopback transport and returns a cluster over them (not yet
 // loaded) plus the transports, for fault injection.
-func newLoopbackCluster(t testing.TB, servers int, srvOpt engine.Options, opt Options) (*Cluster, []*Loopback) {
+func newLoopbackCluster(t testing.TB, servers int, opt Options) (*Cluster, []*Loopback) {
 	t.Helper()
 	loops := make([]*Loopback, servers)
 	dialers := make([]Dialer, servers)
 	for i := range loops {
-		loops[i] = NewLoopback(NewServer(srvOpt))
+		loops[i] = NewLoopback(NewServer(engine.Options{}))
 		dialers[i] = loops[i]
 	}
 	c, err := NewCluster(dialers, opt)
@@ -117,8 +117,8 @@ func intsEqual(a, b []int) bool {
 func TestClusterMatchesEngine(t *testing.T) {
 	for _, servers := range []int{1, 2, 3, 5} {
 		ds := testDataset(t, 400, 3, true)
-		eng := engine.New(cloneDataset(ds), engine.Options{Shards: 4})
-		c, _ := newLoopbackCluster(t, servers, engine.Options{Shards: 2}, Options{})
+		eng := engine.New(cloneDataset(ds), engine.Options{})
+		c, _ := newLoopbackCluster(t, servers, Options{})
 		if err := c.Load(context.Background(), cloneDataset(ds)); err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestClusterMatchesEngine(t *testing.T) {
 func TestClusterMoreServersThanRows(t *testing.T) {
 	ds := testDataset(t, 8, 2, false) // 6 patterns
 	eng := engine.New(cloneDataset(ds), engine.Options{})
-	c, _ := newLoopbackCluster(t, 9, engine.Options{}, Options{})
+	c, _ := newLoopbackCluster(t, 9, Options{})
 	if err := c.Load(context.Background(), cloneDataset(ds)); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestClusterMoreServersThanRows(t *testing.T) {
 // across a reconnect (a snapshot must not move server epochs).
 func TestClusterSyncAdoptsServerState(t *testing.T) {
 	ds := testDataset(t, 300, 3, false)
-	c, loops := newLoopbackCluster(t, 3, engine.Options{Shards: 2}, Options{})
+	c, loops := newLoopbackCluster(t, 3, Options{})
 	if err := c.Load(context.Background(), cloneDataset(ds)); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestClusterSyncAdoptsServerState(t *testing.T) {
 // poisoning the connection or the cluster.
 func TestServerApplicationErrorKeepsConnection(t *testing.T) {
 	ds := testDataset(t, 100, 3, false)
-	c, _ := newLoopbackCluster(t, 2, engine.Options{}, Options{})
+	c, _ := newLoopbackCluster(t, 2, Options{})
 	if err := c.Load(context.Background(), cloneDataset(ds)); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestServerApplicationErrorKeepsConnection(t *testing.T) {
 // composite epoch, which expires every cached evaluation.
 func TestCompositeEpochMonotonic(t *testing.T) {
 	ds := testDataset(t, 200, 2, false)
-	c, _ := newLoopbackCluster(t, 2, engine.Options{}, Options{})
+	c, _ := newLoopbackCluster(t, 2, Options{})
 	if err := c.Load(context.Background(), cloneDataset(ds)); err != nil {
 		t.Fatal(err)
 	}

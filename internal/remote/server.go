@@ -26,7 +26,6 @@ import (
 // with evaluation — a cluster has a single writer (its Cluster), but
 // a read-only second client (Sync) must not race an Append either.
 type Server struct {
-	opt engine.Options
 	// tel is set by Instrument before Serve; nil = telemetry disabled.
 	// handle reads it without the mutex, which is why attaching after
 	// connections are live is not supported.
@@ -38,20 +37,16 @@ type Server struct {
 }
 
 // NewServer returns a server with no dataset yet: the first Reset RPC
-// (a Cluster.Load) ships its slice. opt shapes every engine the
-// server builds — shard count and workers — exactly as for an
-// in-process engine.
-func NewServer(opt engine.Options) *Server {
-	return &Server{opt: opt.Clamped()}
-}
+// (a Cluster.Load) ships its slice. Every engine the server builds is
+// one index over its slice; the options argument is ignored (it stays
+// for perfbench, which passes one).
+func NewServer(engine.Options) *Server { return &Server{} }
 
 // NewServerData returns a server preloaded with a dataset (the
 // shardserver -csv path): a Cluster.Sync can then adopt the
 // server-held rows instead of scattering its own.
-func NewServerData(ds *series.Dataset, opt engine.Options) *Server {
-	s := NewServer(opt)
-	s.eng = engine.New(ds, s.opt)
-	return s
+func NewServerData(ds *series.Dataset) *Server {
+	return &Server{eng: engine.New(ds, engine.Options{})}
 }
 
 // Serve accepts connections until the listener closes, handling each
@@ -193,7 +188,7 @@ func (s *Server) dispatch(ctx context.Context, payload []byte) []byte {
 			return errFrame("%v", d.err)
 		}
 		ds := &series.Dataset{Inputs: inputs, Targets: targets, IDs: ids, D: width, Horizon: horizon}
-		s.eng = engine.New(ds, s.opt)
+		s.eng = engine.New(ds, engine.Options{})
 		if s.reg != nil {
 			// A Reset swaps the whole engine; the replacement inherits
 			// the server's instrumentation (same registry, so the

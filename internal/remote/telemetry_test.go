@@ -19,7 +19,7 @@ func TestRPCTelemetryBothSides(t *testing.T) {
 	srvRegs := make([]*obs.Registry, 2)
 	dialers := make([]Dialer, 2)
 	for i := range dialers {
-		srv := NewServer(engine.Options{Shards: 2})
+		srv := NewServer(engine.Options{})
 		srvRegs[i] = obs.New()
 		srv.Instrument(srvRegs[i])
 		lb := NewLoopback(srv)
@@ -82,7 +82,7 @@ func TestRPCTelemetryBothSides(t *testing.T) {
 // exempt from poisoning the cluster.
 func TestRPCTelemetryDeadlineTrip(t *testing.T) {
 	ds := testDataset(t, 100, 3, false)
-	c, _ := newLoopbackCluster(t, 1, engine.Options{Shards: 1}, Options{})
+	c, _ := newLoopbackCluster(t, 1, Options{})
 	creg := obs.New()
 	c.Instrument(creg)
 	if err := c.Load(context.Background(), ds); err != nil {

@@ -4,7 +4,7 @@
 // context, epoch, lock, error and API invariants. Each invariant the
 // codebase relies on — seeded RNG only, epoch-per-mutation cache
 // invalidation, ctx threaded through every evaluation loop,
-// sentinel-wrapped boundary errors, lock-guarded shard state, the
+// sentinel-wrapped boundary errors, lock-guarded store state, the
 // facade-only import policy — is encoded as one Analyzer, run over
 // every package of the module.
 //

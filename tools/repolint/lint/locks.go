@@ -7,7 +7,7 @@ import (
 )
 
 // Locks enforces the repository's mutex conventions, which every
-// concurrent structure (engine shards, the result cache, the remote
+// concurrent structure (the engine, the result cache, the remote
 // cluster and its connections) already follows in prose:
 //
 //   - A struct field whose comment says "guarded by <mu>" may only be

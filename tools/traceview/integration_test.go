@@ -43,7 +43,7 @@ func tracedRegistry(t *testing.T, path string) *obs.Registry {
 // loopback TCP listener with its own traced registry.
 func startTracedServer(t *testing.T, path string) string {
 	t.Helper()
-	srv := remote.NewServer(engine.Options{Shards: 2})
+	srv := remote.NewServer(engine.Options{})
 	srv.Instrument(tracedRegistry(t, path))
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
